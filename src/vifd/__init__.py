@@ -23,9 +23,7 @@ from .qp import (
     InfeasibleSystem,
     MaxPivots,
     QpSolution,
-    UnsupportedShape,
     least_distance,
-    oracle_project,
     simplex_projection,
 )
 from .operators import (

@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .operators import ProblemInstance, make_problem
-from .solver import RunReport, SolverParams, StopReason, BetaSchedule, solve
+from .solver import RunReport, SolverParams, StopCertificate, StopReason, BetaSchedule, solve
 from .sets import as_point
 
 __all__ = [
@@ -105,6 +105,7 @@ class ResultRow:
     wall_time_s: float
     terminal_point: np.ndarray
     stop_reason: StopReason
+    certificate: StopCertificate | None = None
 
     @classmethod
     def from_report(cls, start: np.ndarray, report: RunReport) -> "ResultRow":
@@ -115,18 +116,17 @@ class ResultRow:
             wall_time_s=report.wall_time_s,
             terminal_point=np.array(report.terminal_point),
             stop_reason=report.stop_reason,
+            certificate=report.terminal_certificate,
         )
 
 
 def run_reports(config: ExperimentConfig) -> list[RunReport]:
-    """Solve every start of the experiment, recording full iteration history.
+    """Solve every start of the experiment with the config's solver parameters.
 
     Wall times are medians over ``config.repetitions`` identical runs.
     """
     problem = config.build_problem()
     params = config.params
-    if not params.record_history:
-        params = SolverParams(**{**params.__dict__, "record_history": True})
     reports = []
     for start in config.starts:
         report = solve(problem, start, params)
@@ -153,7 +153,7 @@ def _fmt_point(point: np.ndarray) -> str:
 
 
 def _row_dict(row: ResultRow) -> dict:
-    return {
+    out = {
         "x0": list(row.start),
         "iter": row.iterations,
         "nT": row.operator_evals,
@@ -161,6 +161,9 @@ def _row_dict(row: ResultRow) -> dict:
         "sol": list(row.terminal_point),
         "stop_reason": row.stop_reason.value,
     }
+    if row.certificate is not None:
+        out["certificate"] = asdict(row.certificate)
+    return out
 
 
 def rows_from_json(text: str) -> list[ResultRow]:
@@ -178,6 +181,10 @@ def rows_from_json(text: str) -> list[ResultRow]:
                     wall_time_s=float(entry["cpu_s"]),
                     terminal_point=np.array(entry["sol"], dtype=float),
                     stop_reason=StopReason(entry["stop_reason"]),
+                    certificate=(
+                        StopCertificate(**entry["certificate"])
+                        if "certificate" in entry else None
+                    ),
                 )
             )
     return rows
@@ -277,7 +284,6 @@ def _params(delta, theta, tol_residual, tol_step4=1e-12, max_iter=10_000):
         tol_residual=tol_residual,
         tol_step4=tol_step4,
         max_outer_iterations=max_iter,
-        record_history=True,
     )
 
 
@@ -369,7 +375,6 @@ def configs_from_file(path: str) -> list[ExperimentConfig]:
             tol_step4=entry.get("tol_step4", 1e-12),
             max_outer_iterations=entry.get("max_outer_iterations", 10_000),
             max_linesearch_halvings=entry.get("max_linesearch_halvings", 200),
-            record_history=True,
         )
         configs.append(
             ExperimentConfig(

@@ -267,7 +267,6 @@ class ProblemInstance:
     operator: SetValuedOperator
     feasible: FeasibleSet
     known_dual_solutions: tuple[np.ndarray, ...] = ()
-    known_primal_set_description: str | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -315,7 +314,6 @@ def make_problem(
             operator=HsQuasimonotone(),
             feasible=Box(np.zeros(2), np.ones(2)),
             known_dual_solutions=(np.array([1.0, 1.0]),),
-            known_primal_set_description="the single point (1, 1)",
         )
     if name in ("rho-squared", "rho-norm"):
         n = 1 if dim is None else int(dim)
@@ -326,9 +324,6 @@ def make_problem(
             operator=RhoOperator(n, half, variant),
             feasible=Box(np.full(n, -half), np.full(n, half)),
             known_dual_solutions=(np.full(n, -half),),
-            known_primal_set_description=(
-                "the corner -a*(1,...,1) together with the origin"
-            ),
         )
     if name == "fractional-simplex":
         if dim not in (None, 5):
@@ -340,7 +335,6 @@ def make_problem(
             operator=FractionalGradient(scale, h),
             feasible=SimplexSlice(scale, 5),
             known_dual_solutions=(np.full(5, scale / 5.0),),
-            known_primal_set_description="the uniform point (a/5)*(1,...,1)",
             seed=seed,
         )
     if name == "ray-setvalued":
@@ -351,6 +345,5 @@ def make_problem(
             operator=RayOperator(),
             feasible=Box(np.zeros(2), np.array([math.inf, math.pi / 2])),
             known_dual_solutions=(np.zeros(2),),
-            known_primal_set_description="the segment {(0, theta) : 0 <= theta <= pi/2}",
         )
     raise UnknownProblem(name)

@@ -253,23 +253,25 @@ def _simplex_rows(s: SimplexSlice):
     return -np.eye(n), np.zeros(n), np.ones((1, n)), np.array([s.a])
 
 
-def assemble(C: FeasibleSet, halfspaces) -> LinearConstraintSystem:
+def assemble(C: FeasibleSet | LinearConstraintSystem, halfspaces) -> LinearConstraintSystem:
     """Stack the rows of ``C`` with one row per halfspace.
 
     Box bounds become +-identity rows (infinite bounds are skipped), a simplex
     slice becomes nonnegativity rows plus one all-ones equality, and a
-    polyhedron contributes its rows verbatim.  Halfspace rows follow in list
-    order with unit-normalized normals; whole-space halfspaces are dropped.
+    polyhedron or a stacked system contributes its rows verbatim.  Halfspace
+    rows follow in list order with unit-normalized normals; whole-space
+    halfspaces are dropped.  Extending a system one halfspace at a time gives
+    the same arrays as stacking them all at once.
     """
     if isinstance(C, Box):
         G, h, A, b = _box_rows(C)
     elif isinstance(C, SimplexSlice):
         G, h, A, b = _simplex_rows(C)
-    elif isinstance(C, Polyhedron):
+    elif isinstance(C, (Polyhedron, LinearConstraintSystem)):
         G, h, A, b = C.G, C.h, C.A, C.b
     else:
         raise TypeError(f"unsupported feasible set type: {type(C).__name__}")
-    n = C.dim
+    n = G.shape[1]
     halfspaces = list(halfspaces)
     if halfspaces:
         bad = next((hs for hs in halfspaces if hs.dim != n), None)

@@ -31,6 +31,7 @@ from .qp import least_distance
 from .sets import (
     FeasibleSet,
     Halfspace,
+    LinearConstraintSystem,
     as_point,
     assemble,
     halfspace_from_pair,
@@ -154,12 +155,13 @@ class IterationRecord:
 
 @dataclass
 class SolverState:
-    """Mutable loop state: iterate, accumulated halfspaces, counters, history."""
+    """Mutable loop state: iterate, counters, history, and the constraint store
+    ``cuts`` holding C's rows and every cut so far (None before the first)."""
 
     x: np.ndarray
     x0: np.ndarray
     k: int = 0
-    accumulated_halfspaces: list[Halfspace] = field(default_factory=list)
+    cuts: LinearConstraintSystem | None = None
     counters: Counters = field(default_factory=Counters)
     residual_history: list[float] = field(default_factory=list)
     history: list[IterationRecord] = field(default_factory=list)
@@ -315,10 +317,10 @@ def _report(state: SolverState, params: SolverParams, reason: StopReason,
 def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     """Run one outer iteration; return ``(state, report_or_None)``.
 
-    The separating halfspace found this iteration is appended to the state's
-    accumulated list (all of them are kept; the slab anchored at the current
-    iterate is rebuilt fresh every iteration and never accumulated), and the
-    next iterate is the projection of the start point onto the intersection.
+    The separating halfspace found this iteration extends the constraint store
+    ``state.cuts`` (all cuts are kept; the slab anchored at the current iterate
+    is added fresh every iteration and never stored), and the next iterate is
+    the projection of the start point onto the intersection.
     Raises :class:`LinesearchFailure` if the linesearch stalls.
     """
     C, T = problem.feasible, problem.operator
@@ -365,19 +367,14 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
         record.new_halfspace = separator
         record.w = slab
 
-    if not separator.is_whole_space:
-        state.accumulated_halfspaces.append(separator)
-    constraints = list(state.accumulated_halfspaces)
-    if not slab.is_whole_space:
-        constraints.append(slab)
-    system = assemble(C, constraints)
+    state.cuts = assemble(C if state.cuts is None else state.cuts, [separator])
+    system = assemble(state.cuts, [slab])
     solution = least_distance(system, state.x0, warm_start=state.warm_active or None)
     counters.qp_solves += 1
     x_next = solution.point
-    # rows for C and for the accumulated halfspaces keep their indices in the
-    # next iteration's system; the slab row (always last) does not
-    stable_rows = len(system.h) - (1 if not slab.is_whole_space else 0)
-    state.warm_active = [i for i in solution.active_set if i < stable_rows]
+    # stored rows keep their indices in the next iteration's system; the slab
+    # row (always last) does not
+    state.warm_active = [i for i in solution.active_set if i < len(state.cuts.h)]
 
     step_norm = float(np.linalg.norm(x_next - state.x))
     if record is not None:

@@ -76,12 +76,13 @@ class TestRunning:
         assert row.stop_reason in SOLUTION_STOPS
         assert row.wall_time_s > 0.0
 
-    def test_history_forced_without_mutating_config(self):
+    def test_history_on_request_without_mutating_config(self):
         config = _hs_config(starts=[[0.0, 0.0]])
-        assert not config.params.record_history
-        reports = run_reports(config)
-        assert reports[0].history
-        assert not config.params.record_history
+        assert run_reports(config)[0].history is None
+        assert config.params == SolverParams()
+        config = _hs_config(starts=[[0.0, 0.0]], params=SolverParams(record_history=True))
+        assert run_reports(config)[0].history
+        assert config.params == SolverParams(record_history=True)
 
     def test_repetitions_change_timing_only(self):
         once = run_experiment(_hs_config(starts=[[0.1, 0.7]]))[0]
@@ -121,12 +122,23 @@ class TestEmit:
         payload = json.loads(text)
         assert payload["config"]["problem"] == "hs-quasimonotone"
         assert payload["config"]["params"]["delta"] == 0.01
+        certificate = self.rows[0].certificate
+        assert certificate.test == "residual_sq_step2b"
+        assert payload["rows"][0]["certificate"] == {
+            "test": "residual_sq_step2b",
+            "value": certificate.value,
+            "tolerance": 1e-8,
+        }
         rebuilt = rows_from_json(text)
         assert len(rebuilt) == 1
         assert rebuilt[0].iterations == self.rows[0].iterations
         assert rebuilt[0].stop_reason == self.rows[0].stop_reason
+        assert rebuilt[0].certificate == certificate
         np.testing.assert_allclose(rebuilt[0].terminal_point, self.rows[0].terminal_point)
         np.testing.assert_allclose(rebuilt[0].start, self.rows[0].start)
+        # rows written without a certificate read back without one
+        del payload["rows"][0]["certificate"]
+        assert rows_from_json(json.dumps(payload))[0].certificate is None
 
     def test_table_has_title_and_header(self):
         text = emit(self.rows, "table", self.config)
@@ -182,7 +194,7 @@ class TestPresets:
             configs = preset_configs(name)
             assert configs
             for config in configs:
-                assert config.params.record_history
+                assert not config.params.record_history
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

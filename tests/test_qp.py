@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from vifd.qp import (
-    InfeasibleSystem,
-    MaxPivots,
-    UnsupportedShape,
-    least_distance,
-    oracle_project,
-    simplex_projection,
-)
+from oracle import UnsupportedShape, oracle_project
+from vifd.qp import InfeasibleSystem, MaxPivots, least_distance, simplex_projection
 from vifd.sets import Box, LinearConstraintSystem, SimplexSlice, assemble
 
 

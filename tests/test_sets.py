@@ -183,6 +183,34 @@ def test_assemble_skips_whole_space_and_rejects_dimension_mismatch():
         assemble(box, [Halfspace([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])])
 
 
+def test_extending_a_stacked_system_one_halfspace_at_a_time_matches_stacking_all():
+    # the solver grows its constraint store by one cut per iteration; its
+    # trajectories equal those of stacking every cut at once only while the
+    # arrays are identical
+    rng = np.random.default_rng(11)
+    sets = [
+        Box([0.0, -np.inf, -1.0], [1.0, 2.0, np.inf]),
+        SimplexSlice(5.0, 40),
+        Polyhedron(G=[[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+                   h=[3.0, 1.0, 1.0], A=[[0.0, 0.0, 1.0]], b=[0.5]),
+    ]
+    for C in sets:
+        n = C.dim
+        halfspaces = [
+            halfspace_from_pair(rng.normal(size=n), rng.normal(size=n))
+            if i % 2 else Halfspace(rng.normal(size=n) * 7.0, rng.normal(size=n))
+            for i in range(12)
+        ]
+        halfspaces.insert(5, Halfspace(np.zeros(n), rng.normal(size=n)))
+        stacked = assemble(C, halfspaces)
+        grown = assemble(C, [])
+        for hs in halfspaces:
+            grown = assemble(grown, [hs])
+        assert stacked.G.shape[0] == assemble(C, []).G.shape[0] + 12
+        for name in ("G", "h", "A", "b"):
+            assert np.array_equal(getattr(grown, name), getattr(stacked, name)), name
+
+
 def _random_feasible_set(rng):
     kind = rng.integers(0, 3)
     n = int(rng.integers(1, 5))

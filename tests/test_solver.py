@@ -210,8 +210,10 @@ class TestStep:
         assert report is None
         assert state.k == 1
         assert state.counters.outer_iters == 1
-        assert len(state.accumulated_halfspaces) == 1
         rec = state.history[0]
+        # the constraint store holds the 4 box rows plus the single cut
+        assert state.cuts.G.shape == (5, 2)
+        np.testing.assert_allclose(state.cuts.G[-1], rec.new_halfspace.normal, atol=1e-15)
         np.testing.assert_array_equal(rec.x, [0.0, 0.0])
         np.testing.assert_allclose(rec.u, [0.0, -1.0], atol=1e-15)
         np.testing.assert_allclose(rec.z, [0.0, 1.0], atol=1e-12)
@@ -222,7 +224,7 @@ class TestStep:
         assert rec.w is not None and rec.w.is_whole_space
         np.testing.assert_array_equal(rec.x_next, state.x)
         # warm start indices must reference rows that keep their position:
-        # the 4 box rows plus the single accumulated cut
+        # the 5 stored rows
         assert all(0 <= i < 5 for i in state.warm_active)
 
     def test_budget_exhaustion_reports_max_iterations(self):
