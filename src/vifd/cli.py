@@ -16,6 +16,7 @@ from .bench import (
     run_experiment,
 )
 from .operators import PROBLEM_NAMES, UnknownProblem
+from .qp import InfeasibleSystem, MaxPivots
 from .solver import BetaSchedule, SolverParams
 
 
@@ -99,6 +100,9 @@ def main(argv=None) -> int:
     except (ValueError, UnknownProblem, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (MaxPivots, InfeasibleSystem) as exc:
+        print(f"error: projection failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -7,10 +7,20 @@ Hessian of the least-distance objective is the identity, every subproblem is a
 projection onto an affine set and can be solved with small dense least-squares
 factorizations; the final active set is re-solved once more to certify the
 KKT conditions at full precision.
+
+Constraint systems are immutable, so everything that depends on the system
+alone is computed once per system and reused: the particular solution and
+null-space basis of the equalities, and the reduced, screened and normalised
+inequality rows.  Each system's reduced form is held weakly, for as long as
+the system lives; the equality basis is also kept, for a fixed number of
+distinct ``A, b``, because every system extended from a set shares the set's
+equalities.  Everything that depends on ``tol`` is evaluated on every call.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+# distinct equality systems whose affine basis is kept; a solve uses one or two
+AFFINE_CACHE_SIZE = 32
 
 
 class InfeasibleSystem(RuntimeError):
@@ -53,7 +65,17 @@ class QpSolution:
 
 
 def _affine_basis(A: np.ndarray, b: np.ndarray):
-    """Minimum-norm particular solution of ``A y = b`` and an orthonormal null basis."""
+    """Minimum-norm particular solution of ``A y = b`` and an orthonormal null basis.
+
+    Both are read-only and shared by every caller with the same ``A, b``.
+    """
+    return _affine_basis_of(A.shape, A.tobytes(), b.tobytes())
+
+
+@functools.lru_cache(maxsize=AFFINE_CACHE_SIZE)
+def _affine_basis_of(shape, A_bytes: bytes, b_bytes: bytes):
+    A = np.frombuffer(A_bytes).reshape(shape)
+    b = np.frombuffer(b_bytes)
     y_part, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     if float(np.max(np.abs(A @ y_part - b))) > 1e-8 * scale:
@@ -63,7 +85,63 @@ def _affine_basis(A: np.ndarray, b: np.ndarray):
         rank = int(np.sum(s > s[0] * max(A.shape) * np.finfo(float).eps))
     else:
         rank = 0
-    return y_part, vt[rank:].T
+    Z = vt[rank:].T
+    y_part.flags.writeable = Z.flags.writeable = False
+    return y_part, Z
+
+
+@dataclass(frozen=True)
+class _ReducedForm:
+    """The part of a projection onto one system that depends on the system alone.
+
+    ``y_part``/``Z`` are ``None`` without equalities.  The reduced rows
+    ``G Z`` with norm above 1e-13 are kept (mask ``keep``, indices ``kept``)
+    and divided by their ``norms`` into ``rows``/``rhs``; ``dropped_rhs``
+    holds the right-hand sides of the others, which are constant on the
+    affine subspace.  When the equalities pin a single point (``Z`` has no
+    columns) only ``y_part`` and ``Z`` are set.  Every array is read-only.
+    """
+
+    y_part: np.ndarray | None
+    Z: np.ndarray | None
+    rows: np.ndarray | None = None
+    rhs: np.ndarray | None = None
+    norms: np.ndarray | None = None
+    keep: np.ndarray | None = None
+    kept: np.ndarray | None = None
+    dropped_rhs: np.ndarray | None = None
+
+
+# systems are immutable, so a reduced form stays valid for the life of its key
+_REDUCED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
+    form = _REDUCED.get(system)
+    if form is None:
+        form = _REDUCED[system] = _reduce(system)
+    return form
+
+
+def _reduce(system: LinearConstraintSystem) -> _ReducedForm:
+    G, h, A, b = system.G, system.h, system.A, system.b
+    if A.shape[0]:
+        y_part, Z = _affine_basis(A, b)
+        if Z.shape[1] == 0:
+            return _ReducedForm(y_part, Z)
+        M = G @ Z
+        d = h - G @ y_part
+    else:
+        y_part, Z = None, None
+        M, d = G, h
+    # screen rows that vanish on the reduced space, then unit-normalize the rest
+    norms = np.linalg.norm(M, axis=1)
+    keep = norms > 1e-13
+    rows, rhs = M[keep] / norms[keep, None], d[keep] / norms[keep]
+    kept, dropped_rhs = np.flatnonzero(keep), d[~keep]
+    for arr in (rows, rhs, norms, keep, kept, dropped_rhs):
+        arr.flags.writeable = False
+    return _ReducedForm(y_part, Z, rows, rhs, norms, keep, kept, dropped_rhs)
 
 
 def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]):
@@ -161,14 +239,18 @@ def _dual_active_set(M, d, w0, tol, max_pivots, warm_start):
             del lam[blocker]
 
 
-def _kkt_residual(system, x0, y, mu):
+def _kkt_residual(system, Z, x0, y, mu):
+    """Largest KKT violation; ``Z`` is the orthonormal null basis of ``A`` (None without equalities).
+
+    The equality multipliers are eliminated by projecting the stationarity
+    residual onto the null space of ``A``.
+    """
     G, h, A, b = system.G, system.h, system.A, system.b
     resid = y - x0
     if G.shape[0]:
         resid = resid + G.T @ mu
     if A.shape[0]:
-        nu, _, _, _ = np.linalg.lstsq(A.T, -resid, rcond=None)
-        resid = resid + A.T @ nu
+        resid = Z @ (Z.T @ resid)
     worst = float(np.max(np.abs(resid))) if resid.size else 0.0
     if G.shape[0]:
         slack = G @ y - h
@@ -187,6 +269,12 @@ def least_distance(
     max_pivots: int | None = None,
 ) -> QpSolution:
     """Project ``x0`` onto the polyhedron described by ``system``.
+
+    Systems are immutable, so the work that depends on ``system`` alone (the
+    equality elimination and the screened, normalised reduced rows) is done
+    on the first call for a system and reused by later calls.  ``tol`` is
+    applied on every call: the infeasibility screens, the pinned point's
+    tight rows and the pivoting all use the caller's value.
 
     Parameters
     ----------
@@ -226,46 +314,35 @@ def least_distance(
     if m == 0 and p == 0:
         return QpSolution(x0.copy(), [], 0, 0.0)
 
-    if p:
-        y_part, Z = _affine_basis(A, b)
-        if Z.shape[1] == 0:
-            # the equalities pin a single point
-            if m and float(np.max(G @ y_part - h)) > tol:
-                raise InfeasibleSystem("equalities contradict the inequalities")
-            mu = np.zeros(m)
-            tight = [i for i in range(m) if abs(float(G[i] @ y_part - h[i])) <= tol]
-            return QpSolution(y_part, tight, 0, _kkt_residual(system, x0, y_part, mu))
-        M = G @ Z
-        d = h - G @ y_part
-        w0 = Z.T @ (x0 - y_part)
-    else:
-        y_part, Z = None, None
-        M, d, w0 = G.copy(), h.copy(), x0.copy()
-
-    # screen rows that vanish on the reduced space, then unit-normalize the rest
-    norms = np.linalg.norm(M, axis=1) if m else np.zeros(0)
-    keep = norms > 1e-13
-    if np.any(d[~keep] < -tol):
+    form = _reduced_form(system)
+    y_part, Z = form.y_part, form.Z
+    if Z is not None and Z.shape[1] == 0:
+        # the equalities pin a single point
+        if m and float(np.max(G @ y_part - h)) > tol:
+            raise InfeasibleSystem("equalities contradict the inequalities")
+        mu = np.zeros(m)
+        tight = [i for i in range(m) if abs(float(G[i] @ y_part - h[i])) <= tol]
+        return QpSolution(y_part.copy(), tight, 0, _kkt_residual(system, Z, x0, y_part, mu))
+    if np.any(form.dropped_rhs < -tol):
         raise InfeasibleSystem("a constraint is constant and violated on the affine subspace")
-    kept_rows = np.flatnonzero(keep)
-    Mn = M[keep] / norms[keep, None] if kept_rows.size else M[keep]
-    dn = d[keep] / norms[keep] if kept_rows.size else d[keep]
+    w0 = Z.T @ (x0 - y_part) if Z is not None else x0
 
     warm = None
     if warm_start:
+        keep = form.keep
         pos = np.cumsum(keep) - 1
         idx = np.asarray(list(warm_start), dtype=int)
         idx = idx[(idx >= 0) & (idx < m)]
         warm = [int(pos[i]) for i in idx if keep[i]]
 
-    w, active_n, lam_n, pivots = _dual_active_set(Mn, dn, w0, tol, max_pivots, warm)
+    w, active_n, lam_n, pivots = _dual_active_set(form.rows, form.rhs, w0, tol, max_pivots, warm)
 
     y = y_part + Z @ w if Z is not None else w
     mu = np.zeros(m)
-    active = [int(kept_rows[i]) for i in active_n]
+    active = [int(form.kept[i]) for i in active_n]
     for i, lam_i in zip(active, lam_n):
-        mu[i] = lam_i / norms[i]
-    return QpSolution(y, active, pivots, _kkt_residual(system, x0, y, mu))
+        mu[i] = lam_i / form.norms[i]
+    return QpSolution(y, active, pivots, _kkt_residual(system, Z, x0, y, mu))
 
 
 def simplex_projection(v, a: float = 1.0) -> np.ndarray:

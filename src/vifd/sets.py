@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -119,6 +120,18 @@ class Box:
         y = as_point(y, self.dim)
         return bool(np.all(y >= self.lower - tol) and np.all(y <= self.upper + tol))
 
+    @cached_property
+    def constraints(self) -> LinearConstraintSystem:
+        """``+e_i`` rows for the finite uppers, then ``-e_i`` rows for the finite lowers."""
+        eye = np.eye(self.dim)
+        upper, lower = np.isfinite(self.upper), np.isfinite(self.lower)
+        return LinearConstraintSystem(
+            np.vstack([eye[upper], -eye[lower]]),
+            np.concatenate([self.upper[upper], -self.lower[lower]]),
+            np.zeros((0, self.dim)),
+            np.zeros(0),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class SimplexSlice:
@@ -136,6 +149,12 @@ class SimplexSlice:
     def contains(self, y, tol: float = 0.0) -> bool:
         y = as_point(y, self.dim)
         return bool(np.all(y >= -tol) and abs(float(y.sum()) - self.a) <= tol)
+
+    @cached_property
+    def constraints(self) -> LinearConstraintSystem:
+        """Nonnegativity rows ``-e_i`` and one all-ones equality."""
+        n = self.dim
+        return LinearConstraintSystem(-np.eye(n), np.zeros(n), np.ones((1, n)), np.array([self.a]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +175,7 @@ class Polyhedron:
         # nonemptiness check: one feasibility projection from the origin
         from . import qp
 
-        qp.least_distance(
-            LinearConstraintSystem(self.G, self.h, self.A, self.b),
-            np.zeros(self.dim),
-        )
+        qp.least_distance(self.constraints, np.zeros(self.dim))
 
     @property
     def dim(self) -> int:
@@ -170,6 +186,11 @@ class Polyhedron:
         ok_ineq = self.G.shape[0] == 0 or float(np.max(self.G @ y - self.h)) <= tol
         ok_eq = self.A.shape[0] == 0 or float(np.max(np.abs(self.A @ y - self.b))) <= tol
         return bool(ok_ineq and ok_eq)
+
+    @cached_property
+    def constraints(self) -> LinearConstraintSystem:
+        """The polyhedron's own rows."""
+        return LinearConstraintSystem(self.G, self.h, self.A, self.b)
 
 
 FeasibleSet = Union[Box, SimplexSlice, Polyhedron]
@@ -232,25 +253,16 @@ class LinearConstraintSystem:
         return self.max_violation(y) <= tol
 
 
-def _box_rows(box: Box):
-    n = box.dim
-    rows, rhs = [], []
-    eye = np.eye(n)
-    for i in range(n):
-        if np.isfinite(box.upper[i]):
-            rows.append(eye[i])
-            rhs.append(box.upper[i])
-    for i in range(n):
-        if np.isfinite(box.lower[i]):
-            rows.append(-eye[i])
-            rhs.append(-box.lower[i])
-    G = np.array(rows, dtype=float).reshape(len(rows), n)
-    return G, np.array(rhs, dtype=float), np.zeros((0, n)), np.zeros(0)
-
-
-def _simplex_rows(s: SimplexSlice):
-    n = s.dim
-    return -np.eye(n), np.zeros(n), np.ones((1, n)), np.array([s.a])
+def _stacked(base: LinearConstraintSystem, rows: np.ndarray, rhs: np.ndarray):
+    """``base`` with ``rows``/``rhs`` appended; only the new rows are validated."""
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
+        raise ValueError("constraint data must be finite")
+    G, h = np.vstack([base.G, rows]), np.concatenate([base.h, rhs])
+    G.flags.writeable = h.flags.writeable = False
+    system = object.__new__(LinearConstraintSystem)
+    for name, value in (("G", G), ("h", h), ("A", base.A), ("b", base.b)):
+        object.__setattr__(system, name, value)
+    return system
 
 
 def assemble(C: FeasibleSet | LinearConstraintSystem, halfspaces) -> LinearConstraintSystem:
@@ -258,34 +270,36 @@ def assemble(C: FeasibleSet | LinearConstraintSystem, halfspaces) -> LinearConst
 
     Box bounds become +-identity rows (infinite bounds are skipped), a simplex
     slice becomes nonnegativity rows plus one all-ones equality, and a
-    polyhedron or a stacked system contributes its rows verbatim.  Halfspace
-    rows follow in list order with unit-normalized normals; whole-space
-    halfspaces are dropped.  Extending a system one halfspace at a time gives
-    the same arrays as stacking them all at once.
+    polyhedron or a stacked system contributes its rows verbatim.  A set's
+    rows are built once, on first use, as its ``constraints`` system.
+    Halfspace rows follow in list order with unit-normalized normals;
+    whole-space halfspaces are dropped.  When no row is added, the base
+    system itself is returned, so ``assemble(C, [])`` is the same object on
+    every call.  Extending a system one halfspace at a time gives the same
+    arrays as stacking them all at once.  Systems are immutable, so sharing
+    them is safe.
     """
-    if isinstance(C, Box):
-        G, h, A, b = _box_rows(C)
-    elif isinstance(C, SimplexSlice):
-        G, h, A, b = _simplex_rows(C)
-    elif isinstance(C, (Polyhedron, LinearConstraintSystem)):
-        G, h, A, b = C.G, C.h, C.A, C.b
+    if isinstance(C, LinearConstraintSystem):
+        base = C
+    elif isinstance(C, (Box, SimplexSlice, Polyhedron)):
+        base = C.constraints
     else:
         raise TypeError(f"unsupported feasible set type: {type(C).__name__}")
-    n = G.shape[1]
+    n = base.n
     halfspaces = list(halfspaces)
-    if halfspaces:
-        bad = next((hs for hs in halfspaces if hs.dim != n), None)
-        if bad is not None:
-            raise ValueError(
-                f"halfspace dimension {bad.dim} does not match feasible set dimension {n}"
-            )
-        normals = np.stack([hs.normal for hs in halfspaces])
-        anchors = np.stack([hs.anchor for hs in halfspaces])
-        norms = np.linalg.norm(normals, axis=1)
-        keep = norms > 0.0
-        if np.any(keep):
-            rows = normals[keep] / norms[keep, None]
-            rhs = np.einsum("ij,ij->i", rows, anchors[keep])
-            G = np.vstack([G, rows])
-            h = np.concatenate([h, rhs])
-    return LinearConstraintSystem(G, h, A, b)
+    if not halfspaces:
+        return base
+    bad = next((hs for hs in halfspaces if hs.dim != n), None)
+    if bad is not None:
+        raise ValueError(
+            f"halfspace dimension {bad.dim} does not match feasible set dimension {n}"
+        )
+    normals = np.stack([hs.normal for hs in halfspaces])
+    anchors = np.stack([hs.anchor for hs in halfspaces])
+    norms = np.linalg.norm(normals, axis=1)
+    keep = norms > 0.0
+    if not np.any(keep):
+        return base
+    rows = normals[keep] / norms[keep, None]
+    rhs = np.einsum("ij,ij->i", rows, anchors[keep])
+    return _stacked(base, rows, rhs)

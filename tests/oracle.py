@@ -91,3 +91,26 @@ def oracle_project(
         dist = np.sum((grid[feasible] - x0) ** 2, axis=1)
         center = grid[feasible][int(np.argmin(dist))]
     return center.copy()
+
+
+def kkt_residual_lstsq(system: LinearConstraintSystem, x0, y, mu) -> float:
+    """KKT residual with the equality multipliers fitted by least squares.
+
+    The reference for ``vifd.qp._kkt_residual``, which projects the
+    stationarity residual onto the null space of ``A`` instead.
+    """
+    G, h, A, b = system.G, system.h, system.A, system.b
+    resid = y - x0
+    if G.shape[0]:
+        resid = resid + G.T @ mu
+    if A.shape[0]:
+        nu, _, _, _ = np.linalg.lstsq(A.T, -resid, rcond=None)
+        resid = resid + A.T @ nu
+    worst = float(np.max(np.abs(resid))) if resid.size else 0.0
+    if G.shape[0]:
+        slack = G @ y - h
+        worst = max(worst, float(np.max(slack)))
+        worst = max(worst, float(np.max(np.abs(mu * slack))))
+    if A.shape[0]:
+        worst = max(worst, float(np.max(np.abs(A @ y - b))))
+    return max(worst, 0.0)

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import vifd.solver
 from vifd.bench import CSV_HEADER
 from vifd.cli import main
+from vifd.qp import InfeasibleSystem, MaxPivots
 
 
 def test_solve_table_output(capsys):
@@ -113,3 +115,14 @@ def test_bench_missing_config_file_maps_to_exit_one(tmp_path, capsys):
     code = main(["bench", "--config", str(tmp_path / "absent.json")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [MaxPivots, InfeasibleSystem])
+def test_projection_breakdown_maps_to_exit_four(monkeypatch, capsys, error):
+    def broken(*args, **kwargs):
+        raise error("injected breakdown")
+
+    monkeypatch.setattr(vifd.solver, "least_distance", broken)
+    code = main(["solve", "--problem", "hs-quasimonotone", "--x0", "0.5,0.5"])
+    assert code == 4
+    assert capsys.readouterr().err.strip() == "error: projection failed: injected breakdown"

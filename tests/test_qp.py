@@ -1,11 +1,15 @@
 """Projection solver: analytic cross-checks, KKT certificates, contraction properties."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from oracle import UnsupportedShape, oracle_project
+from oracle import UnsupportedShape, kkt_residual_lstsq, oracle_project
+from vifd import qp
 from vifd.qp import InfeasibleSystem, MaxPivots, least_distance, simplex_projection
-from vifd.sets import Box, LinearConstraintSystem, SimplexSlice, assemble
+from vifd.sets import Box, Halfspace, LinearConstraintSystem, SimplexSlice, assemble
 
 
 def _system(G, h, A=None, b=None):
@@ -229,6 +233,89 @@ def test_nearly_parallel_rows_stay_feasible():
         sol = least_distance(system, center + rng.normal(size=n) * 3.0)
         assert system.max_violation(sol.point) <= 5e-9
         assert sol.kkt_residual <= 1e-7
+
+
+def _slice_with_cuts(seed):
+    """A 5-dimensional simplex slice and six cuts that keep its centre."""
+    rng = np.random.default_rng(seed)
+    system = assemble(SimplexSlice(5.0, 5), [])
+    for _ in range(6):
+        normal = rng.normal(size=5)
+        system = assemble(system, [Halfspace(normal, 1.0 + rng.uniform(0.1, 0.5) * normal)])
+    return system
+
+
+# factories of equal systems: equalities with cuts, inequalities only, a pinned
+# point, and rows that vanish on the equality subspace
+CACHED_CASES = [
+    (lambda: _slice_with_cuts(12), [4.0, -1.0, 0.5, 3.0, 0.0]),
+    (lambda: _system([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0]), [2.0, 2.0]),
+    (lambda: _system([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], np.eye(2), [0.3, 0.4]), [9.0, 9.0]),
+    (lambda: _system([[1.0, 1.0], [-1.0, 0.0]], [2.0, 0.0], [[1.0, 1.0]], [1.0]), [-3.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize(
+    "build, x0", CACHED_CASES, ids=["slice-cuts", "triangle", "pinned", "vanishing-row"]
+)
+def test_a_cache_hit_gives_the_cold_solution(build, x0):
+    system = build()
+    first = least_distance(system, x0)
+    # a result belongs to its caller: writing to it must not reach the cache
+    first.point[:] = np.nan
+    hit = least_distance(system, x0)
+    hit_warm = least_distance(system, x0, warm_start=first.active_set)
+    qp._affine_basis_of.cache_clear()
+    cold = least_distance(build(), x0)
+    for sol in (hit, hit_warm):
+        np.testing.assert_array_equal(sol.point, cold.point)
+        assert sol.active_set == cold.active_set
+    assert hit.iterations == cold.iterations
+    form = qp._reduced_form(system)
+    for name, arr in vars(form).items():
+        if arr is not None:
+            assert not arr.flags.writeable, name
+
+
+def test_infeasibility_screen_uses_each_calls_tol():
+    # row 0 is constant on the line x + y = 1, where it reads 0 <= -1e-9
+    system = _system([[1.0, 1.0], [-1.0, 0.0]], [1.0 - 1e-9, 0.0], [[1.0, 1.0]], [1.0])
+    least_distance(system, [0.2, 0.3], tol=1e-8)
+    with pytest.raises(InfeasibleSystem):
+        least_distance(system, [0.2, 0.3], tol=1e-10)
+    least_distance(system, [0.2, 0.3], tol=1e-8)
+
+
+def test_kkt_residual_from_null_basis_matches_lstsq_reference():
+    rng = np.random.default_rng(13)
+    shapes = [(4, 0, 2), (5, 3, 1), (5, 3, 2), (6, 4, 3), (4, 3, 0)]
+    for _ in range(100):
+        for n, m, p in shapes:
+            A = rng.normal(size=(p, n))
+            if p >= 2:
+                A[1] = A[0]  # a duplicated equality row
+            y = rng.normal(size=n)
+            G = rng.normal(size=(m, n))
+            mu = np.where(rng.random(size=m) < 0.5, rng.uniform(0.0, 2.0, size=m), 0.0)
+            # rows with a multiplier are tight, the others slack, so the
+            # stationarity term decides the residual
+            system = _system(G, G @ y + np.where(mu > 0.0, 0.0, 1.0), A, A @ y)
+            x0 = y + rng.normal(size=n)
+            Z = qp._affine_basis(system.A, system.b)[1] if p else None
+            got = qp._kkt_residual(system, Z, x0, y, mu)
+            ref = kkt_residual_lstsq(system, x0, y, mu)
+            assert abs(got - ref) <= 1e-14 * max(1.0, ref)
+            if p:
+                assert got > 1e-3
+
+
+def test_a_projected_system_is_not_kept_alive():
+    system = _slice_with_cuts(14)
+    least_distance(system, [1.0, 1.0, 1.0, 1.0, 1.0])
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
 
 
 def test_simplex_projection_frozen_values():

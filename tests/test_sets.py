@@ -211,6 +211,39 @@ def test_extending_a_stacked_system_one_halfspace_at_a_time_matches_stacking_all
             assert np.array_equal(getattr(grown, name), getattr(stacked, name)), name
 
 
+def test_a_sets_rows_are_built_once_and_shared_read_only():
+    # the solver projects onto C two or three times per iteration; C's rows
+    # must come from one system per set, which no caller can alter
+    sets = [
+        Box([0.0, -np.inf, -1.0], [1.0, 2.0, np.inf]),
+        SimplexSlice(5.0, 3),
+        Polyhedron(G=[[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]], h=[3.0, 1.0],
+                   A=[[0.0, 0.0, 1.0]], b=[0.5]),
+    ]
+    for C in sets:
+        system = assemble(C, [])
+        assert assemble(C, []) is system
+        assert C.constraints is system
+        assert assemble(system, []) is system
+        assert assemble(system, [Halfspace(np.zeros(3), [1.0, 2.0, 3.0])]) is system
+        extended = assemble(system, [Halfspace([0.0, 2.0, 0.0], [0.0, 0.5, 0.0])])
+        np.testing.assert_array_equal(extended.G[-1], [0.0, 1.0, 0.0])
+        for s in (system, extended):
+            for name in ("G", "h", "A", "b"):
+                arr = getattr(s, name)
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+
+
+def test_extension_still_rejects_non_finite_new_rows():
+    system = assemble(Box([0.0, 0.0], [1.0, 1.0]), [])
+    # a finite halfspace whose right-hand side overflows
+    huge = Halfspace([1.0, 1.0], [1.7e308, 1.7e308])
+    with pytest.raises(ValueError, match="finite"):
+        assemble(system, [huge])
+
+
 def _random_feasible_set(rng):
     kind = rng.integers(0, 3)
     n = int(rng.integers(1, 5))

@@ -1,0 +1,77 @@
+"""One sha256 over the trajectories of the preset rows and the benchmark workloads.
+
+Usage, from the repository root::
+
+    python3 tools/trajectory_digest.py --seed 1
+
+Solves every start of presets table1 to table4, then every solve of the
+``perfbench/workloads.py`` workloads (anchored-long, box-wide, ray-short)
+drawn from ``--seed``, in that order.  Each solve contributes its stop
+reason, outer iterations, operator evaluations, QP solves and the bytes of
+its terminal point.  The script prints the number of solves and the digest.
+
+Two commits that print the same digest at the same seed give bitwise the same
+trajectories on all of these solves, so a refactor meant to change no result
+can be checked by running this on both sides.  A solve that raises counts
+with the exception's name in place of its counters.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+
+# one BLAS thread, as in the benchmark, set before numpy is first imported
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from vifd.bench import preset_configs, run_reports  # noqa: E402
+from vifd.operators import DomainError  # noqa: E402
+from vifd.qp import InfeasibleSystem, MaxPivots  # noqa: E402
+
+import workloads  # noqa: E402
+
+PRESETS = ("table1", "table2", "table3", "table4")
+
+
+def configs(seed: int):
+    """Every single-run config, presets first, in a fixed order."""
+    for name in PRESETS:
+        yield from preset_configs(name)
+    for name in sorted(workloads.WORKLOADS):
+        for solve in workloads.build(name, seed):
+            yield solve.config
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="workload seed")
+    args = parser.parse_args(argv)
+    digest = hashlib.sha256()
+    solves = 0
+    for config in configs(args.seed):
+        try:
+            reports = run_reports(config)
+        except (MaxPivots, InfeasibleSystem, DomainError) as exc:
+            digest.update(f"{type(exc).__name__}\n".encode())
+            solves += len(config.starts)
+            continue
+        for report in reports:
+            c = report.counters
+            digest.update(
+                f"{report.stop_reason.value}|{c.outer_iters}|{c.operator_evals}|"
+                f"{c.qp_solves}|".encode()
+            )
+            digest.update(report.terminal_point.tobytes())
+            solves += 1
+    print(f"solves {solves}")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
