@@ -40,7 +40,6 @@ from .operators import (
     make_problem,
 )
 from .solver import (
-    BetaSchedule,
     Counters,
     IterationRecord,
     LinesearchFailure,

@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .operators import ProblemInstance, make_problem
-from .solver import RunReport, SolverParams, StopCertificate, StopReason, BetaSchedule, solve
+from .solver import RunReport, SolverParams, StopCertificate, StopReason, solve
 from .sets import as_point
 
 __all__ = [
@@ -31,6 +31,25 @@ __all__ = [
 CSV_HEADER = "x0,iter,nT,cpu_s,sol,stop_reason"
 OUTPUT_FORMATS = ("csv", "json", "table")
 PRESET_NAMES = ("table1", "table2", "table3", "table4")
+
+_REAL = (int, float)
+# The solver keys of a config entry, each with the JSON types it accepts: every
+# SolverParams field but record_history, which only the library sets, typed by
+# its default.
+_SOLVER_KEYS = {
+    f.name: _REAL if isinstance(f.default, float) else type(f.default)
+    for f in fields(SolverParams) if f.name != "record_history"
+}
+_ENTRY_TYPES = {
+    "problem": str,
+    "starts": list,
+    "a": (*_REAL, type(None)),
+    "seed": int,
+    "repetitions": int,
+    "output": str,
+    "label": (str, type(None)),
+    **_SOLVER_KEYS,
+}
 
 
 @dataclass
@@ -73,26 +92,47 @@ class ExperimentConfig:
         return make_problem(self.problem, dim=self.dim, a=self.a, seed=self.seed)
 
     def to_dict(self) -> dict:
-        p = self.params
+        """This config as one flat config-file entry, which :meth:`from_dict` reads back."""
+        params = asdict(self.params)
         return {
             "problem": self.problem,
-            "starts": [list(s) for s in self.starts],
+            "starts": [s.tolist() for s in self.starts],
             "a": self.a,
+            **{key: params[key] for key in _SOLVER_KEYS},
             "seed": self.seed,
             "repetitions": self.repetitions,
-            "output_format": self.output_format,
+            "output": self.output_format,
             "label": self.label,
-            "params": {
-                "delta": p.delta,
-                "theta": p.theta,
-                "beta_lower": p.beta_schedule.lower,
-                "beta_upper": p.beta_schedule.upper,
-                "tol_residual": p.tol_residual,
-                "tol_step4": p.tol_step4,
-                "max_outer_iterations": p.max_outer_iterations,
-                "max_linesearch_halvings": p.max_linesearch_halvings,
-            },
         }
+
+    @classmethod
+    def from_dict(cls, entry: dict) -> "ExperimentConfig":
+        """Build a config from one flat config-file entry.
+
+        ``problem`` and ``starts`` are required; every other key is optional
+        and defaults to the ``ExperimentConfig`` or ``SolverParams`` value.
+        Raises ``ValueError`` naming the key on an unknown key or a value of
+        the wrong type: numbers must be finite, budgets and seeds integers,
+        and booleans are never accepted.
+        """
+        if not isinstance(entry, dict):
+            raise ValueError("each experiment must be a JSON object")
+        if "problem" not in entry or "starts" not in entry:
+            raise ValueError("each experiment needs 'problem' and 'starts'")
+        for key, value in entry.items():
+            if key not in _ENTRY_TYPES:
+                raise ValueError(f"unknown config key {key!r}")
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, _ENTRY_TYPES[key])
+                or (isinstance(value, float) and not math.isfinite(value))
+            ):
+                raise ValueError(f"config key {key!r} cannot be {value!r}")
+        values = dict(entry)
+        params = SolverParams(**{k: values.pop(k) for k in _SOLVER_KEYS if k in values})
+        if "output" in values:
+            values["output_format"] = values.pop("output")
+        return cls(params=params, **values)
 
 
 @dataclass
@@ -276,17 +316,6 @@ def exit_code_for(rows: list[ResultRow]) -> int:
     return 0
 
 
-def _params(delta, theta, tol_residual, tol_step4=1e-12, max_iter=10_000):
-    return SolverParams(
-        delta=delta,
-        theta=theta,
-        beta_schedule=BetaSchedule.constant(1.0),
-        tol_residual=tol_residual,
-        tol_step4=tol_step4,
-        max_outer_iterations=max_iter,
-    )
-
-
 def preset_configs(name: str) -> list[ExperimentConfig]:
     """Built-in experiment batches covering the four benchmark problems."""
     if name == "table1":
@@ -297,7 +326,7 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
                     [0.0, 1.0], [0.0, 0.0], [1.0, 0.0],
                     [0.5, 0.5], [0.2, 0.7], [0.1, 0.7],
                 ],
-                params=_params(0.01, 0.5, 1e-8),
+                params=SolverParams(delta=0.01, theta=0.5, tol_residual=1e-8),
                 label="quasimonotone box problem",
             )
         ]
@@ -305,7 +334,7 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
         mk = lambda variant, n, start, label: ExperimentConfig(
             problem=variant,
             starts=[start],
-            params=_params(0.01, 0.5, 1e-8),
+            params=SolverParams(delta=0.01, theta=0.5, tol_residual=1e-8),
             a=1.0,
             label=label,
         )
@@ -321,7 +350,7 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
         mk = lambda delta, a, starts: ExperimentConfig(
             problem="fractional-simplex",
             starts=starts,
-            params=_params(delta, 0.25, 1e-4),
+            params=SolverParams(delta=delta, theta=0.25, tol_residual=1e-4),
             a=a,
             seed=0,
             label=f"fractional objective on the simplex, delta = {delta}, a = {a}",
@@ -344,7 +373,7 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
                 # the residual tolerance is an exact-zero test here: the run
                 # only stops once the trial point coincides with the iterate
                 # to machine precision
-                params=_params(0.5, 0.5, 1e-30),
+                params=SolverParams(delta=0.5, theta=0.5, tol_residual=1e-30),
                 label="ray-valued operator on the quarter plane",
             )
         ]
@@ -354,38 +383,12 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
 def configs_from_file(path: str) -> list[ExperimentConfig]:
     """Load one or more experiment configs from a json file.
 
-    The file holds either a single object or a list of objects with keys:
-    ``problem`` (required), ``starts`` (required, list of vectors), ``a``,
-    ``seed``, ``repetitions``, ``output``, ``label``, and the solver knobs
-    ``delta``, ``theta``, ``beta``, ``tol_residual``, ``tol_step4``,
-    ``max_outer_iterations``, ``max_linesearch_halvings``.
+    The file holds a single entry or a list of entries in the flat schema of
+    :meth:`ExperimentConfig.from_dict`, the one ``to_dict`` writes.
     """
     with open(path) as fh:
         payload = json.load(fh)
     entries = payload if isinstance(payload, list) else [payload]
-    configs = []
-    for entry in entries:
-        if "problem" not in entry or "starts" not in entry:
-            raise ValueError("each experiment needs 'problem' and 'starts'")
-        params = SolverParams(
-            delta=entry.get("delta", 0.01),
-            theta=entry.get("theta", 0.5),
-            beta_schedule=BetaSchedule.constant(entry.get("beta", 1.0)),
-            tol_residual=entry.get("tol_residual", 1e-8),
-            tol_step4=entry.get("tol_step4", 1e-12),
-            max_outer_iterations=entry.get("max_outer_iterations", 10_000),
-            max_linesearch_halvings=entry.get("max_linesearch_halvings", 200),
-        )
-        configs.append(
-            ExperimentConfig(
-                problem=entry["problem"],
-                starts=entry["starts"],
-                params=params,
-                a=entry.get("a"),
-                seed=entry.get("seed", 0),
-                repetitions=entry.get("repetitions", 1),
-                output_format=entry.get("output", "table"),
-                label=entry.get("label"),
-            )
-        )
-    return configs
+    if not entries:
+        raise ValueError(f"{path} holds no experiment")
+    return [ExperimentConfig.from_dict(entry) for entry in entries]

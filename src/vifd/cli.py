@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .bench import (
+    OUTPUT_FORMATS,
     ExperimentConfig,
     PRESET_NAMES,
     configs_from_file,
@@ -17,7 +18,6 @@ from .bench import (
 )
 from .operators import PROBLEM_NAMES, UnknownProblem
 from .qp import InfeasibleSystem, MaxPivots
-from .solver import BetaSchedule, SolverParams
 
 
 def _parse_vector(text: str) -> list[float]:
@@ -37,29 +37,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="run one problem from one start point")
+    # Flags not given stay out of the entry, so from_dict supplies the
+    # ExperimentConfig and SolverParams defaults; each dest is a config key.
+    sp = sub.add_parser("solve", help="run one problem from one start point",
+                        argument_default=argparse.SUPPRESS)
     sp.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     sp.add_argument("--x0", required=True, type=_parse_vector,
                     help="comma-separated start point, e.g. 0.5,0.5")
-    sp.add_argument("--delta", type=float, default=0.01)
-    sp.add_argument("--theta", type=float, default=0.5)
-    sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-8,
+    sp.add_argument("--delta", type=float)
+    sp.add_argument("--theta", type=float)
+    sp.add_argument("--beta", type=float)
+    sp.add_argument("--tol", dest="tol_residual", type=float,
                     help="tolerance on the squared stop residuals")
-    sp.add_argument("--tol-step4", type=float, default=1e-12,
+    sp.add_argument("--tol-step4", type=float,
                     help="tolerance on consecutive-iterate distance")
-    sp.add_argument("--max-iter", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized problem data")
-    sp.add_argument("--a", type=float, default=None,
-                    help="feasible-set scale where applicable")
-    sp.add_argument("--output", choices=("csv", "json", "table"), default="table")
+    sp.add_argument("--max-iter", dest="max_outer_iterations", type=int)
+    sp.add_argument("--seed", type=int, help="seed for randomized problem data")
+    sp.add_argument("--a", type=float, help="feasible-set scale where applicable")
+    sp.add_argument("--output", choices=OUTPUT_FORMATS)
 
     bp = sub.add_parser("bench", help="run a preset or configured batch")
     group = bp.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=PRESET_NAMES)
     group.add_argument("--config", help="path to a json experiment file")
-    bp.add_argument("--output", choices=("csv", "json", "table"), default=None,
+    bp.add_argument("--output", choices=OUTPUT_FORMATS, default=None,
                     help="override the configured output format")
     return parser
 
@@ -68,24 +69,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            params = SolverParams(
-                delta=args.delta,
-                theta=args.theta,
-                beta_schedule=BetaSchedule.constant(args.beta),
-                tol_residual=args.tol,
-                tol_step4=args.tol_step4,
-                max_outer_iterations=args.max_iter,
-            )
-            config = ExperimentConfig(
-                problem=args.problem,
-                starts=[args.x0],
-                params=params,
-                a=args.a,
-                seed=args.seed,
-                output_format=args.output,
-            )
+            entry = vars(args)
+            del entry["command"]
+            entry["starts"] = [entry.pop("x0")]
+            config = ExperimentConfig.from_dict(entry)
             rows = run_experiment(config)
-            print(emit(rows, args.output, config))
+            print(emit(rows, config.output_format, config))
             return exit_code_for(rows)
 
         configs = (

@@ -19,10 +19,10 @@ monotonically while consecutive steps stay square-summable.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .sets import (
 )
 
 __all__ = [
-    "BetaSchedule",
     "SolverParams",
     "Counters",
     "IterationRecord",
@@ -66,42 +65,11 @@ class LinesearchFailure(RuntimeError):
         self.probes = probes
 
 
-@dataclass(frozen=True)
-class BetaSchedule:
-    """Trial step lengths confined to ``[lower, upper]``.
-
-    Without ``fn`` the schedule is the constant ``lower`` (which must then
-    equal ``upper``); otherwise ``fn(k)`` supplies the value for iteration k
-    and is validated against the bounds.
-    """
-
-    lower: float = 1.0
-    upper: float = 1.0
-    fn: Callable[[int], float] | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.lower <= self.upper < np.inf):
-            raise ValueError("beta bounds must satisfy 0 < lower <= upper < inf")
-        if self.fn is None and self.lower != self.upper:
-            raise ValueError("a constant schedule needs lower == upper")
-
-    @classmethod
-    def constant(cls, value: float) -> "BetaSchedule":
-        return cls(value, value)
-
-    def value(self, k: int) -> float:
-        if self.fn is None:
-            return self.lower
-        beta = float(self.fn(k))
-        if not self.lower - 1e-12 <= beta <= self.upper + 1e-12:
-            raise ValueError(f"beta schedule produced {beta} outside its bounds")
-        return min(max(beta, self.lower), self.upper)
-
-
 @dataclass
 class SolverParams:
     """Tuning knobs for the outer loop and the linesearch.
 
+    ``beta`` is the trial step length in ``z = P_C(x - beta u)``.
     ``tol_residual`` applies to the squared residuals ||x - z||^2 and
     ||z - P_C(z - v)||^2 of the two early stop checks; ``tol_step4`` applies to
     the norm of the difference between consecutive anchored projections.
@@ -109,7 +77,7 @@ class SolverParams:
 
     delta: float = 0.01
     theta: float = 0.5
-    beta_schedule: BetaSchedule = field(default_factory=BetaSchedule)
+    beta: float = 1.0
     tol_residual: float = 1e-8
     tol_step4: float = 1e-12
     max_outer_iterations: int = 10_000
@@ -121,10 +89,14 @@ class SolverParams:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if self.tol_residual <= 0.0 or self.tol_step4 < 0.0:
-            raise ValueError("tolerances must be positive (tol_step4 may be 0)")
-        if self.max_outer_iterations < 1 or self.max_linesearch_halvings < 1:
-            raise ValueError("iteration budgets must be at least 1")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
+        # written so that NaN fails: a NaN tolerance would disable its stop test
+        if not (0.0 < self.tol_residual < np.inf and 0.0 <= self.tol_step4 < np.inf):
+            raise ValueError("tolerances must be positive and finite (tol_step4 may be 0)")
+        for budget in (self.max_outer_iterations, self.max_linesearch_halvings):
+            if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+                raise ValueError("iteration budgets must be integers of at least 1")
 
 
 @dataclass
@@ -331,7 +303,7 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
         )
         return state, _report(state, params, StopReason.MAX_ITERATIONS, state.x, certificate)
 
-    beta = params.beta_schedule.value(state.k)
+    beta = params.beta
     u = T.select(state.x)
     counters.operator_evals += 1
     z = compute_z(state.x, u, beta, C, counters)

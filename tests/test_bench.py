@@ -1,6 +1,8 @@
 """Experiment configs, result emission, presets, and exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,10 +61,26 @@ class TestExperimentConfig:
         assert d["seed"] == 4
         assert d["repetitions"] == 2
         assert d["label"] == "smoke"
-        assert d["params"]["delta"] == 0.01
-        assert d["params"]["theta"] == 0.5
-        assert d["params"]["beta_lower"] == 1.0
-        assert d["params"]["tol_residual"] == 1e-8
+        assert d["output"] == "table"
+        assert d["delta"] == 0.01
+        assert d["theta"] == 0.5
+        assert d["beta"] == 1.0
+        assert d["tol_residual"] == 1e-8
+        assert d["max_linesearch_halvings"] == 200
+        assert "params" not in d and "record_history" not in d
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_configs_round_trip_through_json(self, name):
+        for config in preset_configs(name):
+            back = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+            assert back.params == config.params
+            assert (back.problem, back.a, back.seed, back.label) == (
+                config.problem, config.a, config.seed, config.label)
+            assert back.repetitions == config.repetitions
+            assert back.output_format == config.output_format
+            assert len(back.starts) == len(config.starts)
+            for b, c in zip(back.starts, config.starts):
+                assert np.array_equal(b, c)
 
 
 class TestRunning:
@@ -121,7 +139,7 @@ class TestEmit:
         text = emit(self.rows, "json", self.config)
         payload = json.loads(text)
         assert payload["config"]["problem"] == "hs-quasimonotone"
-        assert payload["config"]["params"]["delta"] == 0.01
+        assert payload["config"]["delta"] == 0.01
         certificate = self.rows[0].certificate
         assert certificate.test == "residual_sq_step2b"
         assert payload["rows"][0]["certificate"] == {
@@ -278,3 +296,19 @@ class TestConfigFile:
         path.write_text(json.dumps({"starts": [[0.5]]}))
         with pytest.raises(ValueError):
             configs_from_file(str(path))
+
+    def test_empty_list_and_non_object_entries(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for payload in ([], [[0.5]], "rho-squared"):
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError):
+                configs_from_file(str(path))
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        after = readme.split("A config file holds one object or a list of objects", 1)[1]
+        example = re.search(r"```json\n(.*?)```", after, re.S).group(1)
+        path = tmp_path / "exp.json"
+        path.write_text(example)
+        (config,) = configs_from_file(str(path))
+        assert config.to_dict() == json.loads(example)

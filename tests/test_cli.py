@@ -33,14 +33,18 @@ def test_solve_json_output_echoes_config(capsys):
         [
             "solve", "--problem", "fractional-simplex",
             "--x0", "0,0,5,0,0", "--theta", "0.25", "--tol", "1e-4", "--seed", "0",
-            "--output", "json",
+            "--beta", "0.5", "--tol-step4", "1e-10", "--output", "json",
         ]
     )
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["config"]["problem"] == "fractional-simplex"
-    assert payload["config"]["params"]["theta"] == 0.25
-    assert payload["config"]["params"]["tol_residual"] == 1e-4
+    assert payload["config"]["theta"] == 0.25
+    assert payload["config"]["tol_residual"] == 1e-4
+    assert payload["config"]["beta"] == 0.5
+    assert payload["config"]["tol_step4"] == 1e-10
+    assert payload["config"]["delta"] == 0.01
+    assert payload["config"]["output"] == "json"
     assert payload["rows"][0]["stop_reason"].endswith("Step2b") or payload["rows"][0][
         "stop_reason"
     ].endswith("Step2a")
@@ -59,6 +63,12 @@ def test_bad_parameter_maps_to_exit_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
+
+
+def test_non_finite_tolerance_maps_to_exit_one(capsys):
+    code = main(["solve", "--problem", "hs-quasimonotone", "--x0", "0,0", "--tol", "inf"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_dimension_mismatch_maps_to_exit_one(capsys):
@@ -109,6 +119,43 @@ def test_bench_config_file(tmp_path, capsys):
     assert code == 2
     assert lines[0] == CSV_HEADER
     assert lines[1].endswith("MaxIterations")
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("tol", 1e-2),
+        ("beta_lower", 2.0),
+        ("delta", "0.1"),
+        ("max_outer_iterations", 2.5),
+        ("max_outer_iterations", float("inf")),
+    ],
+)
+def test_bad_config_entry_maps_to_exit_one(tmp_path, capsys, key, value):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"problem": "rho-squared", "starts": [[0.5]], key: value}))
+    code = main(["bench", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert repr(key) in captured.err
+
+
+def test_bench_json_config_blocks_rerun_the_same_rows(tmp_path, capsys):
+    assert main(["bench", "--preset", "table3", "--output", "json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    path = tmp_path / "table3.json"
+    path.write_text(json.dumps([block["config"] for block in first]))
+    assert main(["bench", "--config", str(path), "--output", "json"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert len(second) == len(first)
+    for a, b in zip(first, second):
+        assert b["config"] == a["config"]
+        assert len(b["rows"]) == len(a["rows"])
+        for ra, rb in zip(a["rows"], b["rows"]):
+            for key in ("iter", "nT", "sol", "stop_reason"):
+                assert rb[key] == ra[key]
 
 
 def test_bench_missing_config_file_maps_to_exit_one(tmp_path, capsys):

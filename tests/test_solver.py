@@ -15,7 +15,6 @@ from vifd.operators import (
 from vifd.sets import Box, assemble, contains
 from vifd.solver import (
     SOLUTION_STOPS,
-    BetaSchedule,
     Counters,
     LinesearchFailure,
     SolverParams,
@@ -50,33 +49,12 @@ class StepFunctionOperator(SetValuedOperator):
         return SupportResult(float(u @ d), u)
 
 
-class TestBetaSchedule:
-    def test_constant(self):
-        sched = BetaSchedule.constant(0.7)
-        assert sched.value(0) == 0.7
-        assert sched.value(999) == 0.7
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BetaSchedule(0.0, 1.0)
-        with pytest.raises(ValueError):
-            BetaSchedule(2.0, 1.0)
-        with pytest.raises(ValueError):
-            BetaSchedule(1.0, 2.0)  # varying bounds need fn
-
-    def test_fn_checked_against_bounds(self):
-        sched = BetaSchedule(0.5, 2.0, fn=lambda k: 1.0 + k * 0.1)
-        assert sched.value(0) == 1.0
-        assert sched.value(5) == pytest.approx(1.5)
-        with pytest.raises(ValueError):
-            sched.value(100)
-
-
 class TestSolverParams:
     def test_defaults(self):
         params = SolverParams()
         assert params.delta == 0.01
         assert params.theta == 0.5
+        assert params.beta == 1.0
         assert params.tol_residual == 1e-8
         assert params.tol_step4 == 1e-12
 
@@ -91,6 +69,18 @@ class TestSolverParams:
             {"tol_step4": -1e-9},
             {"max_outer_iterations": 0},
             {"max_linesearch_halvings": 0},
+            {"beta": 0.0},
+            {"beta": -1.0},
+            {"beta": math.inf},
+            {"beta": math.nan},
+            {"tol_residual": math.inf},
+            {"tol_residual": math.nan},
+            {"tol_step4": math.inf},
+            {"tol_step4": math.nan},
+            {"max_outer_iterations": 2.5},
+            {"max_outer_iterations": math.inf},
+            {"max_outer_iterations": True},
+            {"max_linesearch_halvings": 2.5},
         ],
     )
     def test_rejects(self, kwargs):
@@ -347,7 +337,7 @@ def test_run_invariants(name, kwargs, x0, params):
     anchor = history[0].x
     rho = float(np.linalg.norm(anchor - dual))
     center = 0.5 * (anchor + dual)
-    beta_hat = params.beta_schedule.upper
+    beta_hat = params.beta
     cuts = []
     steps_sq = 0.0
 
