@@ -58,7 +58,6 @@ from .bench import (
     ExperimentConfig,
     ResultRow,
     emit,
-    emit_many,
     preset_configs,
     run_experiment,
     run_reports,

@@ -19,7 +19,6 @@ __all__ = [
     "run_experiment",
     "run_reports",
     "emit",
-    "emit_many",
     "preset_configs",
     "configs_from_file",
     "rows_from_json",
@@ -46,10 +45,18 @@ _ENTRY_TYPES = {
     "a": (*_REAL, type(None)),
     "seed": int,
     "repetitions": int,
-    "output": str,
     "label": (str, type(None)),
     **_SOLVER_KEYS,
 }
+
+
+def _is_value(value, types) -> bool:
+    """Whether a JSON value has one of ``types``: never a boolean, and finite if a float."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, types)
+        and not (isinstance(value, float) and not math.isfinite(value))
+    )
 
 
 @dataclass
@@ -67,7 +74,6 @@ class ExperimentConfig:
     a: float | None = None
     repetitions: int = 1
     seed: int = 0
-    output_format: str = "table"
     label: str | None = None
 
     def __post_init__(self):
@@ -79,8 +85,6 @@ class ExperimentConfig:
             raise ValueError("all start points must share one dimension")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"output format must be one of {OUTPUT_FORMATS}")
         # fail fast on unknown problems / dimension mismatches
         self.build_problem()
 
@@ -101,7 +105,6 @@ class ExperimentConfig:
             **{key: params[key] for key in _SOLVER_KEYS},
             "seed": self.seed,
             "repetitions": self.repetitions,
-            "output": self.output_format,
             "label": self.label,
         }
 
@@ -113,7 +116,8 @@ class ExperimentConfig:
         and defaults to the ``ExperimentConfig`` or ``SolverParams`` value.
         Raises ``ValueError`` naming the key on an unknown key or a value of
         the wrong type: numbers must be finite, budgets and seeds integers,
-        and booleans are never accepted.
+        ``starts`` a non-empty list of non-empty lists of numbers, and booleans
+        are never accepted.
         """
         if not isinstance(entry, dict):
             raise ValueError("each experiment must be a JSON object")
@@ -122,16 +126,19 @@ class ExperimentConfig:
         for key, value in entry.items():
             if key not in _ENTRY_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, _ENTRY_TYPES[key])
-                or (isinstance(value, float) and not math.isfinite(value))
-            ):
+            if not _is_value(value, _ENTRY_TYPES[key]):
                 raise ValueError(f"config key {key!r} cannot be {value!r}")
+        starts = entry["starts"]
+        if not starts or not all(
+            isinstance(start, list) and start and all(_is_value(v, _REAL) for v in start)
+            for start in starts
+        ):
+            raise ValueError(
+                "config key 'starts' must be a non-empty list of non-empty lists "
+                f"of finite numbers, not {starts!r}"
+            )
         values = dict(entry)
         params = SolverParams(**{k: values.pop(k) for k in _SOLVER_KEYS if k in values})
-        if "output" in values:
-            values["output_format"] = values.pop("output")
         return cls(params=params, **values)
 
 
@@ -207,9 +214,10 @@ def _row_dict(row: ResultRow) -> dict:
 
 
 def rows_from_json(text: str) -> list[ResultRow]:
-    """Rebuild result rows from the json emitted by :func:`emit`."""
-    payload = json.loads(text)
-    blocks = payload if isinstance(payload, list) else [payload]
+    """Rebuild result rows, in order, from the list of blocks that :func:`emit` writes as json."""
+    blocks = json.loads(text)
+    if not isinstance(blocks, list):
+        raise ValueError("expected a json list of {'config', 'rows'} blocks")
     rows = []
     for block in blocks:
         for entry in block["rows"]:
@@ -230,14 +238,11 @@ def rows_from_json(text: str) -> list[ResultRow]:
     return rows
 
 
-def _emit_csv(rows) -> list[str]:
-    lines = []
-    for row in rows:
-        lines.append(
-            f"{_fmt_point(row.start)},{row.iterations},{row.operator_evals},"
-            f"{row.wall_time_s:.6g},{_fmt_point(row.terminal_point)},{row.stop_reason.value}"
-        )
-    return lines
+def _csv_line(row: ResultRow) -> str:
+    return (
+        f"{_fmt_point(row.start)},{row.iterations},{row.operator_evals},"
+        f"{row.wall_time_s:.6g},{_fmt_point(row.terminal_point)},{row.stop_reason.value}"
+    )
 
 
 def _emit_table(rows, title: str | None) -> str:
@@ -263,36 +268,20 @@ def _emit_table(rows, title: str | None) -> str:
     return "\n".join(lines)
 
 
-def emit(rows: list[ResultRow], output_format: str, config: ExperimentConfig | None = None) -> str:
-    """Serialize result rows as csv, json, or an aligned text table.
+def emit(results: list[tuple[ExperimentConfig, list[ResultRow]]], output_format: str) -> str:
+    """Serialize experiments' result rows as one csv, json or aligned-table document.
 
-    The json form embeds the resolved configuration (when given) so a saved
-    result file records how it was produced.
+    ``results`` pairs each config with its rows, in run order. csv has one
+    header and a line per row. json is always a list with one
+    ``{"config", "rows"}`` block per experiment, even for a single one; each
+    ``config`` is the flat entry of :meth:`ExperimentConfig.to_dict`, so a saved
+    result records how it was produced and re-runs as a config file. The table
+    has one section per experiment, titled by its label.
     """
-    if not rows:
-        raise ValueError("no result rows to emit")
-    if output_format == "csv":
-        return "\n".join([CSV_HEADER] + _emit_csv(rows))
-    if output_format == "json":
-        payload = {
-            "config": config.to_dict() if config is not None else None,
-            "rows": [_row_dict(r) for r in rows],
-        }
-        return json.dumps(payload, indent=2)
-    if output_format == "table":
-        return _emit_table(rows, config.label if config is not None else None)
-    raise ValueError(f"output format must be one of {OUTPUT_FORMATS}")
-
-
-def emit_many(results: list[tuple[ExperimentConfig, list[ResultRow]]], output_format: str) -> str:
-    """Serialize several experiments' rows into one document."""
     if not results:
         raise ValueError("no experiments to emit")
     if output_format == "csv":
-        lines = [CSV_HEADER]
-        for _, rows in results:
-            lines.extend(_emit_csv(rows))
-        return "\n".join(lines)
+        return "\n".join([CSV_HEADER] + [_csv_line(row) for _, rows in results for row in rows])
     if output_format == "json":
         return json.dumps(
             [

@@ -11,7 +11,6 @@ from .bench import (
     PRESET_NAMES,
     configs_from_file,
     emit,
-    emit_many,
     exit_code_for,
     preset_configs,
     run_experiment,
@@ -54,14 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iter", dest="max_outer_iterations", type=int)
     sp.add_argument("--seed", type=int, help="seed for randomized problem data")
     sp.add_argument("--a", type=float, help="feasible-set scale where applicable")
-    sp.add_argument("--output", choices=OUTPUT_FORMATS)
 
     bp = sub.add_parser("bench", help="run a preset or configured batch")
     group = bp.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=PRESET_NAMES)
     group.add_argument("--config", help="path to a json experiment file")
-    bp.add_argument("--output", choices=OUTPUT_FORMATS, default=None,
-                    help="override the configured output format")
+
+    # The format belongs to the run, not to an experiment: it is no config key.
+    for p in (sp, bp):
+        p.add_argument("--output", choices=OUTPUT_FORMATS, default="table")
     return parser
 
 
@@ -69,22 +69,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            entry = vars(args)
-            del entry["command"]
+            entry = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
             entry["starts"] = [entry.pop("x0")]
-            config = ExperimentConfig.from_dict(entry)
-            rows = run_experiment(config)
-            print(emit(rows, config.output_format, config))
-            return exit_code_for(rows)
-
-        configs = (
-            preset_configs(args.preset)
-            if args.preset
-            else configs_from_file(args.config)
-        )
+            configs = [ExperimentConfig.from_dict(entry)]
+        elif args.preset:
+            configs = preset_configs(args.preset)
+        else:
+            configs = configs_from_file(args.config)
         results = [(cfg, run_experiment(cfg)) for cfg in configs]
-        fmt = args.output or configs[0].output_format
-        print(emit_many(results, fmt))
+        print(emit(results, args.output))
         return exit_code_for([row for _, rows in results for row in rows])
     except (ValueError, UnknownProblem, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -283,7 +283,7 @@ def least_distance(
     x0 : array_like
         Point to project.
     tol : float
-        Feasibility and KKT tolerance.
+        Feasibility and KKT tolerance, positive and finite.
     warm_start : sequence of int, optional
         Inequality row indices to seed the active set with, typically the
         ``active_set`` of a previous nearby solve.
@@ -304,8 +304,8 @@ def least_distance(
         The pivot guard was exceeded.
     """
     x0 = as_point(x0, system.n)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     G, h, A, b = system.G, system.h, system.A, system.b
     m, p = G.shape[0], A.shape[0]
     if max_pivots is None:
@@ -346,10 +346,10 @@ def least_distance(
 
 
 def simplex_projection(v, a: float = 1.0) -> np.ndarray:
-    """Exact sort-threshold projection of ``v`` onto ``{x >= 0, sum(x) = a}``."""
+    """Exact sort-threshold projection of ``v`` onto ``{x >= 0, sum(x) = a}``, finite ``a > 0``."""
     v = as_point(v)
-    if not a > 0.0:
-        raise ValueError("simplex scale a must be positive")
+    if not 0.0 < a < np.inf:
+        raise ValueError("simplex scale a must be positive and finite")
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u)
     counts = np.arange(1, v.size + 1)

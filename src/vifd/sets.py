@@ -95,7 +95,7 @@ def contains(halfspace: Halfspace, y, tol: float = 0.0) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box; entries of ``lower``/``upper`` may be -inf/+inf."""
+    """Axis-aligned box; entries of ``lower`` may be -inf and of ``upper`` +inf."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -109,6 +109,8 @@ class Box:
             raise ValueError("box bounds must not be NaN")
         if np.any(lower > upper):
             raise ValueError("box requires lower <= upper componentwise")
+        if np.any(lower == np.inf) or np.any(upper == -np.inf):
+            raise ValueError("a box lower bound cannot be +inf, nor an upper bound -inf")
         object.__setattr__(self, "lower", _frozen(lower))
         object.__setattr__(self, "upper", _frozen(upper))
 

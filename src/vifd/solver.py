@@ -115,7 +115,6 @@ class IterationRecord:
     x: np.ndarray
     u: np.ndarray
     z: np.ndarray
-    beta: float
     residual_sq: float
     alpha: float | None = None
     ubar: np.ndarray | None = None
@@ -303,17 +302,15 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
         )
         return state, _report(state, params, StopReason.MAX_ITERATIONS, state.x, certificate)
 
-    beta = params.beta
     u = T.select(state.x)
     counters.operator_evals += 1
-    z = compute_z(state.x, u, beta, C, counters)
+    z = compute_z(state.x, u, params.beta, C, counters)
     residual_sq = float(np.sum((state.x - z) ** 2))
     state.residual_history.append(residual_sq)
     record = None
     if params.record_history:
         record = IterationRecord(
-            k=state.k, x=state.x.copy(), u=u.copy(), z=z.copy(),
-            beta=beta, residual_sq=residual_sq,
+            k=state.k, x=state.x.copy(), u=u.copy(), z=z.copy(), residual_sq=residual_sq,
         )
         state.history.append(record)
 

@@ -14,7 +14,6 @@ from vifd.bench import (
     ResultRow,
     configs_from_file,
     emit,
-    emit_many,
     exit_code_for,
     preset_configs,
     rows_from_json,
@@ -39,8 +38,6 @@ class TestExperimentConfig:
             _hs_config(starts=[[0.5, 0.5], [0.5]])
         with pytest.raises(ValueError):
             _hs_config(repetitions=0)
-        with pytest.raises(ValueError):
-            _hs_config(output_format="xml")
         with pytest.raises(UnknownProblem):
             ExperimentConfig(problem="nope", starts=[[0.0]])
         with pytest.raises(ValueError):
@@ -61,7 +58,7 @@ class TestExperimentConfig:
         assert d["seed"] == 4
         assert d["repetitions"] == 2
         assert d["label"] == "smoke"
-        assert d["output"] == "table"
+        assert "output" not in d
         assert d["delta"] == 0.01
         assert d["theta"] == 0.5
         assert d["beta"] == 1.0
@@ -77,7 +74,6 @@ class TestExperimentConfig:
             assert (back.problem, back.a, back.seed, back.label) == (
                 config.problem, config.a, config.seed, config.label)
             assert back.repetitions == config.repetitions
-            assert back.output_format == config.output_format
             assert len(back.starts) == len(config.starts)
             for b, c in zip(back.starts, config.starts):
                 assert np.array_equal(b, c)
@@ -124,7 +120,7 @@ class TestEmit:
     config = _hs_config(label="smoke")
 
     def test_csv(self):
-        text = emit(self.rows, "csv", self.config)
+        text = emit([(self.config, self.rows)], "csv")
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
@@ -136,13 +132,13 @@ class TestEmit:
         assert fields[5] == StopReason.ZK_SOLVES_STEP2B.value
 
     def test_json_embeds_config_and_round_trips(self):
-        text = emit(self.rows, "json", self.config)
-        payload = json.loads(text)
-        assert payload["config"]["problem"] == "hs-quasimonotone"
-        assert payload["config"]["delta"] == 0.01
+        text = emit([(self.config, self.rows)], "json")
+        (block,) = json.loads(text)
+        assert block["config"]["problem"] == "hs-quasimonotone"
+        assert block["config"]["delta"] == 0.01
         certificate = self.rows[0].certificate
         assert certificate.test == "residual_sq_step2b"
-        assert payload["rows"][0]["certificate"] == {
+        assert block["rows"][0]["certificate"] == {
             "test": "residual_sq_step2b",
             "value": certificate.value,
             "tolerance": 1e-8,
@@ -155,11 +151,11 @@ class TestEmit:
         np.testing.assert_allclose(rebuilt[0].terminal_point, self.rows[0].terminal_point)
         np.testing.assert_allclose(rebuilt[0].start, self.rows[0].start)
         # rows written without a certificate read back without one
-        del payload["rows"][0]["certificate"]
-        assert rows_from_json(json.dumps(payload))[0].certificate is None
+        del block["rows"][0]["certificate"]
+        assert rows_from_json(json.dumps([block]))[0].certificate is None
 
     def test_table_has_title_and_header(self):
-        text = emit(self.rows, "table", self.config)
+        text = emit([(self.config, self.rows)], "table")
         lines = text.splitlines()
         assert lines[0] == "smoke"
         assert lines[1].split() == ["x0", "iter(nT)", "cpu_s", "sol", "stop"]
@@ -169,21 +165,19 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit([], "csv")
         with pytest.raises(ValueError):
-            emit(self.rows, "yaml")
+            emit([(self.config, self.rows)], "yaml")
 
-    def test_emit_many(self):
+    def test_several_experiments(self):
         c1 = _hs_config(label="one")
         c2 = _hs_config(starts=[[0.0, 0.0]], label="two")
         results = [(c1, run_experiment(c1)), (c2, run_experiment(c2))]
-        csv_text = emit_many(results, "csv")
+        csv_text = emit(results, "csv")
         assert csv_text.splitlines().count(CSV_HEADER) == 1
         assert len(csv_text.splitlines()) == 3
-        json_rows = rows_from_json(emit_many(results, "json"))
+        json_rows = rows_from_json(emit(results, "json"))
         assert len(json_rows) == 2
-        table_text = emit_many(results, "table")
+        table_text = emit(results, "table")
         assert "one" in table_text and "two" in table_text
-        with pytest.raises(ValueError):
-            emit_many([], "csv")
 
 
 def _row_with_reason(reason):
@@ -262,7 +256,6 @@ class TestConfigFile:
                     "beta": 1.0,
                     "tol_residual": 1e-6,
                     "max_outer_iterations": 50,
-                    "output": "csv",
                     "label": "from file",
                 }
             )
@@ -273,7 +266,6 @@ class TestConfigFile:
         assert config.params.theta == 0.4
         assert config.params.tol_residual == 1e-6
         assert config.params.max_outer_iterations == 50
-        assert config.output_format == "csv"
         assert config.label == "from file"
 
     def test_list_of_objects_with_defaults(self, tmp_path):

@@ -36,16 +36,16 @@ def test_solve_json_output_echoes_config(capsys):
             "--beta", "0.5", "--tol-step4", "1e-10", "--output", "json",
         ]
     )
-    payload = json.loads(capsys.readouterr().out)
+    (block,) = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert payload["config"]["problem"] == "fractional-simplex"
-    assert payload["config"]["theta"] == 0.25
-    assert payload["config"]["tol_residual"] == 1e-4
-    assert payload["config"]["beta"] == 0.5
-    assert payload["config"]["tol_step4"] == 1e-10
-    assert payload["config"]["delta"] == 0.01
-    assert payload["config"]["output"] == "json"
-    assert payload["rows"][0]["stop_reason"].endswith("Step2b") or payload["rows"][0][
+    assert block["config"]["problem"] == "fractional-simplex"
+    assert block["config"]["theta"] == 0.25
+    assert block["config"]["tol_residual"] == 1e-4
+    assert block["config"]["beta"] == 0.5
+    assert block["config"]["tol_step4"] == 1e-10
+    assert block["config"]["delta"] == 0.01
+    assert "output" not in block["config"]
+    assert block["rows"][0]["stop_reason"].endswith("Step2b") or block["rows"][0][
         "stop_reason"
     ].endswith("Step2a")
 
@@ -110,11 +110,10 @@ def test_bench_config_file(tmp_path, capsys):
                 "problem": "rho-squared",
                 "starts": [[0.5]],
                 "max_outer_iterations": 2,
-                "output": "csv",
             }
         )
     )
-    code = main(["bench", "--config", str(path)])
+    code = main(["bench", "--config", str(path), "--output", "csv"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 2
     assert lines[0] == CSV_HEADER
@@ -129,6 +128,10 @@ def test_bench_config_file(tmp_path, capsys):
         ("delta", "0.1"),
         ("max_outer_iterations", 2.5),
         ("max_outer_iterations", float("inf")),
+        ("output", "csv"),
+        ("starts", [[True, False]]),
+        ("starts", [["0.5", "0.5"]]),
+        ("starts", [0.1, 0.5]),
     ],
 )
 def test_bad_config_entry_maps_to_exit_one(tmp_path, capsys, key, value):
@@ -156,6 +159,24 @@ def test_bench_json_config_blocks_rerun_the_same_rows(tmp_path, capsys):
         for ra, rb in zip(a["rows"], b["rows"]):
             for key in ("iter", "nT", "sol", "stop_reason"):
                 assert rb[key] == ra[key]
+
+
+def test_solve_and_bench_print_one_json_shape(tmp_path, capsys):
+    solve_args = [
+        "solve", "--problem", "fractional-simplex", "--x0", "0,0,5,0,0",
+        "--theta", "0.25", "--tol", "1e-4", "--seed", "0", "--output", "json",
+    ]
+    assert main(solve_args) == 0
+    (solved,) = json.loads(capsys.readouterr().out)
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(solved["config"]))
+    assert main(["bench", "--config", str(path), "--output", "json"]) == 0
+    (benched,) = json.loads(capsys.readouterr().out)
+    assert benched["config"] == solved["config"]
+    assert len(benched["rows"]) == len(solved["rows"]) == 1
+    for rs, rb in zip(solved["rows"], benched["rows"]):
+        for key in ("iter", "nT", "sol", "stop_reason"):
+            assert rb[key] == rs[key]
 
 
 def test_bench_missing_config_file_maps_to_exit_one(tmp_path, capsys):

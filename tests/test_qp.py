@@ -207,8 +207,9 @@ def test_constant_violated_row_on_equality_subspace_raises():
 
 
 def test_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        least_distance(_system([[1.0]], [1.0]), [0.0], tol=0.0)
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            least_distance(_system([[1.0]], [1.0]), [0.0], tol=tol)
 
 
 def test_pivot_guard_raises():
@@ -332,8 +333,9 @@ def test_simplex_projection_frozen_values():
 
 
 def test_simplex_projection_requires_positive_scale():
-    with pytest.raises(ValueError):
-        simplex_projection([0.5, 0.5], a=0.0)
+    for a in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            simplex_projection([0.5, 0.5], a=a)
 
 
 def test_simplex_projection_agrees_with_active_set_solver():

@@ -103,6 +103,11 @@ def test_box_validation_and_membership():
         Box([1.0], [0.0])
     with pytest.raises(ValueError):
         Box([0.0, np.nan], [1.0, 1.0])
+    # an empty coordinate range would drop out of the constraint rows
+    with pytest.raises(ValueError):
+        Box([np.inf, 0.0], [np.inf, 1.0])
+    with pytest.raises(ValueError):
+        Box([-np.inf, 0.0], [-np.inf, 1.0])
 
 
 def test_simplex_slice_membership():
