@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import statistics
 from dataclasses import asdict, dataclass, field, fields
 
@@ -11,7 +12,6 @@ import numpy as np
 
 from .operators import ProblemInstance, make_problem
 from .solver import RunReport, SolverParams, StopCertificate, StopReason, solve
-from .sets import as_point
 
 __all__ = [
     "ExperimentConfig",
@@ -59,6 +59,24 @@ def _is_value(value, types) -> bool:
     )
 
 
+def _start_point(start) -> np.ndarray:
+    """``start`` as a float vector; it must be a non-empty list, tuple or 1-D
+    array of finite real numbers, and booleans and strings are not numbers."""
+    if isinstance(start, np.ndarray):
+        numeric = start.dtype.kind in "iuf"
+    else:
+        numeric = isinstance(start, (list, tuple)) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in start
+        )
+    try:
+        point = np.asarray(start, dtype=float) if numeric else None
+    except OverflowError:  # an integer too large for a float
+        point = None
+    if point is None or point.ndim != 1 or point.size == 0 or not np.isfinite(point).all():
+        raise ValueError(f"'starts' entries must be vectors of finite numbers, not {start!r}")
+    return point
+
+
 @dataclass
 class ExperimentConfig:
     """One batch of solves: a problem, a list of starts, and shared parameters.
@@ -79,7 +97,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.starts:
             raise ValueError("an experiment needs at least one start point")
-        self.starts = [as_point(s) for s in self.starts]
+        self.starts = [_start_point(s) for s in self.starts]
         dims = {s.size for s in self.starts}
         if len(dims) != 1:
             raise ValueError("all start points must share one dimension")
@@ -116,8 +134,8 @@ class ExperimentConfig:
         and defaults to the ``ExperimentConfig`` or ``SolverParams`` value.
         Raises ``ValueError`` naming the key on an unknown key or a value of
         the wrong type: numbers must be finite, budgets and seeds integers,
-        ``starts`` a non-empty list of non-empty lists of numbers, and booleans
-        are never accepted.
+        ``starts`` a non-empty list of non-empty lists of numbers (checked by
+        the constructor, as for every config), and booleans are never accepted.
         """
         if not isinstance(entry, dict):
             raise ValueError("each experiment must be a JSON object")
@@ -128,15 +146,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown config key {key!r}")
             if not _is_value(value, _ENTRY_TYPES[key]):
                 raise ValueError(f"config key {key!r} cannot be {value!r}")
-        starts = entry["starts"]
-        if not starts or not all(
-            isinstance(start, list) and start and all(_is_value(v, _REAL) for v in start)
-            for start in starts
-        ):
-            raise ValueError(
-                "config key 'starts' must be a non-empty list of non-empty lists "
-                f"of finite numbers, not {starts!r}"
-            )
         values = dict(entry)
         params = SolverParams(**{k: values.pop(k) for k in _SOLVER_KEYS if k in values})
         return cls(params=params, **values)

@@ -19,15 +19,24 @@ from .operators import PROBLEM_NAMES, UnknownProblem
 from .qp import InfeasibleSystem, MaxPivots
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, the code of every other input error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parse_vector(text: str) -> list[float]:
+    """Comma-separated numbers; an empty field is an error, not a dropped coordinate."""
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse vector {text!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vifd",
         description=(
             "Feasible-direction projection solver for variational inequalities "

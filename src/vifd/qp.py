@@ -11,16 +11,17 @@ KKT conditions at full precision.
 Constraint systems are immutable, so everything that depends on the system
 alone is computed once per system and reused: the particular solution and
 null-space basis of the equalities, and the reduced, screened and normalised
-inequality rows.  Each system's reduced form is held weakly, for as long as
-the system lives; the equality basis is also kept, for a fixed number of
-distinct ``A, b``, because every system extended from a set shares the set's
-equalities.  Everything that depends on ``tol`` is evaluated on every call.
+inequality rows.  That reduced form is stored on the system object itself, so
+it lives and dies with the system and costs no lookup table; the equality
+basis is also kept, for a fixed number of distinct ``A, b``, because every
+system extended from a set shares the set's equalities.  Everything that
+depends on ``tol`` is evaluated on every call.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +78,8 @@ def _affine_basis_of(shape, A_bytes: bytes, b_bytes: bytes):
     A = np.frombuffer(A_bytes).reshape(shape)
     b = np.frombuffer(b_bytes)
     y_part, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    if float(np.max(np.abs(A @ y_part - b))) > 1e-8 * scale:
+    scale = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
+    if float(np.abs(A @ y_part - b).max()) > 1e-8 * scale:
         raise InfeasibleSystem("equality constraints are inconsistent")
     u, s, vt = np.linalg.svd(A)
     if s.size:
@@ -98,8 +99,10 @@ class _ReducedForm:
     ``G Z`` with norm above 1e-13 are kept (mask ``keep``, indices ``kept``)
     and divided by their ``norms`` into ``rows``/``rhs``; ``dropped_rhs``
     holds the right-hand sides of the others, which are constant on the
-    affine subspace.  When the equalities pin a single point (``Z`` has no
-    columns) only ``y_part`` and ``Z`` are set.  Every array is read-only.
+    affine subspace, and ``position[i]`` is the index of system row ``i``
+    among the kept rows (meaningful where ``keep[i]``).  When the equalities
+    pin a single point (``Z`` has no columns) only ``y_part`` and ``Z`` are
+    set.  Every array is read-only.
     """
 
     y_part: np.ndarray | None
@@ -110,16 +113,15 @@ class _ReducedForm:
     keep: np.ndarray | None = None
     kept: np.ndarray | None = None
     dropped_rhs: np.ndarray | None = None
-
-
-# systems are immutable, so a reduced form stays valid for the life of its key
-_REDUCED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    position: np.ndarray | None = None
 
 
 def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
-    form = _REDUCED.get(system)
+    # systems are immutable, so the form stays valid for the system's life
+    form = system.__dict__.get("_reduced_form")
     if form is None:
-        form = _REDUCED[system] = _reduce(system)
+        form = _reduce(system)
+        object.__setattr__(system, "_reduced_form", form)
     return form
 
 
@@ -138,10 +140,10 @@ def _reduce(system: LinearConstraintSystem) -> _ReducedForm:
     norms = np.linalg.norm(M, axis=1)
     keep = norms > 1e-13
     rows, rhs = M[keep] / norms[keep, None], d[keep] / norms[keep]
-    kept, dropped_rhs = np.flatnonzero(keep), d[~keep]
-    for arr in (rows, rhs, norms, keep, kept, dropped_rhs):
+    kept, dropped_rhs, position = keep.nonzero()[0], d[~keep], keep.cumsum() - 1
+    for arr in (rows, rhs, norms, keep, kept, dropped_rhs, position):
         arr.flags.writeable = False
-    return _ReducedForm(y_part, Z, rows, rhs, norms, keep, kept, dropped_rhs)
+    return _ReducedForm(y_part, Z, rows, rhs, norms, keep, kept, dropped_rhs, position)
 
 
 def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]):
@@ -178,7 +180,7 @@ def _dual_active_set(M, d, w0, tol, max_pivots, warm_start):
         slack = M @ y - d if m else np.zeros(0)
         if active:
             slack[active] = -np.inf
-        worst = int(np.argmax(slack)) if m else -1
+        worst = int(slack.argmax()) if m else -1
         if worst < 0 or slack[worst] <= tol:
             if active:
                 y2, lam2 = _tight_solve(M, d, w0, active)
@@ -193,7 +195,7 @@ def _dual_active_set(M, d, w0, tol, max_pivots, warm_start):
                 # active rows are nearly dependent; if so, resume pivoting
                 slack2 = M @ y2 - d
                 slack2[active] = -np.inf
-                if float(np.max(slack2)) > tol:
+                if float(slack2.max()) > tol:
                     pivots += 1
                     if pivots > max_pivots:
                         raise MaxPivots("pivot guard exceeded while polishing")
@@ -224,7 +226,7 @@ def _dual_active_set(M, d, w0, tol, max_pivots, warm_start):
                 if r[i] > 1e-12 and lam_i / r[i] < t_drop:
                     t_drop, blocker = lam_i / r[i], i
             t = min(t_full, t_drop)
-            if not np.isfinite(t):
+            if not math.isfinite(t):
                 raise InfeasibleSystem("unbounded dual step: no feasible point exists")
             t = max(t, 0.0)
             lam = [lam_i - t * r_i for lam_i, r_i in zip(lam, r)]
@@ -251,13 +253,13 @@ def _kkt_residual(system, Z, x0, y, mu):
         resid = resid + G.T @ mu
     if A.shape[0]:
         resid = Z @ (Z.T @ resid)
-    worst = float(np.max(np.abs(resid))) if resid.size else 0.0
+    worst = float(np.abs(resid).max()) if resid.size else 0.0
     if G.shape[0]:
         slack = G @ y - h
-        worst = max(worst, float(np.max(slack)))
-        worst = max(worst, float(np.max(np.abs(mu * slack))))
+        worst = max(worst, float(slack.max()))
+        worst = max(worst, float(np.abs(mu * slack).max()))
     if A.shape[0]:
-        worst = max(worst, float(np.max(np.abs(A @ y - b))))
+        worst = max(worst, float(np.abs(A @ y - b).max()))
     return max(worst, 0.0)
 
 
@@ -271,10 +273,11 @@ def least_distance(
     """Project ``x0`` onto the polyhedron described by ``system``.
 
     Systems are immutable, so the work that depends on ``system`` alone (the
-    equality elimination and the screened, normalised reduced rows) is done
-    on the first call for a system and reused by later calls.  ``tol`` is
-    applied on every call: the infeasibility screens, the pinned point's
-    tight rows and the pivoting all use the caller's value.
+    equality elimination, the screened, normalised reduced rows and the
+    warm-start index map) is done on the first call for a system, stored on
+    the system object, and reused by later calls.  ``tol`` is applied on
+    every call: the infeasibility screens, the pinned point's tight rows and
+    the pivoting all use the caller's value.
 
     Parameters
     ----------
@@ -318,22 +321,21 @@ def least_distance(
     y_part, Z = form.y_part, form.Z
     if Z is not None and Z.shape[1] == 0:
         # the equalities pin a single point
-        if m and float(np.max(G @ y_part - h)) > tol:
+        if m and float((G @ y_part - h).max()) > tol:
             raise InfeasibleSystem("equalities contradict the inequalities")
         mu = np.zeros(m)
         tight = [i for i in range(m) if abs(float(G[i] @ y_part - h[i])) <= tol]
         return QpSolution(y_part.copy(), tight, 0, _kkt_residual(system, Z, x0, y_part, mu))
-    if np.any(form.dropped_rhs < -tol):
+    if (form.dropped_rhs < -tol).any():
         raise InfeasibleSystem("a constraint is constant and violated on the affine subspace")
     w0 = Z.T @ (x0 - y_part) if Z is not None else x0
 
     warm = None
     if warm_start:
-        keep = form.keep
-        pos = np.cumsum(keep) - 1
+        keep, position = form.keep, form.position
         idx = np.asarray(list(warm_start), dtype=int)
         idx = idx[(idx >= 0) & (idx < m)]
-        warm = [int(pos[i]) for i in idx if keep[i]]
+        warm = [int(position[i]) for i in idx if keep[i]]
 
     w, active_n, lam_n, pivots = _dual_active_set(form.rows, form.rhs, w0, tol, max_pivots, warm)
 

@@ -22,13 +22,22 @@ __all__ = [
     "assemble",
 ]
 
+_FLOAT = np.dtype(float)
+
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float vector, optionally of a fixed length."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError(f"expected a vector, got array of shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    """Coerce ``x`` to a finite 1-D float vector, optionally of a fixed length.
+
+    A 1-D float64 ``np.ndarray`` is checked and returned as it is, the same
+    object, as ``np.asarray`` would; anything else is converted first.
+    """
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype == _FLOAT:
+        arr = x
+    else:
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        if arr.ndim != 1:
+            raise ValueError(f"expected a vector, got array of shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected a vector of length {dim}, got {arr.size}")
@@ -63,7 +72,16 @@ class Halfspace:
 
     @property
     def is_whole_space(self) -> bool:
-        return not np.any(self.normal)
+        return not self.normal.any()
+
+
+def _owned_halfspace(normal: np.ndarray, anchor: np.ndarray) -> Halfspace:
+    """A ``Halfspace`` around checked arrays that no caller holds, frozen in place."""
+    normal.flags.writeable = anchor.flags.writeable = False
+    halfspace = object.__new__(Halfspace)
+    object.__setattr__(halfspace, "normal", normal)
+    object.__setattr__(halfspace, "anchor", anchor)
+    return halfspace
 
 
 def halfspace_from_pair(z, u) -> Halfspace:
@@ -75,16 +93,14 @@ def halfspace_from_pair(z, u) -> Halfspace:
     z = as_point(z)
     u = as_point(u, z.size)
     norm = float(np.linalg.norm(u))
-    if norm > 0.0:
-        u = u / norm
-    return Halfspace(u, z)
+    return _owned_halfspace(u / norm if norm > 0.0 else u.copy(), z.copy())
 
 
 def w_halfspace(x0, x) -> Halfspace:
     """Halfspace ``{y : <y - x, x0 - x> <= 0}``; equals the whole space when x0 = x."""
     x0 = as_point(x0)
     x = as_point(x, x0.size)
-    return Halfspace(x0 - x, x)
+    return _owned_halfspace(x0 - x, x.copy())
 
 
 def contains(halfspace: Halfspace, y, tol: float = 0.0) -> bool:
@@ -120,7 +136,7 @@ class Box:
 
     def contains(self, y, tol: float = 0.0) -> bool:
         y = as_point(y, self.dim)
-        return bool(np.all(y >= self.lower - tol) and np.all(y <= self.upper + tol))
+        return bool((y >= self.lower - tol).all() and (y <= self.upper + tol).all())
 
     @cached_property
     def constraints(self) -> LinearConstraintSystem:
@@ -150,7 +166,7 @@ class SimplexSlice:
 
     def contains(self, y, tol: float = 0.0) -> bool:
         y = as_point(y, self.dim)
-        return bool(np.all(y >= -tol) and abs(float(y.sum()) - self.a) <= tol)
+        return bool((y >= -tol).all() and abs(float(y.sum()) - self.a) <= tol)
 
     @cached_property
     def constraints(self) -> LinearConstraintSystem:
@@ -185,8 +201,8 @@ class Polyhedron:
 
     def contains(self, y, tol: float = 0.0) -> bool:
         y = as_point(y, self.dim)
-        ok_ineq = self.G.shape[0] == 0 or float(np.max(self.G @ y - self.h)) <= tol
-        ok_eq = self.A.shape[0] == 0 or float(np.max(np.abs(self.A @ y - self.b))) <= tol
+        ok_ineq = self.G.shape[0] == 0 or float((self.G @ y - self.h).max()) <= tol
+        ok_eq = self.A.shape[0] == 0 or float(np.abs(self.A @ y - self.b).max()) <= tol
         return bool(ok_ineq and ok_eq)
 
     @cached_property
@@ -246,9 +262,9 @@ class LinearConstraintSystem:
         y = as_point(y, self.n)
         worst = 0.0
         if self.G.shape[0]:
-            worst = max(worst, float(np.max(self.G @ y - self.h)))
+            worst = max(worst, float((self.G @ y - self.h).max()))
         if self.A.shape[0]:
-            worst = max(worst, float(np.max(np.abs(self.A @ y - self.b))))
+            worst = max(worst, float(np.abs(self.A @ y - self.b).max()))
         return worst
 
     def contains(self, y, tol: float = 0.0) -> bool:
@@ -257,9 +273,9 @@ class LinearConstraintSystem:
 
 def _stacked(base: LinearConstraintSystem, rows: np.ndarray, rhs: np.ndarray):
     """``base`` with ``rows``/``rhs`` appended; only the new rows are validated."""
-    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
         raise ValueError("constraint data must be finite")
-    G, h = np.vstack([base.G, rows]), np.concatenate([base.h, rhs])
+    G, h = np.concatenate([base.G, rows]), np.concatenate([base.h, rhs])
     G.flags.writeable = h.flags.writeable = False
     system = object.__new__(LinearConstraintSystem)
     for name, value in (("G", G), ("h", h), ("A", base.A), ("b", base.b)):
@@ -296,11 +312,11 @@ def assemble(C: FeasibleSet | LinearConstraintSystem, halfspaces) -> LinearConst
         raise ValueError(
             f"halfspace dimension {bad.dim} does not match feasible set dimension {n}"
         )
-    normals = np.stack([hs.normal for hs in halfspaces])
-    anchors = np.stack([hs.anchor for hs in halfspaces])
+    normals = np.array([hs.normal for hs in halfspaces])
+    anchors = np.array([hs.anchor for hs in halfspaces])
     norms = np.linalg.norm(normals, axis=1)
     keep = norms > 0.0
-    if not np.any(keep):
+    if not keep.any():
         return base
     rows = normals[keep] / norms[keep, None]
     rhs = np.einsum("ij,ij->i", rows, anchors[keep])

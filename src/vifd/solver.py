@@ -257,7 +257,7 @@ def step2_stop_check(
     """
     x = as_point(x)
     z = as_point(z, x.size)
-    residual_sq = float(np.sum((x - z) ** 2))
+    residual_sq = float(((x - z) ** 2).sum())
     if residual_sq <= params.tol_residual:
         return StopReason.RESIDUAL_ZERO_STEP2A, x.copy(), residual_sq
     v = T.select(z)
@@ -266,7 +266,7 @@ def step2_stop_check(
     reprojected = least_distance(assemble(C, []), z - v).point
     if counters is not None:
         counters.qp_solves += 1
-    solves_sq = float(np.sum((z - reprojected) ** 2))
+    solves_sq = float(((z - reprojected) ** 2).sum())
     if solves_sq <= params.tol_residual:
         return StopReason.ZK_SOLVES_STEP2B, z.copy(), solves_sq
     return None
@@ -305,7 +305,7 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     u = T.select(state.x)
     counters.operator_evals += 1
     z = compute_z(state.x, u, params.beta, C, counters)
-    residual_sq = float(np.sum((state.x - z) ** 2))
+    residual_sq = float(((state.x - z) ** 2).sum())
     state.residual_history.append(residual_sq)
     record = None
     if params.record_history:

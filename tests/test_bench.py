@@ -42,6 +42,16 @@ class TestExperimentConfig:
             ExperimentConfig(problem="nope", starts=[[0.0]])
         with pytest.raises(ValueError):
             ExperimentConfig(problem="hs-quasimonotone", starts=[[0.0, 0.0, 0.0]])
+        # the constructor checks each start as config files are checked:
+        # booleans, strings, non-finite values, scalars and nesting are refused
+        for bad in ([[True, False]], [[np.True_, 0.5]], [np.array([True, False])],
+                    [["0.5", "0.5"]], [np.array(["0.5", "0.5"])], [[0.5, np.nan]],
+                    [np.array([np.inf, 0.5])], [[10**400, 0.5]], [0.5, 0.5], [[]],
+                    [[[0.5, 0.5]]], [np.array([[0.5, 0.5]])]):
+            with pytest.raises(ValueError, match="'starts'"):
+                _hs_config(starts=bad)
+        config = _hs_config(starts=[(0, 1), np.array([1, 0]), np.array([0.5, 0.5], np.float32)])
+        assert all(s.dtype == float for s in config.starts)
 
     def test_dim_and_problem_build(self):
         config = ExperimentConfig(problem="rho-norm", starts=[[0.1] * 7], a=2.0)

@@ -78,20 +78,26 @@ def test_dimension_mismatch_maps_to_exit_one(capsys):
 
 
 def test_unknown_problem_rejected_by_parser():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["solve", "--problem", "nope", "--x0", "0.5"])
+    assert exc.value.code == 1
 
 
 def test_unparsable_vector_rejected_by_parser():
-    with pytest.raises(SystemExit):
-        main(["solve", "--problem", "rho-squared", "--x0", "a,b"])
+    # an empty field is rejected too, not closed up into a shorter vector
+    for text in ("a,b", "0.5,abc", "0.5,,0.5", "0.5,0.5,", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--problem", "rho-squared", "--x0", text])
+        assert exc.value.code == 1, text
 
 
 def test_bench_requires_exactly_one_source():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["bench"])
-    with pytest.raises(SystemExit):
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:
         main(["bench", "--preset", "table1", "--config", "x.json"])
+    assert exc.value.code == 1
 
 
 def test_bench_preset_csv(capsys):

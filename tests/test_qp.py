@@ -310,6 +310,27 @@ def test_kkt_residual_from_null_basis_matches_lstsq_reference():
                 assert got > 1e-3
 
 
+def test_a_reduced_form_is_built_once_per_system(monkeypatch):
+    built = []
+    reduce = qp._reduce
+
+    def counting_reduce(system):
+        built.append(system)
+        return reduce(system)
+
+    monkeypatch.setattr(qp, "_reduce", counting_reduce)
+    system = _slice_with_cuts(15)
+    x0 = [4.0, -1.0, 0.5, 3.0, 0.0]
+    first = least_distance(system, x0)
+    second = least_distance(system, x0, warm_start=first.active_set)
+    assert len(built) == 1 and built[0] is system
+    np.testing.assert_array_equal(second.point, first.point)
+    extended = assemble(system, [Halfspace(np.ones(5), np.full(5, 1.2))])
+    least_distance(extended, x0)
+    least_distance(extended, x0)
+    assert len(built) == 2 and built[1] is extended
+
+
 def test_a_projected_system_is_not_kept_alive():
     system = _slice_with_cuts(14)
     least_distance(system, [1.0, 1.0, 1.0, 1.0, 1.0])

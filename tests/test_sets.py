@@ -35,6 +35,37 @@ def test_as_point_rejects_bad_input():
         as_point([1.0, 2.0], dim=3)
 
 
+def test_as_point_returns_a_float64_vector_itself_and_still_checks_it():
+    x = np.array([0.5, -1.0, 2.0])
+    assert as_point(x) is x
+    assert as_point(x, 3) is x
+    frozen = np.array([1.0, 2.0])
+    frozen.flags.writeable = False
+    assert as_point(frozen, 2) is frozen
+    for bad in (np.array([1.0, np.nan]), np.array([np.inf, 0.0]), np.array([-np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            as_point(bad)
+    with pytest.raises(ValueError, match="length 3"):
+        as_point(np.array([1.0, 2.0]), 3)
+
+
+def test_as_point_converts_every_other_input_as_before():
+    for given in (np.array([0.1, 0.2], dtype=np.float32), np.arange(3),
+                  np.array([1.0, 2.0]).astype(">f8"), np.arange(2.0).view(np.recarray)):
+        out = as_point(given)
+        assert out is not given
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.dtype.isnative
+        np.testing.assert_array_equal(out, np.asarray(given, dtype=float))
+    scalar = np.array(2.5)
+    out = as_point(scalar)
+    assert out.shape == (1,) and out[0] == 2.5
+    for two_d in (np.ones((2, 2)), np.ones((1, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            as_point(two_d)
+    with pytest.raises(ValueError, match="finite"):
+        as_point(np.array([np.nan], dtype=np.float32))
+
+
 def test_halfspace_basic_geometry():
     hs = Halfspace([1.0, 0.0], [2.0, 5.0])
     assert hs.dim == 2
@@ -91,6 +122,37 @@ def test_w_halfspace_anchored_at_iterate():
     assert not contains(hs, [0.0, 0.0], tol=1e-12)
     assert contains(hs, [2.0, 2.0])
     assert w_halfspace([1.0, 1.0], [1.0, 1.0]).is_whole_space
+
+
+def test_pair_and_slab_halfspaces_own_read_only_arrays():
+    cases = [
+        (halfspace_from_pair, [1.0, 2.0], [3.0, 4.0]),
+        (halfspace_from_pair, [1.0, 2.0], [0.0, 0.0]),
+        (w_halfspace, [1.0, 2.0], [3.0, 4.0]),
+        (w_halfspace, [1.0, 2.0], [1.0, 2.0]),
+    ]
+    for make, first, second in cases:
+        inputs = np.array(first), np.array(second)
+        hs = make(*inputs)
+        expected = hs.normal.copy(), hs.anchor.copy()
+        for arr in (hs.normal, hs.anchor):
+            assert not arr.flags.writeable
+            assert not any(np.shares_memory(arr, given) for given in inputs)
+        for given in inputs:
+            given[:] = 7.0
+        np.testing.assert_array_equal(hs.normal, expected[0])
+        np.testing.assert_array_equal(hs.anchor, expected[1])
+
+
+def test_pair_and_slab_halfspaces_check_their_inputs():
+    good = np.array([1.0, 2.0])
+    for bad in (np.array([np.nan, 0.0]), np.array([1.0, np.inf]), np.array([1.0, 2.0, 3.0])):
+        for make in (halfspace_from_pair, w_halfspace):
+            with pytest.raises(ValueError):
+                make(good, bad)
+            if bad.size == 2:
+                with pytest.raises(ValueError):
+                    make(bad, good)
 
 
 def test_box_validation_and_membership():
