@@ -11,7 +11,6 @@ from .sets import (
     FeasibleSet,
     Halfspace,
     LinearConstraintSystem,
-    Polyhedron,
     SimplexSlice,
     as_point,
     assemble,

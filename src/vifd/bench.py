@@ -51,12 +51,16 @@ _ENTRY_TYPES = {
 
 
 def _is_value(value, types) -> bool:
-    """Whether a JSON value has one of ``types``: never a boolean, and finite if a float."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, types)
-        and not (isinstance(value, float) and not math.isfinite(value))
-    )
+    """Whether a JSON value has one of ``types``: never a boolean, and, where
+    ``types`` admits floats, a number that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        return False
+    if isinstance(types, tuple) and float in types and isinstance(value, _REAL):
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            return False
+    return True
 
 
 def _start_point(start) -> np.ndarray:
@@ -101,8 +105,9 @@ class ExperimentConfig:
         dims = {s.size for s in self.starts}
         if len(dims) != 1:
             raise ValueError("all start points must share one dimension")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
+        reps = self.repetitions
+        if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
+            raise ValueError(f"'repetitions' must be an integer of at least 1, not {reps!r}")
         # fail fast on unknown problems / dimension mismatches
         self.build_problem()
 

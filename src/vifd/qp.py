@@ -10,12 +10,13 @@ KKT conditions at full precision.
 
 Constraint systems are immutable, so everything that depends on the system
 alone is computed once per system and reused: the particular solution and
-null-space basis of the equalities, and the reduced, screened and normalised
-inequality rows.  That reduced form is stored on the system object itself, so
-it lives and dies with the system and costs no lookup table; the equality
-basis is also kept, for a fixed number of distinct ``A, b``, because every
-system extended from a set shares the set's equalities.  Everything that
-depends on ``tol`` is evaluated on every call.
+null-space basis of the equalities, the screen of rows that are constant on
+the affine subspace, and the normalised rows that remain.  That reduced form
+is stored on the system object itself, so it lives and dies with the system
+and costs no lookup table; the equality basis is also kept, for a fixed
+number of distinct ``A, b``, because every system extended from a set shares
+the set's equalities.  Every solve uses the same feasibility and KKT
+tolerance, ``TOL``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ __all__ = [
     "simplex_projection",
 ]
 
-DEFAULT_TOL = 1e-10
+# feasibility and KKT tolerance of every solve
+TOL = 1e-10
+# the pivot guard allows this many pivots per constraint row
+PIVOTS_PER_ROW = 50
 # distinct equality systems whose affine basis is kept; a solve uses one or two
 AFFINE_CACHE_SIZE = 32
 
@@ -97,23 +101,22 @@ class _ReducedForm:
 
     ``y_part``/``Z`` are ``None`` without equalities.  The reduced rows
     ``G Z`` with norm above 1e-13 are kept (mask ``keep``, indices ``kept``)
-    and divided by their ``norms`` into ``rows``/``rhs``; ``dropped_rhs``
-    holds the right-hand sides of the others, which are constant on the
-    affine subspace, and ``position[i]`` is the index of system row ``i``
-    among the kept rows (meaningful where ``keep[i]``).  When the equalities
-    pin a single point (``Z`` has no columns) only ``y_part`` and ``Z`` are
-    set.  Every array is read-only.
+    and divided by their ``norms`` into ``rows``/``rhs``; the others are
+    constant on the affine subspace and were checked feasible when the form
+    was built.  ``position[i]`` is the index of system row ``i`` among the
+    kept rows (meaningful where ``keep[i]``).  When the equalities pin a
+    single point, ``Z`` has no columns and no row is kept.  Every array is
+    read-only.
     """
 
     y_part: np.ndarray | None
     Z: np.ndarray | None
-    rows: np.ndarray | None = None
-    rhs: np.ndarray | None = None
-    norms: np.ndarray | None = None
-    keep: np.ndarray | None = None
-    kept: np.ndarray | None = None
-    dropped_rhs: np.ndarray | None = None
-    position: np.ndarray | None = None
+    rows: np.ndarray
+    rhs: np.ndarray
+    norms: np.ndarray
+    keep: np.ndarray
+    kept: np.ndarray
+    position: np.ndarray
 
 
 def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
@@ -129,8 +132,6 @@ def _reduce(system: LinearConstraintSystem) -> _ReducedForm:
     G, h, A, b = system.G, system.h, system.A, system.b
     if A.shape[0]:
         y_part, Z = _affine_basis(A, b)
-        if Z.shape[1] == 0:
-            return _ReducedForm(y_part, Z)
         M = G @ Z
         d = h - G @ y_part
     else:
@@ -139,11 +140,13 @@ def _reduce(system: LinearConstraintSystem) -> _ReducedForm:
     # screen rows that vanish on the reduced space, then unit-normalize the rest
     norms = np.linalg.norm(M, axis=1)
     keep = norms > 1e-13
+    if (d[~keep] < -TOL).any():
+        raise InfeasibleSystem("a constraint is constant and violated on the affine subspace")
     rows, rhs = M[keep] / norms[keep, None], d[keep] / norms[keep]
-    kept, dropped_rhs, position = keep.nonzero()[0], d[~keep], keep.cumsum() - 1
-    for arr in (rows, rhs, norms, keep, kept, dropped_rhs, position):
+    kept, position = keep.nonzero()[0], keep.cumsum() - 1
+    for arr in (rows, rhs, norms, keep, kept, position):
         arr.flags.writeable = False
-    return _ReducedForm(y_part, Z, rows, rhs, norms, keep, kept, dropped_rhs, position)
+    return _ReducedForm(y_part, Z, rows, rhs, norms, keep, kept, position)
 
 
 def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]):
@@ -157,7 +160,7 @@ def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]
     return w0 - N @ lam, [float(v) for v in lam]
 
 
-def _dual_active_set(M, d, w0, tol, max_pivots, warm_start):
+def _dual_active_set(M, d, w0, max_pivots, warm_start):
     """Dual active-set loop for min ||w - w0|| s.t. M w <= d (rows unit-normalized)."""
     m = M.shape[0]
     pivots = 0
@@ -172,7 +175,7 @@ def _dual_active_set(M, d, w0, tol, max_pivots, warm_start):
             if pivots > max_pivots:
                 raise MaxPivots("pivot guard exceeded while warm starting")
             y, lam = _tight_solve(M, d, w0, active)
-            if not lam or min(lam) >= -tol:
+            if not lam or min(lam) >= -TOL:
                 break
             del active[int(np.argmin(lam))]
 
@@ -181,10 +184,10 @@ def _dual_active_set(M, d, w0, tol, max_pivots, warm_start):
         if active:
             slack[active] = -np.inf
         worst = int(slack.argmax()) if m else -1
-        if worst < 0 or slack[worst] <= tol:
+        if worst < 0 or slack[worst] <= TOL:
             if active:
                 y2, lam2 = _tight_solve(M, d, w0, active)
-                if lam2 and min(lam2) < -tol:
+                if lam2 and min(lam2) < -TOL:
                     pivots += 1
                     if pivots > max_pivots:
                         raise MaxPivots("pivot guard exceeded while polishing")
@@ -195,7 +198,7 @@ def _dual_active_set(M, d, w0, tol, max_pivots, warm_start):
                 # active rows are nearly dependent; if so, resume pivoting
                 slack2 = M @ y2 - d
                 slack2[active] = -np.inf
-                if float(slack2.max()) > tol:
+                if float(slack2.max()) > TOL:
                     pivots += 1
                     if pivots > max_pivots:
                         raise MaxPivots("pivot guard exceeded while polishing")
@@ -263,21 +266,16 @@ def _kkt_residual(system, Z, x0, y, mu):
     return max(worst, 0.0)
 
 
-def least_distance(
-    system: LinearConstraintSystem,
-    x0,
-    tol: float = DEFAULT_TOL,
-    warm_start=None,
-    max_pivots: int | None = None,
-) -> QpSolution:
+def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSolution:
     """Project ``x0`` onto the polyhedron described by ``system``.
 
     Systems are immutable, so the work that depends on ``system`` alone (the
-    equality elimination, the screened, normalised reduced rows and the
-    warm-start index map) is done on the first call for a system, stored on
-    the system object, and reused by later calls.  ``tol`` is applied on
-    every call: the infeasibility screens, the pinned point's tight rows and
-    the pivoting all use the caller's value.
+    equality elimination, the screen of rows constant on the affine subspace,
+    the normalised reduced rows and the warm-start index map) is done on the
+    first call for a system, stored on the system object, and reused by later
+    calls.  Feasibility and the KKT conditions are held to ``TOL``, and the
+    pivot guard allows ``PIVOTS_PER_ROW * max(m + p, 1)`` pivots for ``m``
+    inequality and ``p`` equality rows.
 
     Parameters
     ----------
@@ -285,14 +283,9 @@ def least_distance(
         Constraints ``G y <= h``, ``A y = b``; the feasible set must be nonempty.
     x0 : array_like
         Point to project.
-    tol : float
-        Feasibility and KKT tolerance, positive and finite.
     warm_start : sequence of int, optional
         Inequality row indices to seed the active set with, typically the
         ``active_set`` of a previous nearby solve.
-    max_pivots : int, optional
-        Pivot guard; defaults to ``50 * (m + p)`` for ``m`` inequality and
-        ``p`` equality rows.
 
     Returns
     -------
@@ -307,27 +300,9 @@ def least_distance(
         The pivot guard was exceeded.
     """
     x0 = as_point(x0, system.n)
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
-    G, h, A, b = system.G, system.h, system.A, system.b
-    m, p = G.shape[0], A.shape[0]
-    if max_pivots is None:
-        max_pivots = max(50 * (m + p), 50)
-
-    if m == 0 and p == 0:
-        return QpSolution(x0.copy(), [], 0, 0.0)
-
+    m, p = system.G.shape[0], system.A.shape[0]
     form = _reduced_form(system)
     y_part, Z = form.y_part, form.Z
-    if Z is not None and Z.shape[1] == 0:
-        # the equalities pin a single point
-        if m and float((G @ y_part - h).max()) > tol:
-            raise InfeasibleSystem("equalities contradict the inequalities")
-        mu = np.zeros(m)
-        tight = [i for i in range(m) if abs(float(G[i] @ y_part - h[i])) <= tol]
-        return QpSolution(y_part.copy(), tight, 0, _kkt_residual(system, Z, x0, y_part, mu))
-    if (form.dropped_rhs < -tol).any():
-        raise InfeasibleSystem("a constraint is constant and violated on the affine subspace")
     w0 = Z.T @ (x0 - y_part) if Z is not None else x0
 
     warm = None
@@ -337,7 +312,8 @@ def least_distance(
         idx = idx[(idx >= 0) & (idx < m)]
         warm = [int(position[i]) for i in idx if keep[i]]
 
-    w, active_n, lam_n, pivots = _dual_active_set(form.rows, form.rhs, w0, tol, max_pivots, warm)
+    max_pivots = PIVOTS_PER_ROW * max(m + p, 1)
+    w, active_n, lam_n, pivots = _dual_active_set(form.rows, form.rhs, w0, max_pivots, warm)
 
     y = y_part + Z @ w if Z is not None else w
     mu = np.zeros(m)

@@ -12,7 +12,6 @@ __all__ = [
     "Halfspace",
     "Box",
     "SimplexSlice",
-    "Polyhedron",
     "FeasibleSet",
     "LinearConstraintSystem",
     "as_point",
@@ -175,45 +174,6 @@ class SimplexSlice:
         return LinearConstraintSystem(-np.eye(n), np.zeros(n), np.ones((1, n)), np.array([self.a]))
 
 
-@dataclass(frozen=True, eq=False)
-class Polyhedron:
-    """General polyhedron ``{y : G y <= h, A y = b}``; validated nonempty."""
-
-    G: np.ndarray
-    h: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        G, h, A, b = _validate_rows(self.G, self.h, self.A, self.b)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        # nonemptiness check: one feasibility projection from the origin
-        from . import qp
-
-        qp.least_distance(self.constraints, np.zeros(self.dim))
-
-    @property
-    def dim(self) -> int:
-        return self.G.shape[1]
-
-    def contains(self, y, tol: float = 0.0) -> bool:
-        y = as_point(y, self.dim)
-        ok_ineq = self.G.shape[0] == 0 or float((self.G @ y - self.h).max()) <= tol
-        ok_eq = self.A.shape[0] == 0 or float(np.abs(self.A @ y - self.b).max()) <= tol
-        return bool(ok_ineq and ok_eq)
-
-    @cached_property
-    def constraints(self) -> LinearConstraintSystem:
-        """The polyhedron's own rows."""
-        return LinearConstraintSystem(self.G, self.h, self.A, self.b)
-
-
-FeasibleSet = Union[Box, SimplexSlice, Polyhedron]
-
-
 def _validate_rows(G, h, A, b):
     G = np.atleast_2d(np.asarray(G, dtype=float))
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -271,6 +231,9 @@ class LinearConstraintSystem:
         return self.max_violation(y) <= tol
 
 
+FeasibleSet = Union[Box, SimplexSlice, LinearConstraintSystem]
+
+
 def _stacked(base: LinearConstraintSystem, rows: np.ndarray, rhs: np.ndarray):
     """``base`` with ``rows``/``rhs`` appended; only the new rows are validated."""
     if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
@@ -283,13 +246,15 @@ def _stacked(base: LinearConstraintSystem, rows: np.ndarray, rhs: np.ndarray):
     return system
 
 
-def assemble(C: FeasibleSet | LinearConstraintSystem, halfspaces) -> LinearConstraintSystem:
+def assemble(C: FeasibleSet, halfspaces) -> LinearConstraintSystem:
     """Stack the rows of ``C`` with one row per halfspace.
 
     Box bounds become +-identity rows (infinite bounds are skipped), a simplex
     slice becomes nonnegativity rows plus one all-ones equality, and a
-    polyhedron or a stacked system contributes its rows verbatim.  A set's
-    rows are built once, on first use, as its ``constraints`` system.
+    ``LinearConstraintSystem`` (a general polyhedral set, or a stacked system)
+    contributes its rows verbatim.  A box's or a slice's rows are built once,
+    on first use, as its ``constraints`` system.  Any other type of ``C``
+    raises ``TypeError``.
     Halfspace rows follow in list order with unit-normalized normals;
     whole-space halfspaces are dropped.  When no row is added, the base
     system itself is returned, so ``assemble(C, [])`` is the same object on
@@ -299,7 +264,7 @@ def assemble(C: FeasibleSet | LinearConstraintSystem, halfspaces) -> LinearConst
     """
     if isinstance(C, LinearConstraintSystem):
         base = C
-    elif isinstance(C, (Box, SimplexSlice, Polyhedron)):
+    elif isinstance(C, (Box, SimplexSlice)):
         base = C.constraints
     else:
         raise TypeError(f"unsupported feasible set type: {type(C).__name__}")

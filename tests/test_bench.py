@@ -36,8 +36,9 @@ class TestExperimentConfig:
             _hs_config(starts=[])
         with pytest.raises(ValueError):
             _hs_config(starts=[[0.5, 0.5], [0.5]])
-        with pytest.raises(ValueError):
-            _hs_config(repetitions=0)
+        for bad in (0, 2.5, True, 2.0):
+            with pytest.raises(ValueError, match="'repetitions'"):
+                _hs_config(repetitions=bad)
         with pytest.raises(UnknownProblem):
             ExperimentConfig(problem="nope", starts=[[0.0]])
         with pytest.raises(ValueError):

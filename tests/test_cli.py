@@ -138,6 +138,10 @@ def test_bench_config_file(tmp_path, capsys):
         ("starts", [[True, False]]),
         ("starts", [["0.5", "0.5"]]),
         ("starts", [0.1, 0.5]),
+        # integers too large for a float
+        pytest.param("beta", 10**400, id="beta-huge-int"),
+        pytest.param("a", 10**400, id="a-huge-int"),
+        pytest.param("tol_residual", 10**400, id="tol_residual-huge-int"),
     ],
 )
 def test_bad_config_entry_maps_to_exit_one(tmp_path, capsys, key, value):

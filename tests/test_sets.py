@@ -7,7 +7,6 @@ from vifd.sets import (
     Box,
     Halfspace,
     LinearConstraintSystem,
-    Polyhedron,
     SimplexSlice,
     as_point,
     assemble,
@@ -15,7 +14,7 @@ from vifd.sets import (
     halfspace_from_pair,
     w_halfspace,
 )
-from vifd.qp import InfeasibleSystem
+from vifd.qp import InfeasibleSystem, least_distance
 
 
 def test_as_point_accepts_lists_scalars_and_arrays():
@@ -185,12 +184,15 @@ def test_simplex_slice_membership():
 
 def test_polyhedron_membership_and_nonempty_check():
     # the unit triangle x, y >= 0, x + y <= 1
-    tri = Polyhedron(G=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], h=[0.0, 0.0, 1.0],
-                     A=np.zeros((0, 2)), b=np.zeros(0))
+    tri = LinearConstraintSystem(G=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], h=[0.0, 0.0, 1.0],
+                                 A=np.zeros((0, 2)), b=np.zeros(0))
     assert tri.contains([0.25, 0.25])
     assert not tri.contains([0.8, 0.8])
+    # an empty set is built without a check and refused by its first projection
+    empty = LinearConstraintSystem(G=[[1.0], [-1.0]], h=[0.0, -1.0], A=np.zeros((0, 1)),
+                                   b=np.zeros(0))
     with pytest.raises(InfeasibleSystem):
-        Polyhedron(G=[[1.0], [-1.0]], h=[0.0, -1.0], A=np.zeros((0, 1)), b=np.zeros(0))
+        least_distance(assemble(empty, []), [0.5])
 
 
 def test_linear_constraint_system_violation():
@@ -224,11 +226,11 @@ def test_assemble_simplex_rows():
 
 
 def test_assemble_polyhedron_rows_verbatim():
-    tri = Polyhedron(G=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], h=[0.0, 0.0, 1.0],
-                     A=np.zeros((0, 2)), b=np.zeros(0))
-    system = assemble(tri, [])
-    np.testing.assert_array_equal(system.G, tri.G)
-    np.testing.assert_array_equal(system.h, tri.h)
+    tri = LinearConstraintSystem(G=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], h=[0.0, 0.0, 1.0],
+                                 A=np.zeros((0, 2)), b=np.zeros(0))
+    assert assemble(tri, []) is tri
+    with pytest.raises(TypeError):
+        assemble((tri.G, tri.h), [])
 
 
 def test_assemble_appends_unit_normalized_halfspace_rows_in_order():
@@ -258,11 +260,11 @@ def test_extending_a_stacked_system_one_halfspace_at_a_time_matches_stacking_all
     sets = [
         Box([0.0, -np.inf, -1.0], [1.0, 2.0, np.inf]),
         SimplexSlice(5.0, 40),
-        Polyhedron(G=[[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
-                   h=[3.0, 1.0, 1.0], A=[[0.0, 0.0, 1.0]], b=[0.5]),
+        LinearConstraintSystem(G=[[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+                               h=[3.0, 1.0, 1.0], A=[[0.0, 0.0, 1.0]], b=[0.5]),
     ]
     for C in sets:
-        n = C.dim
+        n = assemble(C, []).n
         halfspaces = [
             halfspace_from_pair(rng.normal(size=n), rng.normal(size=n))
             if i % 2 else Halfspace(rng.normal(size=n) * 7.0, rng.normal(size=n))
@@ -284,13 +286,14 @@ def test_a_sets_rows_are_built_once_and_shared_read_only():
     sets = [
         Box([0.0, -np.inf, -1.0], [1.0, 2.0, np.inf]),
         SimplexSlice(5.0, 3),
-        Polyhedron(G=[[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]], h=[3.0, 1.0],
-                   A=[[0.0, 0.0, 1.0]], b=[0.5]),
+        LinearConstraintSystem(G=[[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]], h=[3.0, 1.0],
+                               A=[[0.0, 0.0, 1.0]], b=[0.5]),
     ]
     for C in sets:
         system = assemble(C, [])
         assert assemble(C, []) is system
-        assert C.constraints is system
+        # a general polyhedral set is its own constraint system
+        assert getattr(C, "constraints", C) is system
         assert assemble(system, []) is system
         assert assemble(system, [Halfspace(np.zeros(3), [1.0, 2.0, 3.0])]) is system
         extended = assemble(system, [Halfspace([0.0, 2.0, 0.0], [0.0, 0.5, 0.0])])
@@ -325,7 +328,7 @@ def _random_feasible_set(rng):
     center = rng.normal(size=n)
     G = rng.normal(size=(2 * n, n))
     h = G @ center + rng.uniform(0.2, 2.0, size=2 * n)
-    return Polyhedron(G=G, h=h, A=np.zeros((0, n)), b=np.zeros(0))
+    return LinearConstraintSystem(G=G, h=h, A=np.zeros((0, n)), b=np.zeros(0))
 
 
 def test_assemble_is_set_equivalent_on_random_points():
@@ -333,7 +336,7 @@ def test_assemble_is_set_equivalent_on_random_points():
     checked = 0
     while checked < 1000:
         C = _random_feasible_set(rng)
-        n = C.dim
+        n = assemble(C, []).n
         halfspaces = [
             halfspace_from_pair(rng.normal(size=n), rng.normal(size=n))
             for _ in range(rng.integers(0, 4))

@@ -12,7 +12,8 @@ from vifd.operators import (
     SupportResult,
     make_problem,
 )
-from vifd.sets import Box, assemble, contains
+from vifd.qp import InfeasibleSystem
+from vifd.sets import Box, LinearConstraintSystem, assemble, contains
 from vifd.solver import (
     SOLUTION_STOPS,
     Counters,
@@ -291,6 +292,27 @@ class TestSolve:
         on = solve(problem, [0.0, 0.0], SolverParams(record_history=True))
         assert on.history is not None
         assert [r.residual_sq for r in on.history] == on.residual_history
+
+    def test_general_polyhedral_set(self):
+        # the unit triangle x >= 0, y >= 0, x + y <= 1
+        triangle = LinearConstraintSystem(
+            G=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], h=[0.0, 0.0, 1.0],
+            A=np.zeros((0, 2)), b=np.zeros(0),
+        )
+        problem = ProblemInstance("triangle", HsQuasimonotone(), triangle)
+        # a short trial step, so that cuts are stacked on the triangle's rows
+        report = solve(problem, [0.0, 0.0], SolverParams(delta=0.01, beta=0.1))
+        assert report.stop_reason in SOLUTION_STOPS
+        assert report.counters.outer_iters >= 1
+        assert triangle.contains(report.terminal_point, 1e-9)
+
+    def test_empty_set_fails_at_its_first_projection(self):
+        # x <= 0 and x >= 1
+        empty = LinearConstraintSystem(G=[[1.0], [-1.0]], h=[0.0, -1.0],
+                                       A=np.zeros((0, 1)), b=np.zeros(0))
+        problem = ProblemInstance("empty", StepFunctionOperator(0.5, -1.0, 1.0), empty)
+        with pytest.raises(InfeasibleSystem):
+            solve(problem, [0.5], SolverParams())
 
     def test_seed_passthrough(self):
         problem = make_problem("fractional-simplex", seed=3)
