@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import statistics
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .operators import ProblemInstance, make_problem
-from .solver import RunReport, SolverParams, StopCertificate, StopReason, solve
+from .solver import (
+    RunReport, SolverParams, StopCertificate, StopReason, _integer, _real, solve,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -31,36 +32,10 @@ CSV_HEADER = "x0,iter,nT,cpu_s,sol,stop_reason"
 OUTPUT_FORMATS = ("csv", "json", "table")
 PRESET_NAMES = ("table1", "table2", "table3", "table4")
 
-_REAL = (int, float)
-# The solver keys of a config entry, each with the JSON types it accepts: every
-# SolverParams field but record_history, which only the library sets, typed by
-# its default.
-_SOLVER_KEYS = {
-    f.name: _REAL if isinstance(f.default, float) else type(f.default)
-    for f in fields(SolverParams) if f.name != "record_history"
-}
-_ENTRY_TYPES = {
-    "problem": str,
-    "starts": list,
-    "a": (*_REAL, type(None)),
-    "seed": int,
-    "repetitions": int,
-    "label": (str, type(None)),
-    **_SOLVER_KEYS,
-}
-
-
-def _is_value(value, types) -> bool:
-    """Whether a JSON value has one of ``types``: never a boolean, and, where
-    ``types`` admits floats, a number that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, types):
-        return False
-    if isinstance(types, tuple) and float in types and isinstance(value, _REAL):
-        try:
-            return math.isfinite(value)
-        except OverflowError:  # an integer too large for a float
-            return False
-    return True
+# The keys of a config entry. The solver keys are every SolverParams field but
+# record_history, which only the library sets.
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverParams) if f.name != "record_history")
+_ENTRY_KEYS = {"problem", "starts", "a", "seed", "label", *_SOLVER_KEYS}
 
 
 def _start_point(start) -> np.ndarray:
@@ -85,29 +60,35 @@ def _start_point(start) -> np.ndarray:
 class ExperimentConfig:
     """One batch of solves: a problem, a list of starts, and shared parameters.
 
-    ``repetitions`` only affects timing (the reported wall time is the median
-    over that many identical runs); counters and terminal points come from the
-    first run and are deterministic given ``seed``.
+    Each value is checked here, where it enters: ``problem`` is a string,
+    ``starts`` a non-empty list of vectors of finite real numbers, ``a`` None
+    or a finite real number, ``seed`` an integer of at least 0 and ``label``
+    None or a string. Numbers are stored as plain ``float`` and ``int``, so a
+    config built from numpy scalars serializes as json; a bad value raises a
+    ``ValueError`` naming its key.
     """
 
     problem: str
     starts: list[np.ndarray]
     params: SolverParams = field(default_factory=SolverParams)
     a: float | None = None
-    repetitions: int = 1
     seed: int = 0
     label: str | None = None
 
     def __post_init__(self):
-        if not self.starts:
-            raise ValueError("an experiment needs at least one start point")
+        if not isinstance(self.problem, str):
+            raise ValueError(f"'problem' must be a string, not {self.problem!r}")
+        if not isinstance(self.starts, (list, tuple)) or not self.starts:
+            raise ValueError("'starts' must be a non-empty list of start points")
         self.starts = [_start_point(s) for s in self.starts]
         dims = {s.size for s in self.starts}
         if len(dims) != 1:
             raise ValueError("all start points must share one dimension")
-        reps = self.repetitions
-        if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
-            raise ValueError(f"'repetitions' must be an integer of at least 1, not {reps!r}")
+        if self.a is not None:
+            self.a = _real("a", self.a)
+        self.seed = _integer("seed", self.seed, 0)
+        if not (self.label is None or isinstance(self.label, str)):
+            raise ValueError(f"'label' must be a string or None, not {self.label!r}")
         # fail fast on unknown problems / dimension mismatches
         self.build_problem()
 
@@ -127,7 +108,6 @@ class ExperimentConfig:
             "a": self.a,
             **{key: params[key] for key in _SOLVER_KEYS},
             "seed": self.seed,
-            "repetitions": self.repetitions,
             "label": self.label,
         }
 
@@ -137,20 +117,16 @@ class ExperimentConfig:
 
         ``problem`` and ``starts`` are required; every other key is optional
         and defaults to the ``ExperimentConfig`` or ``SolverParams`` value.
-        Raises ``ValueError`` naming the key on an unknown key or a value of
-        the wrong type: numbers must be finite, budgets and seeds integers,
-        ``starts`` a non-empty list of non-empty lists of numbers (checked by
-        the constructor, as for every config), and booleans are never accepted.
+        Raises ``ValueError`` naming the key on an unknown key; the values are
+        checked by the two constructors, as for every config.
         """
         if not isinstance(entry, dict):
             raise ValueError("each experiment must be a JSON object")
         if "problem" not in entry or "starts" not in entry:
             raise ValueError("each experiment needs 'problem' and 'starts'")
-        for key, value in entry.items():
-            if key not in _ENTRY_TYPES:
+        for key in entry:
+            if key not in _ENTRY_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            if not _is_value(value, _ENTRY_TYPES[key]):
-                raise ValueError(f"config key {key!r} cannot be {value!r}")
         values = dict(entry)
         params = SolverParams(**{k: values.pop(k) for k in _SOLVER_KEYS if k in values})
         return cls(params=params, **values)
@@ -182,22 +158,9 @@ class ResultRow:
 
 
 def run_reports(config: ExperimentConfig) -> list[RunReport]:
-    """Solve every start of the experiment with the config's solver parameters.
-
-    Wall times are medians over ``config.repetitions`` identical runs.
-    """
+    """Solve every start of the experiment with the config's solver parameters."""
     problem = config.build_problem()
-    params = config.params
-    reports = []
-    for start in config.starts:
-        report = solve(problem, start, params)
-        if config.repetitions > 1:
-            times = [report.wall_time_s]
-            for _ in range(config.repetitions - 1):
-                times.append(solve(problem, start, params).wall_time_s)
-            report.wall_time_s = statistics.median(times)
-        reports.append(report)
-    return reports
+    return [solve(problem, start, config.params) for start in config.starts]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:

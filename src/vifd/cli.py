@@ -57,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float)
     sp.add_argument("--tol", dest="tol_residual", type=float,
                     help="tolerance on the squared stop residuals")
-    sp.add_argument("--tol-step4", type=float,
-                    help="tolerance on consecutive-iterate distance")
     sp.add_argument("--max-iter", dest="max_outer_iterations", type=int)
     sp.add_argument("--seed", type=int, help="seed for randomized problem data")
     sp.add_argument("--a", type=float, help="feasible-set scale where applicable")

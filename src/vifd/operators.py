@@ -260,14 +260,12 @@ class ProblemInstance:
 
     ``known_dual_solutions`` lists points of the dual (Minty) solution set,
     which every separating halfspace generated by the solver must retain.
-    ``seed`` records the draw used for randomized problem data, if any.
     """
 
     name: str
     operator: SetValuedOperator
     feasible: FeasibleSet
     known_dual_solutions: tuple[np.ndarray, ...] = ()
-    seed: int | None = None
 
     def __post_init__(self):
         frozen = []
@@ -335,7 +333,6 @@ def make_problem(
             operator=FractionalGradient(scale, h),
             feasible=SimplexSlice(scale, 5),
             known_dual_solutions=(np.full(5, scale / 5.0),),
-            seed=seed,
         )
     if name == "ray-setvalued":
         if dim not in (None, 2):

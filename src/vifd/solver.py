@@ -19,6 +19,7 @@ monotonically while consecutive steps stay square-summable.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -55,6 +56,10 @@ __all__ = [
 ]
 
 _EXIT_SLACK = 1e-12
+#: Step 4 stops once consecutive anchored projections are this close.
+TOL_STEP4 = 1e-12
+#: The linesearch gives up after this many halvings of alpha.
+MAX_LINESEARCH_HALVINGS = 200
 
 
 class LinesearchFailure(RuntimeError):
@@ -65,38 +70,54 @@ class LinesearchFailure(RuntimeError):
         self.probes = probes
 
 
+def _real(key: str, value) -> float:
+    """``value`` as a finite plain float, else a ``ValueError`` naming ``key``;
+    booleans and strings are not numbers."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValueError(f"{key!r} must be a finite real number, not {value!r}")
+
+
+def _integer(key: str, value, minimum: int) -> int:
+    """``value`` as a plain int of at least ``minimum``, else a ``ValueError``
+    naming ``key``; booleans are not integers."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise ValueError(f"{key!r} must be an integer of at least {minimum}, not {value!r}")
+
+
 @dataclass
 class SolverParams:
-    """Tuning knobs for the outer loop and the linesearch.
+    """The method's parameters, the iteration budget and the history switch.
 
     ``beta`` is the trial step length in ``z = P_C(x - beta u)``.
     ``tol_residual`` applies to the squared residuals ||x - z||^2 and
-    ||z - P_C(z - v)||^2 of the two early stop checks; ``tol_step4`` applies to
-    the norm of the difference between consecutive anchored projections.
+    ||z - P_C(z - v)||^2 of the two early stop checks. The guards around Step 4
+    and the linesearch are the module constants ``TOL_STEP4`` and
+    ``MAX_LINESEARCH_HALVINGS``. Numbers are stored as plain ``float`` and
+    ``int`` (numpy scalars are converted); a value of the wrong type or out of
+    range raises a ``ValueError`` naming its field.
     """
 
     delta: float = 0.01
     theta: float = 0.5
     beta: float = 1.0
     tol_residual: float = 1e-8
-    tol_step4: float = 1e-12
     max_outer_iterations: int = 10_000
-    max_linesearch_halvings: int = 200
     record_history: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if not 0.0 < self.beta < np.inf:
-            raise ValueError("beta must be positive and finite")
-        # written so that NaN fails: a NaN tolerance would disable its stop test
-        if not (0.0 < self.tol_residual < np.inf and 0.0 <= self.tol_step4 < np.inf):
-            raise ValueError("tolerances must be positive and finite (tol_step4 may be 0)")
-        for budget in (self.max_outer_iterations, self.max_linesearch_halvings):
-            if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
-                raise ValueError("iteration budgets must be integers of at least 1")
+        for key, high in (("delta", 1.0), ("theta", 1.0), ("beta", math.inf),
+                          ("tol_residual", math.inf)):
+            value = _real(key, getattr(self, key))
+            if not 0.0 < value < high:
+                raise ValueError(f"{key!r} must lie in (0, {high:g}), not {value!r}")
+            setattr(self, key, value)
+        self.max_outer_iterations = _integer("max_outer_iterations", self.max_outer_iterations, 1)
 
 
 @dataclass
@@ -177,7 +198,6 @@ class RunReport:
     counters: Counters
     wall_time_s: float = 0.0
     residual_history: list[float] = field(default_factory=list)
-    seed_used: int | None = None
     start_projected: bool = False
     history: list[IterationRecord] | None = None
 
@@ -209,8 +229,8 @@ def linesearch_f(
     support reaches the threshold is returned together with a witness element
     achieving it and the number of probes spent.
 
-    Raises :class:`LinesearchFailure` after ``max_linesearch_halvings`` probes
-    without success.
+    Raises :class:`LinesearchFailure` after ``MAX_LINESEARCH_HALVINGS + 1``
+    probes without success.
     """
     x = as_point(x)
     z = as_point(z, x.size)
@@ -219,7 +239,7 @@ def linesearch_f(
     threshold = params.delta * float(u @ direction)
     alpha = 1.0
     probes = 0
-    for _ in range(params.max_linesearch_halvings + 1):
+    for _ in range(MAX_LINESEARCH_HALVINGS + 1):
         y = alpha * z + (1.0 - alpha) * x
         result = T.support(y, direction)
         probes += 1
@@ -351,8 +371,8 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     state.x = x_next
     state.k += 1
     counters.outer_iters = state.k
-    if step_norm <= params.tol_step4:
-        certificate = StopCertificate("step_norm_step4", step_norm, params.tol_step4)
+    if step_norm <= TOL_STEP4:
+        certificate = StopCertificate("step_norm_step4", step_norm, TOL_STEP4)
         return state, _report(state, params, StopReason.FIXED_POINT_STEP4, x_next, certificate)
     return state, None
 
@@ -383,14 +403,11 @@ def solve(problem: ProblemInstance, x0, params: SolverParams | None = None) -> R
             state, report = step(state, problem, params)
         except LinesearchFailure as failure:
             certificate = StopCertificate(
-                "linesearch_halvings",
-                float(failure.probes),
-                float(params.max_linesearch_halvings),
+                "linesearch_halvings", float(failure.probes), float(MAX_LINESEARCH_HALVINGS)
             )
             report = _report(
                 state, params, StopReason.LINESEARCH_FAILURE, state.x, certificate
             )
     report.wall_time_s = time.perf_counter() - started
-    report.seed_used = problem.seed
     report.start_projected = start_projected
     return report

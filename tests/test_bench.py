@@ -1,6 +1,7 @@
 """Experiment configs, result emission, presets, and exit codes."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -36,9 +37,16 @@ class TestExperimentConfig:
             _hs_config(starts=[])
         with pytest.raises(ValueError):
             _hs_config(starts=[[0.5, 0.5], [0.5]])
-        for bad in (0, 2.5, True, 2.0):
-            with pytest.raises(ValueError, match="'repetitions'"):
-                _hs_config(repetitions=bad)
+        # every other value is checked where it enters, naming its key
+        for key, bad in [("seed", True), ("seed", 2.5), ("seed", -1), ("seed", "3"),
+                         ("seed", None), ("seed", np.float64(3.0)), ("a", True),
+                         ("a", "1.0"), ("a", math.nan), ("a", math.inf), ("a", 10**400),
+                         ("label", 5), ("label", ["smoke"]), ("problem", 5)]:
+            with pytest.raises(ValueError, match=repr(key)):
+                _hs_config(**{key: bad})
+        for bad in ("abc", 5, (), {"x0": [0.5, 0.5]}):
+            with pytest.raises(ValueError, match="'starts'"):
+                _hs_config(starts=bad)
         with pytest.raises(UnknownProblem):
             ExperimentConfig(problem="nope", starts=[[0.0]])
         with pytest.raises(ValueError):
@@ -62,20 +70,31 @@ class TestExperimentConfig:
         assert problem.operator.a == 2.0
 
     def test_to_dict_echoes_every_knob(self):
-        config = _hs_config(label="smoke", seed=4, repetitions=2)
+        config = _hs_config(label="smoke", seed=4)
         d = config.to_dict()
-        assert d["problem"] == "hs-quasimonotone"
-        assert d["starts"] == [[0.5, 0.5]]
-        assert d["seed"] == 4
-        assert d["repetitions"] == 2
-        assert d["label"] == "smoke"
-        assert "output" not in d
-        assert d["delta"] == 0.01
-        assert d["theta"] == 0.5
-        assert d["beta"] == 1.0
-        assert d["tol_residual"] == 1e-8
-        assert d["max_linesearch_halvings"] == 200
-        assert "params" not in d and "record_history" not in d
+        assert d == {
+            "problem": "hs-quasimonotone",
+            "starts": [[0.5, 0.5]],
+            "a": None,
+            "delta": 0.01,
+            "theta": 0.5,
+            "beta": 1.0,
+            "tol_residual": 1e-8,
+            "max_outer_iterations": 10_000,
+            "seed": 4,
+            "label": "smoke",
+        }
+
+    def test_numpy_scalars_survive_json(self):
+        params = SolverParams(delta=np.float32(0.5), theta=np.float64(0.25),
+                              max_outer_iterations=np.int64(5))
+        config = ExperimentConfig(problem="fractional-simplex", starts=[np.ones(5)],
+                                  params=params, a=np.float64(5.0), seed=np.int64(3),
+                                  label=np.str_("numpy"))
+        (block,) = json.loads(emit([(config, run_experiment(config))], "json"))
+        back = ExperimentConfig.from_dict(block["config"])
+        assert back.to_dict() == config.to_dict() == block["config"]
+        assert (back.seed, back.a, back.params) == (3, 5.0, params)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_configs_round_trip_through_json(self, name):
@@ -84,7 +103,6 @@ class TestExperimentConfig:
             assert back.params == config.params
             assert (back.problem, back.a, back.seed, back.label) == (
                 config.problem, config.a, config.seed, config.label)
-            assert back.repetitions == config.repetitions
             assert len(back.starts) == len(config.starts)
             for b, c in zip(back.starts, config.starts):
                 assert np.array_equal(b, c)
@@ -108,13 +126,6 @@ class TestRunning:
         config = _hs_config(starts=[[0.0, 0.0]], params=SolverParams(record_history=True))
         assert run_reports(config)[0].history
         assert config.params == SolverParams(record_history=True)
-
-    def test_repetitions_change_timing_only(self):
-        once = run_experiment(_hs_config(starts=[[0.1, 0.7]]))[0]
-        thrice = run_experiment(_hs_config(starts=[[0.1, 0.7]], repetitions=3))[0]
-        assert once.iterations == thrice.iterations
-        assert once.operator_evals == thrice.operator_evals
-        np.testing.assert_array_equal(once.terminal_point, thrice.terminal_point)
 
     def test_counters_and_terminals_are_deterministic(self):
         config = _hs_config(starts=[[0.0, 1.0], [0.2, 0.7]])
@@ -315,3 +326,9 @@ class TestConfigFile:
         path.write_text(example)
         (config,) = configs_from_file(str(path))
         assert config.to_dict() == json.loads(example)
+        # it shows every key at its default, so a retired or renamed key
+        # cannot leave it stale
+        assert json.loads(example) == ExperimentConfig(
+            problem="rho-squared", starts=[[0.1], [0.5], [-0.5]], a=1.0,
+            label="scalar field, n = 1",
+        ).to_dict()

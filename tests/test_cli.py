@@ -33,7 +33,7 @@ def test_solve_json_output_echoes_config(capsys):
         [
             "solve", "--problem", "fractional-simplex",
             "--x0", "0,0,5,0,0", "--theta", "0.25", "--tol", "1e-4", "--seed", "0",
-            "--beta", "0.5", "--tol-step4", "1e-10", "--output", "json",
+            "--beta", "0.5", "--max-iter", "500", "--output", "json",
         ]
     )
     (block,) = json.loads(capsys.readouterr().out)
@@ -42,7 +42,7 @@ def test_solve_json_output_echoes_config(capsys):
     assert block["config"]["theta"] == 0.25
     assert block["config"]["tol_residual"] == 1e-4
     assert block["config"]["beta"] == 0.5
-    assert block["config"]["tol_step4"] == 1e-10
+    assert block["config"]["max_outer_iterations"] == 500
     assert block["config"]["delta"] == 0.01
     assert "output" not in block["config"]
     assert block["rows"][0]["stop_reason"].endswith("Step2b") or block["rows"][0][
@@ -142,6 +142,15 @@ def test_bench_config_file(tmp_path, capsys):
         pytest.param("beta", 10**400, id="beta-huge-int"),
         pytest.param("a", 10**400, id="a-huge-int"),
         pytest.param("tol_residual", 10**400, id="tol_residual-huge-int"),
+        # retired keys: the guards are solver constants, timing is perfbench's
+        ("tol_step4", 1e-12),
+        ("max_linesearch_halvings", 200),
+        ("repetitions", 1),
+        # values that the constructors check, not from_dict
+        ("seed", True),
+        ("seed", -1),
+        ("label", 5),
+        ("problem", 5),
     ],
 )
 def test_bad_config_entry_maps_to_exit_one(tmp_path, capsys, key, value):
@@ -153,6 +162,21 @@ def test_bad_config_entry_maps_to_exit_one(tmp_path, capsys, key, value):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert repr(key) in captured.err
+
+
+def test_retired_solve_option_rejected_by_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "hs-quasimonotone", "--x0", "0.5,0.5",
+              "--tol-step4", "1e-10"])
+    assert exc.value.code == 1
+    assert "--tol-step4" in capsys.readouterr().err
+
+
+def test_negative_seed_names_the_key(capsys):
+    code = main(["solve", "--problem", "fractional-simplex", "--x0", "0,0,5,0,0",
+                 "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: 'seed'")
 
 
 def test_bench_json_config_blocks_rerun_the_same_rows(tmp_path, capsys):

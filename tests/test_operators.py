@@ -298,7 +298,6 @@ class TestRegistry:
         assert p0.operator.h == p0b.operator.h
         assert p0.operator.h != p1.operator.h
         assert 0.1 <= p0.operator.h <= 1.6
-        assert p0.seed == 0
         np.testing.assert_array_equal(p0.known_dual_solutions[0], np.ones(5))
 
     def test_ray_instance(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import vifd.solver
 from vifd.operators import (
     HsQuasimonotone,
     ProblemInstance,
@@ -57,7 +58,9 @@ class TestSolverParams:
         assert params.theta == 0.5
         assert params.beta == 1.0
         assert params.tol_residual == 1e-8
-        assert params.tol_step4 == 1e-12
+        assert params.max_outer_iterations == 10_000
+        assert vifd.solver.TOL_STEP4 == 1e-12
+        assert vifd.solver.MAX_LINESEARCH_HALVINGS == 200
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -67,29 +70,39 @@ class TestSolverParams:
             {"theta": 0.0},
             {"theta": 1.0},
             {"tol_residual": 0.0},
-            {"tol_step4": -1e-9},
+            {"delta": "0.5"},
             {"max_outer_iterations": 0},
-            {"max_linesearch_halvings": 0},
+            {"delta": True},
             {"beta": 0.0},
             {"beta": -1.0},
             {"beta": math.inf},
             {"beta": math.nan},
             {"tol_residual": math.inf},
             {"tol_residual": math.nan},
-            {"tol_step4": math.inf},
-            {"tol_step4": math.nan},
+            {"theta": None},
+            {"beta": 10**400},
             {"max_outer_iterations": 2.5},
             {"max_outer_iterations": math.inf},
             {"max_outer_iterations": True},
-            {"max_linesearch_halvings": 2.5},
+            {"max_outer_iterations": "5"},
+            {"tol_residual": np.float64(-1e-8)},
+            {"max_outer_iterations": np.int64(0)},
+            {"theta": np.bool_(True)},
+            {"max_outer_iterations": 5.0},
         ],
     )
     def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
+        (key,) = kwargs
+        with pytest.raises(ValueError, match=repr(key)):
             SolverParams(**kwargs)
 
-    def test_zero_step4_tolerance_allowed(self):
-        SolverParams(tol_step4=0.0)
+    def test_stores_plain_numbers(self):
+        # numpy scalars and integers become plain floats and ints
+        params = SolverParams(delta=np.float32(0.5), beta=np.int64(2), tol_residual=1,
+                              max_outer_iterations=np.int64(5))
+        values = (params.delta, params.beta, params.tol_residual, params.max_outer_iterations)
+        assert values == (0.5, 2.0, 1.0, 5)
+        assert [type(v) for v in values] == [float, float, float, int]
 
 
 def test_compute_z_projects_trial_step():
@@ -134,9 +147,10 @@ class TestLinesearch:
         assert probes == 5
         np.testing.assert_allclose(ubar, [1.0])
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(vifd.solver, "MAX_LINESEARCH_HALVINGS", 10)
         T = StepFunctionOperator(cut=1.0, low=0.0, high=1.0)
-        params = SolverParams(delta=0.5, theta=0.5, max_linesearch_halvings=10)
+        params = SolverParams(delta=0.5, theta=0.5)
         with pytest.raises(LinesearchFailure) as info:
             linesearch_f(T, [1.0], [0.0], [1.0], params)
         assert info.value.probes == 11
@@ -249,7 +263,7 @@ class TestSolve:
         assert report.stop_reason is StopReason.RESIDUAL_ZERO_STEP2A
         np.testing.assert_allclose(report.terminal_point, [1.0, 1.0], atol=1e-12)
 
-    def test_linesearch_breakdown_is_reported_not_raised(self):
+    def test_linesearch_breakdown_is_reported_not_raised(self, monkeypatch):
         # from x = 1 the trial point is z = 0, which neither stop test accepts,
         # and every probe sees support -1 against a threshold of 4.95
         problem = ProblemInstance(
@@ -257,17 +271,20 @@ class TestSolve:
             operator=StepFunctionOperator(cut=1.0, low=-1.0, high=5.0),
             feasible=Box([0.0], [1.0]),
         )
-        params = SolverParams(delta=0.99, theta=0.5, max_linesearch_halvings=8)
-        report = solve(problem, [1.0], params)
+        monkeypatch.setattr(vifd.solver, "MAX_LINESEARCH_HALVINGS", 8)
+        report = solve(problem, [1.0], SolverParams(delta=0.99, theta=0.5))
         assert report.stop_reason is StopReason.LINESEARCH_FAILURE
         assert report.terminal_certificate.test == "linesearch_halvings"
         assert report.terminal_certificate.value == 9.0
+        assert report.terminal_certificate.tolerance == 8.0
 
-    def test_loose_step4_tolerance_stops_on_fixed_point(self):
+    def test_loose_step4_tolerance_stops_on_fixed_point(self, monkeypatch):
+        monkeypatch.setattr(vifd.solver, "TOL_STEP4", 10.0)
         problem = make_problem("hs-quasimonotone")
-        report = solve(problem, [0.0, 0.0], SolverParams(tol_step4=10.0))
+        report = solve(problem, [0.0, 0.0], SolverParams())
         assert report.stop_reason is StopReason.FIXED_POINT_STEP4
         assert report.terminal_certificate.test == "step_norm_step4"
+        assert report.terminal_certificate.tolerance == 10.0
         assert report.counters.outer_iters == 1
 
     def test_max_iterations_reached(self):
@@ -313,11 +330,6 @@ class TestSolve:
         problem = ProblemInstance("empty", StepFunctionOperator(0.5, -1.0, 1.0), empty)
         with pytest.raises(InfeasibleSystem):
             solve(problem, [0.5], SolverParams())
-
-    def test_seed_passthrough(self):
-        problem = make_problem("fractional-simplex", seed=3)
-        report = solve(problem, np.ones(5), SolverParams(theta=0.25, tol_residual=1e-4))
-        assert report.seed_used == 3
 
 
 def _run_cases():
