@@ -40,7 +40,6 @@ from .operators import (
 )
 from .solver import (
     Counters,
-    IterationRecord,
     LinesearchFailure,
     RunReport,
     SolverParams,

@@ -32,9 +32,8 @@ CSV_HEADER = "x0,iter,nT,cpu_s,sol,stop_reason"
 OUTPUT_FORMATS = ("csv", "json", "table")
 PRESET_NAMES = ("table1", "table2", "table3", "table4")
 
-# The keys of a config entry. The solver keys are every SolverParams field but
-# record_history, which only the library sets.
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverParams) if f.name != "record_history")
+# The keys of a config entry: the solver keys are the SolverParams fields.
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverParams))
 _ENTRY_KEYS = {"problem", "starts", "a", "seed", "label", *_SOLVER_KEYS}
 
 

@@ -15,7 +15,7 @@ from .bench import (
     preset_configs,
     run_experiment,
 )
-from .operators import PROBLEM_NAMES, UnknownProblem
+from .operators import PROBLEM_NAMES
 from .qp import InfeasibleSystem, MaxPivots
 
 
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         results = [(cfg, run_experiment(cfg)) for cfg in configs]
         print(emit(results, args.output))
         return exit_code_for([row for _, rows in results for row in rows])
-    except (ValueError, UnknownProblem, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MaxPivots, InfeasibleSystem) as exc:

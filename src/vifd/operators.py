@@ -31,7 +31,7 @@ class DomainError(ValueError):
     """Operator evaluated outside its feasible domain."""
 
 
-class UnknownProblem(KeyError):
+class UnknownProblem(ValueError):
     """Requested problem name is not registered."""
 
 
@@ -302,7 +302,9 @@ def make_problem(
     ``dim`` is required only where the family is dimension-parametric (the
     rho operators); ``a`` scales the feasible set where applicable.  For the
     fractional problem the diagonal curvature h is drawn once, uniformly from
-    [0.1, 1.6], from a generator seeded with ``seed``.
+    [0.1, 1.6], from a generator seeded with ``seed``.  Any other ``name``
+    raises :class:`UnknownProblem`, a ``ValueError`` that lists the registered
+    names.
     """
     if name == "hs-quasimonotone":
         if dim not in (None, 2):
@@ -343,4 +345,4 @@ def make_problem(
             feasible=Box(np.zeros(2), np.array([math.inf, math.pi / 2])),
             known_dual_solutions=(np.zeros(2),),
         )
-    raise UnknownProblem(name)
+    raise UnknownProblem(f"'problem' must be one of {', '.join(PROBLEM_NAMES)}, not {name!r}")

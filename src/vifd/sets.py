@@ -179,6 +179,9 @@ def _validate_rows(G, h, A, b):
     A = np.atleast_2d(np.asarray(A, dtype=float))
     h = np.atleast_1d(np.asarray(h, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
+    if (G.ndim, A.ndim, h.ndim, b.ndim) != (2, 2, 1, 1):
+        raise ValueError("G and A must be matrices and h and b vectors, got shapes "
+                         f"{G.shape}, {A.shape}, {h.shape} and {b.shape}")
     if G.size == 0:
         G = G.reshape(0, A.shape[1] if A.size else G.shape[-1])
     if A.size == 0:
@@ -199,7 +202,11 @@ def _validate_rows(G, h, A, b):
 
 @dataclass(frozen=True, eq=False)
 class LinearConstraintSystem:
-    """Stacked constraints ``G y <= h`` and ``A y = b`` over one ambient space."""
+    """Stacked constraints ``G y <= h`` and ``A y = b`` over one ambient space.
+
+    ``G`` and ``A`` are matrices (a vector is read as one row) and ``h`` and
+    ``b`` vectors; an array of higher rank raises ``ValueError``.
+    """
 
     G: np.ndarray
     h: np.ndarray

@@ -31,7 +31,6 @@ from .operators import ProblemInstance, SetValuedOperator
 from .qp import least_distance
 from .sets import (
     FeasibleSet,
-    Halfspace,
     LinearConstraintSystem,
     as_point,
     assemble,
@@ -42,7 +41,6 @@ from .sets import (
 __all__ = [
     "SolverParams",
     "Counters",
-    "IterationRecord",
     "SolverState",
     "StopReason",
     "StopCertificate",
@@ -92,7 +90,7 @@ def _integer(key: str, value, minimum: int) -> int:
 
 @dataclass
 class SolverParams:
-    """The method's parameters, the iteration budget and the history switch.
+    """The method's parameters and the iteration budget.
 
     ``beta`` is the trial step length in ``z = P_C(x - beta u)``.
     ``tol_residual`` applies to the squared residuals ||x - z||^2 and
@@ -108,7 +106,6 @@ class SolverParams:
     beta: float = 1.0
     tol_residual: float = 1e-8
     max_outer_iterations: int = 10_000
-    record_history: bool = False
 
     def __post_init__(self):
         for key, high in (("delta", 1.0), ("theta", 1.0), ("beta", math.inf),
@@ -129,34 +126,16 @@ class Counters:
 
 
 @dataclass
-class IterationRecord:
-    """Everything one outer iteration produced, for diagnostics and tests."""
-
-    k: int
-    x: np.ndarray
-    u: np.ndarray
-    z: np.ndarray
-    residual_sq: float
-    alpha: float | None = None
-    ubar: np.ndarray | None = None
-    xbar: np.ndarray | None = None
-    new_halfspace: Halfspace | None = None
-    w: Halfspace | None = None
-    x_next: np.ndarray | None = None
-
-
-@dataclass
 class SolverState:
-    """Mutable loop state: iterate, counters, history, and the constraint store
-    ``cuts`` holding C's rows and every cut so far (None before the first)."""
+    """Mutable loop state: iterate, counters, the constraint store ``cuts``
+    holding C's rows and every cut so far (None before the first), and the
+    stored rows active at the last anchored projection."""
 
     x: np.ndarray
     x0: np.ndarray
     k: int = 0
     cuts: LinearConstraintSystem | None = None
     counters: Counters = field(default_factory=Counters)
-    residual_history: list[float] = field(default_factory=list)
-    history: list[IterationRecord] = field(default_factory=list)
     warm_active: list[int] = field(default_factory=list)
 
     @classmethod
@@ -197,9 +176,7 @@ class RunReport:
     terminal_certificate: StopCertificate
     counters: Counters
     wall_time_s: float = 0.0
-    residual_history: list[float] = field(default_factory=list)
     start_projected: bool = False
-    history: list[IterationRecord] | None = None
 
 
 def compute_z(x, u, beta: float, C: FeasibleSet, counters: Counters | None = None) -> np.ndarray:
@@ -292,16 +269,14 @@ def step2_stop_check(
     return None
 
 
-def _report(state: SolverState, params: SolverParams, reason: StopReason,
-            terminal: np.ndarray, certificate: StopCertificate) -> RunReport:
+def _report(state: SolverState, reason: StopReason, terminal: np.ndarray,
+            certificate: StopCertificate) -> RunReport:
     state.counters.outer_iters = state.k
     return RunReport(
         stop_reason=reason,
         terminal_point=np.array(terminal),
         terminal_certificate=certificate,
         counters=state.counters,
-        residual_history=list(state.residual_history),
-        history=state.history if params.record_history else None,
     )
 
 
@@ -320,19 +295,11 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
         certificate = StopCertificate(
             "max_outer_iterations", float(state.k), float(params.max_outer_iterations)
         )
-        return state, _report(state, params, StopReason.MAX_ITERATIONS, state.x, certificate)
+        return state, _report(state, StopReason.MAX_ITERATIONS, state.x, certificate)
 
     u = T.select(state.x)
     counters.operator_evals += 1
     z = compute_z(state.x, u, params.beta, C, counters)
-    residual_sq = float(((state.x - z) ** 2).sum())
-    state.residual_history.append(residual_sq)
-    record = None
-    if params.record_history:
-        record = IterationRecord(
-            k=state.k, x=state.x.copy(), u=u.copy(), z=z.copy(), residual_sq=residual_sq,
-        )
-        state.history.append(record)
 
     stop = step2_stop_check(state.x, z, T, C, params, counters)
     if stop is not None:
@@ -343,19 +310,12 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
             else "residual_sq_step2b"
         )
         certificate = StopCertificate(test, value, params.tol_residual)
-        return state, _report(state, params, reason, terminal, certificate)
+        return state, _report(state, reason, terminal, certificate)
 
     alpha, ubar, _ = linesearch_f(T, state.x, z, u, params, counters)
     xbar = alpha * z + (1.0 - alpha) * state.x
     separator = halfspace_from_pair(xbar, ubar)
     slab = w_halfspace(state.x0, state.x)
-    if record is not None:
-        record.alpha = alpha
-        record.ubar = np.array(ubar)
-        record.xbar = xbar.copy()
-        record.new_halfspace = separator
-        record.w = slab
-
     state.cuts = assemble(C if state.cuts is None else state.cuts, [separator])
     system = assemble(state.cuts, [slab])
     solution = least_distance(system, state.x0, warm_start=state.warm_active or None)
@@ -366,14 +326,12 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     state.warm_active = [i for i in solution.active_set if i < len(state.cuts.h)]
 
     step_norm = float(np.linalg.norm(x_next - state.x))
-    if record is not None:
-        record.x_next = x_next.copy()
     state.x = x_next
     state.k += 1
     counters.outer_iters = state.k
     if step_norm <= TOL_STEP4:
         certificate = StopCertificate("step_norm_step4", step_norm, TOL_STEP4)
-        return state, _report(state, params, StopReason.FIXED_POINT_STEP4, x_next, certificate)
+        return state, _report(state, StopReason.FIXED_POINT_STEP4, x_next, certificate)
     return state, None
 
 
@@ -405,9 +363,7 @@ def solve(problem: ProblemInstance, x0, params: SolverParams | None = None) -> R
             certificate = StopCertificate(
                 "linesearch_halvings", float(failure.probes), float(MAX_LINESEARCH_HALVINGS)
             )
-            report = _report(
-                state, params, StopReason.LINESEARCH_FAILURE, state.x, certificate
-            )
+            report = _report(state, StopReason.LINESEARCH_FAILURE, state.x, certificate)
     report.wall_time_s = time.perf_counter() - started
     report.start_projected = start_projected
     return report

@@ -47,7 +47,7 @@ class TestExperimentConfig:
         for bad in ("abc", 5, (), {"x0": [0.5, 0.5]}):
             with pytest.raises(ValueError, match="'starts'"):
                 _hs_config(starts=bad)
-        with pytest.raises(UnknownProblem):
+        with pytest.raises(UnknownProblem, match="'problem' must be one of .*rho-squared"):
             ExperimentConfig(problem="nope", starts=[[0.0]])
         with pytest.raises(ValueError):
             ExperimentConfig(problem="hs-quasimonotone", starts=[[0.0, 0.0, 0.0]])
@@ -119,13 +119,10 @@ class TestRunning:
         assert row.stop_reason in SOLUTION_STOPS
         assert row.wall_time_s > 0.0
 
-    def test_history_on_request_without_mutating_config(self):
+    def test_run_does_not_mutate_config(self):
         config = _hs_config(starts=[[0.0, 0.0]])
-        assert run_reports(config)[0].history is None
+        run_reports(config)
         assert config.params == SolverParams()
-        config = _hs_config(starts=[[0.0, 0.0]], params=SolverParams(record_history=True))
-        assert run_reports(config)[0].history
-        assert config.params == SolverParams(record_history=True)
 
     def test_counters_and_terminals_are_deterministic(self):
         config = _hs_config(starts=[[0.0, 1.0], [0.2, 0.7]])
@@ -227,8 +224,6 @@ class TestPresets:
         for name in PRESET_NAMES:
             configs = preset_configs(name)
             assert configs
-            for config in configs:
-                assert not config.params.record_history
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

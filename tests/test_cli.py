@@ -151,6 +151,7 @@ def test_bench_config_file(tmp_path, capsys):
         ("seed", -1),
         ("label", 5),
         ("problem", 5),
+        ("problem", "nope"),
     ],
 )
 def test_bad_config_entry_maps_to_exit_one(tmp_path, capsys, key, value):

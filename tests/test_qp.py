@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from oracle import UnsupportedShape, kkt_residual_lstsq, oracle_project
+from test_solver import run_iterations
 from vifd import qp
+from vifd.operators import make_problem
 from vifd.qp import InfeasibleSystem, MaxPivots, least_distance, simplex_projection
 from vifd.sets import Box, Halfspace, LinearConstraintSystem, SimplexSlice, assemble
+from vifd.solver import SolverParams
 
 
 def _system(G, h, A=None, b=None):
@@ -366,30 +369,24 @@ def test_oracle_uses_exact_formula_on_simplex_systems():
 
 
 def test_oracle_matches_solver_on_run_generated_planar_systems():
-    # the working sets built while solving the two planar benchmark problems:
-    # base set, accumulated cuts, and the per-iteration slab
-    from vifd.operators import make_problem
-    from vifd.sets import assemble as assemble_sets
-    from vifd.solver import SolverParams, solve
-
+    # the working systems built while solving the two planar benchmark
+    # problems: the store of C's rows and every cut so far, plus the slab
     cases = [
         ("hs-quasimonotone", [(0.1, 0.9), (1.0, 0.1), (0.0, 0.0)],
-         SolverParams(delta=0.01, theta=0.5, tol_residual=1e-8, record_history=True)),
+         SolverParams(delta=0.01, theta=0.5, tol_residual=1e-8)),
         ("ray-setvalued", [(1.0, np.pi / 2), (10.0, np.pi / 4), (0.5, np.pi / 3)],
-         SolverParams(delta=0.5, theta=0.5, tol_residual=1e-30, record_history=True)),
+         SolverParams(delta=0.5, theta=0.5, tol_residual=1e-30)),
     ]
     compared = 0
     for name, starts, params in cases:
         problem = make_problem(name)
         for x0 in starts:
-            report = solve(problem, x0, params)
-            anchor = report.history[0].x
-            cuts = []
-            for rec in report.history:
-                if rec.new_halfspace is None or rec.w is None:
+            _, iterations = run_iterations(problem, x0, params)
+            anchor = iterations[0].x
+            for rec in iterations:
+                if rec.x_next is None:
                     continue
-                cuts.append(rec.new_halfspace)
-                system = assemble_sets(problem.feasible, cuts + [rec.w])
+                system = assemble(rec.cuts, [rec.slab])
                 exact = least_distance(system, anchor).point
                 brute = oracle_project(system, anchor, resolution=1e-3)
                 assert float(np.linalg.norm(exact - brute)) <= 2e-3

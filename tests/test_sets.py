@@ -206,6 +206,14 @@ def test_linear_constraint_system_violation():
     assert not system.contains([0.5, 0.0])
     with pytest.raises(ValueError):
         LinearConstraintSystem(G=[[1.0]], h=[1.0, 2.0], A=np.zeros((0, 1)), b=np.zeros(0))
+    # arrays of the wrong rank: G and A are matrices, h and b vectors
+    no_equalities = dict(A=np.zeros((0, 2)), b=np.zeros(0))
+    for bad in (dict(G=np.ones((2, 2, 2)), h=[1.0, 1.0], **no_equalities),
+                dict(G=np.eye(2), h=[[1.0, 1.0]], **no_equalities),
+                dict(G=np.eye(2), h=[1.0, 1.0], A=np.zeros((0, 2, 2)), b=np.zeros(0)),
+                dict(G=np.eye(2), h=[1.0, 1.0], A=np.ones((1, 2)), b=[[1.0]])):
+        with pytest.raises(ValueError, match="must be matrices and h and b vectors"):
+            LinearConstraintSystem(**bad)
 
 
 def test_assemble_box_rows_upper_then_lower_with_infinite_skipped():

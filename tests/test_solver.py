@@ -1,12 +1,14 @@
 """Outer loop, linesearch, stop tests, and run-level geometric invariants."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import vifd.solver
 from vifd.operators import (
+    DomainError,
     HsQuasimonotone,
     ProblemInstance,
     SetValuedOperator,
@@ -14,7 +16,14 @@ from vifd.operators import (
     make_problem,
 )
 from vifd.qp import InfeasibleSystem
-from vifd.sets import Box, LinearConstraintSystem, assemble, contains
+from vifd.sets import (
+    Box,
+    Halfspace,
+    LinearConstraintSystem,
+    contains,
+    halfspace_from_pair,
+    w_halfspace,
+)
 from vifd.solver import (
     SOLUTION_STOPS,
     Counters,
@@ -49,6 +58,95 @@ class StepFunctionOperator(SetValuedOperator):
         u = self.select(x)
         d = np.atleast_1d(np.asarray(d, dtype=float))
         return SupportResult(float(u @ d), u)
+
+
+@dataclass
+class Iteration:
+    """What one outer iteration produced, read through ``step``'s seams.
+
+    ``alpha`` and every field after it stay None when the iteration stopped at
+    step 2, before its linesearch. ``cuts`` is the constraint store after the
+    iteration and ``slab`` the halfspace anchored at ``x``; the next iterate is
+    the projection of the start point onto both.
+    """
+
+    x: np.ndarray
+    u: np.ndarray | None = None
+    z: np.ndarray | None = None
+    alpha: float | None = None
+    ubar: np.ndarray | None = None
+    xbar: np.ndarray | None = None
+    x_next: np.ndarray | None = None
+    cuts: LinearConstraintSystem | None = None
+    slab: Halfspace | None = None
+
+
+_SEAMS = ("step", "compute_z", "linesearch_f")
+
+
+def run_iterations(problem, x0, params):
+    """``solve`` with ``vifd.solver``'s ``step``, ``compute_z`` and ``linesearch_f``
+    wrapped; return the report and one :class:`Iteration` per iteration that
+    took its trial step.
+
+    The originals are put back in ``finally`` rather than by a fixture, because
+    the acceptance suite calls the tests that use this as plain functions.
+    """
+    originals = {name: getattr(vifd.solver, name) for name in _SEAMS}
+    iterations = []
+
+    def step(state, problem, params):
+        current = Iteration(x=state.x)
+        iterations.append(current)
+        k = state.k
+        state, report = originals["step"](state, problem, params)
+        if state.k > k:
+            current.x_next, current.cuts = state.x, state.cuts
+            current.slab = w_halfspace(state.x0, current.x)
+        return state, report
+
+    def compute_z(x, u, *args):
+        iterations[-1].u = u
+        iterations[-1].z = originals["compute_z"](x, u, *args)
+        return iterations[-1].z
+
+    def linesearch_f(T, x, z, u, *args):
+        alpha, ubar, probes = originals["linesearch_f"](T, x, z, u, *args)
+        current = iterations[-1]
+        current.alpha, current.ubar = alpha, ubar
+        current.xbar = alpha * z + (1.0 - alpha) * x
+        return alpha, ubar, probes
+
+    try:
+        for wrapper in (step, compute_z, linesearch_f):
+            setattr(vifd.solver, wrapper.__name__, wrapper)
+        report = vifd.solver.solve(problem, x0, params)
+    finally:
+        for name, original in originals.items():
+            setattr(vifd.solver, name, original)
+    # a step that stops on the iteration budget returns before its trial step
+    return report, [it for it in iterations if it.z is not None]
+
+
+class TestRunIterations:
+    def test_restores_the_seams(self):
+        problem = make_problem("hs-quasimonotone")
+        report, iterations = run_iterations(problem, [0.0, 0.0], SolverParams())
+        assert report.counters.outer_iters == len(iterations) - 1
+        assert [getattr(vifd.solver, name) for name in _SEAMS] == [
+            step, compute_z, linesearch_f]
+
+    def test_restores_the_seams_when_solve_raises(self):
+        class Outside(StepFunctionOperator):
+            def support(self, x, d):
+                raise DomainError("probe outside the domain")
+
+        # the first linesearch probe raises from inside the wrapped seams
+        problem = ProblemInstance("outside", Outside(1.0, -1.0, 5.0), Box([0.0], [1.0]))
+        with pytest.raises(DomainError):
+            run_iterations(problem, [1.0], SolverParams(delta=0.99))
+        assert [getattr(vifd.solver, name) for name in _SEAMS] == [
+            step, compute_z, linesearch_f]
 
 
 class TestSolverParams:
@@ -209,24 +307,29 @@ class TestStep2:
 class TestStep:
     def test_structure_of_one_iteration(self):
         problem = make_problem("hs-quasimonotone")
-        params = SolverParams(delta=0.01, record_history=True)
+        params = SolverParams(delta=0.01)
         state = SolverState.initial([0.0, 0.0])
         state, report = step(state, problem, params)
         assert report is None
         assert state.k == 1
         assert state.counters.outer_iters == 1
-        rec = state.history[0]
+        # the same iteration, watched through step's seams
+        _, (rec,) = run_iterations(
+            problem, [0.0, 0.0], SolverParams(delta=0.01, max_outer_iterations=1)
+        )
         # the constraint store holds the 4 box rows plus the single cut
         assert state.cuts.G.shape == (5, 2)
-        np.testing.assert_allclose(state.cuts.G[-1], rec.new_halfspace.normal, atol=1e-15)
+        np.testing.assert_array_equal(rec.cuts.G, state.cuts.G)
+        cut = halfspace_from_pair(rec.xbar, rec.ubar)
+        np.testing.assert_allclose(state.cuts.G[-1], cut.normal, atol=1e-15)
         np.testing.assert_array_equal(rec.x, [0.0, 0.0])
         np.testing.assert_allclose(rec.u, [0.0, -1.0], atol=1e-15)
         np.testing.assert_allclose(rec.z, [0.0, 1.0], atol=1e-12)
-        assert rec.residual_sq == pytest.approx(1.0, abs=1e-12)
-        assert rec.alpha is not None and rec.new_halfspace is not None
+        assert float(np.sum((rec.x - rec.z) ** 2)) == pytest.approx(1.0, abs=1e-12)
+        assert rec.alpha is not None and not cut.is_whole_space
         # the slab is anchored at the current iterate, which here is x0 itself,
         # so it degenerates to the whole space and is not part of the system
-        assert rec.w is not None and rec.w.is_whole_space
+        assert rec.slab is not None and rec.slab.is_whole_space
         np.testing.assert_array_equal(rec.x_next, state.x)
         # warm start indices must reference rows that keep their position:
         # the 5 stored rows
@@ -295,20 +398,12 @@ class TestSolve:
     def test_deterministic_reruns(self):
         problem = make_problem("hs-quasimonotone")
         params = SolverParams(delta=0.01)
-        a = solve(problem, [0.1, 0.9], params)
-        b = solve(problem, [0.1, 0.9], params)
+        a, a_iterations = run_iterations(problem, [0.1, 0.9], params)
+        b, b_iterations = run_iterations(problem, [0.1, 0.9], params)
         np.testing.assert_array_equal(a.terminal_point, b.terminal_point)
         assert a.counters == b.counters
-        assert a.residual_history == b.residual_history
-
-    def test_history_only_on_request(self):
-        problem = make_problem("hs-quasimonotone")
-        off = solve(problem, [0.0, 0.0], SolverParams())
-        assert off.history is None
-        assert len(off.residual_history) >= 1
-        on = solve(problem, [0.0, 0.0], SolverParams(record_history=True))
-        assert on.history is not None
-        assert [r.residual_sq for r in on.history] == on.residual_history
+        assert [(it.x.tolist(), it.z.tolist()) for it in a_iterations] == [
+            (it.x.tolist(), it.z.tolist()) for it in b_iterations]
 
     def test_general_polyhedral_set(self):
         # the unit triangle x >= 0, y >= 0, x + y <= 1
@@ -336,46 +431,49 @@ def _run_cases():
     pi = math.pi
     return [
         ("hs-quasimonotone", {}, [0.0, 0.0],
-         SolverParams(delta=0.01, theta=0.5, record_history=True)),
+         SolverParams(delta=0.01, theta=0.5)),
         ("hs-quasimonotone", {}, [0.1, 0.9],
-         SolverParams(delta=0.01, theta=0.5, record_history=True)),
+         SolverParams(delta=0.01, theta=0.5)),
         ("hs-quasimonotone", {}, [1.0, 0.1],
-         SolverParams(delta=0.01, theta=0.5, record_history=True)),
+         SolverParams(delta=0.01, theta=0.5)),
         ("rho-squared", {}, [0.5],
-         SolverParams(delta=0.01, theta=0.5, record_history=True)),
+         SolverParams(delta=0.01, theta=0.5)),
         ("rho-squared", {}, [-0.5],
-         SolverParams(delta=0.01, theta=0.5, record_history=True)),
+         SolverParams(delta=0.01, theta=0.5)),
         ("rho-norm", {"dim": 5}, [0.9, -0.3, 0.2, -0.8, 0.5],
-         SolverParams(delta=0.01, theta=0.5, record_history=True)),
+         SolverParams(delta=0.01, theta=0.5)),
         ("fractional-simplex", {"seed": 0}, [0.0, 0.0, 5.0, 0.0, 0.0],
-         SolverParams(delta=0.01, theta=0.25, tol_residual=1e-4, record_history=True)),
+         SolverParams(delta=0.01, theta=0.25, tol_residual=1e-4)),
         ("fractional-simplex", {"seed": 0}, [0.0, 2.0, 0.0, 2.0, 1.0],
-         SolverParams(delta=0.5, theta=0.25, tol_residual=1e-4, record_history=True)),
+         SolverParams(delta=0.5, theta=0.25, tol_residual=1e-4)),
         ("ray-setvalued", {}, [1.0, pi / 2],
-         SolverParams(delta=0.5, theta=0.5, tol_residual=1e-30, record_history=True)),
+         SolverParams(delta=0.5, theta=0.5, tol_residual=1e-30)),
         ("ray-setvalued", {}, [10.0, pi / 4],
-         SolverParams(delta=0.5, theta=0.5, tol_residual=1e-30, record_history=True)),
+         SolverParams(delta=0.5, theta=0.5, tol_residual=1e-30)),
+        # table3's delta = 0.99 rows: about 1,500 iterations each
+        ("fractional-simplex", {"seed": 0, "a": 10.0}, [1.0, 1.0, 1.0, 1.0, 6.0],
+         SolverParams(delta=0.99, theta=0.25, tol_residual=1e-4)),
+        ("fractional-simplex", {"seed": 0, "a": 10.0}, [1.0, 1.0, 6.0, 1.0, 1.0],
+         SolverParams(delta=0.99, theta=0.25, tol_residual=1e-4)),
     ]
 
 
 @pytest.mark.parametrize("name,kwargs,x0,params", _run_cases())
 def test_run_invariants(name, kwargs, x0, params):
     problem = make_problem(name, **kwargs)
-    report = solve(problem, x0, params)
+    report, iterations = run_iterations(problem, x0, params)
     assert report.stop_reason in SOLUTION_STOPS
-    history = report.history
-    assert history, "invariant battery needs at least one recorded iteration"
+    assert iterations, "invariant battery needs at least one recorded iteration"
 
     C = problem.feasible
     dual = problem.known_dual_solutions[0]
-    anchor = history[0].x
+    anchor = iterations[0].x
     rho = float(np.linalg.norm(anchor - dual))
     center = 0.5 * (anchor + dual)
     beta_hat = params.beta
-    cuts = []
     steps_sq = 0.0
 
-    for rec in history:
+    for rec in iterations:
         # every point the iteration touches stays feasible
         assert C.contains(rec.x, 1e-8)
         assert C.contains(rec.z, 1e-8)
@@ -390,20 +488,18 @@ def test_run_invariants(name, kwargs, x0, params):
         assert float(rec.ubar @ d) >= params.delta * float(rec.u @ d) - 1e-12
         assert (
             float(rec.ubar @ (rec.x - rec.xbar))
-            >= (rec.alpha / beta_hat) * params.delta * rec.residual_sq - 1e-10
+            >= (rec.alpha / beta_hat) * params.delta * float(np.sum(d**2)) - 1e-10
         )
 
-        if not rec.new_halfspace.is_whole_space:
-            cuts.append(rec.new_halfspace)
         # every cut and every slab retains the known dual solution
-        assert contains(rec.new_halfspace, dual, 1e-8)
-        assert contains(rec.w, dual, 1e-8)
+        assert contains(halfspace_from_pair(rec.xbar, rec.ubar), dual, 1e-8)
+        assert contains(rec.slab, dual, 1e-8)
 
-        # the next iterate satisfies the whole working system it came from
+        # the next iterate satisfies the whole working system it came from:
+        # C's rows and every cut so far (the store), and the slab
         assert C.contains(rec.x_next, 1e-8)
-        for hs in cuts:
-            assert contains(hs, rec.x_next, 1e-8)
-        assert contains(rec.w, rec.x_next, 1e-8)
+        assert rec.cuts.max_violation(rec.x_next) <= 1e-8
+        assert contains(rec.slab, rec.x_next, 1e-8)
 
         # anchored distance grows, steps stay square-summable
         assert (
