@@ -92,6 +92,9 @@ def main(argv=None) -> int:
     except (MaxPivots, InfeasibleSystem) as exc:
         print(f"error: projection failed: {exc}", file=sys.stderr)
         return 4
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

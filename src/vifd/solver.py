@@ -30,6 +30,7 @@ import numpy as np
 from .operators import ProblemInstance, SetValuedOperator
 from .qp import least_distance
 from .sets import (
+    Box,
     FeasibleSet,
     LinearConstraintSystem,
     as_point,
@@ -119,6 +120,10 @@ class SolverParams:
 
 @dataclass
 class Counters:
+    """Work done by a run. ``qp_solves`` counts active-set QP solves only: the
+    anchored projection of every iteration, and the plain projections onto a C
+    that is not a ``Box``; a projection onto a box is closed form and adds 0."""
+
     outer_iters: int = 0
     operator_evals: int = 0
     qp_solves: int = 0
@@ -179,16 +184,24 @@ class RunReport:
     start_projected: bool = False
 
 
+def _project(C: FeasibleSet, y: np.ndarray, counters: Counters | None) -> np.ndarray:
+    """``P_C(y)``: ``np.clip`` on a ``Box``, else one QP solve counted in ``qp_solves``."""
+    if isinstance(C, Box):
+        return np.clip(y, C.lower, C.upper)
+    point = least_distance(assemble(C, []), y).point
+    if counters is not None:
+        counters.qp_solves += 1
+    return point
+
+
 def compute_z(x, u, beta: float, C: FeasibleSet, counters: Counters | None = None) -> np.ndarray:
-    """Projected trial point ``P_C(x - beta u)``."""
+    """Projected trial point ``P_C(x - beta u)``: closed form on a ``Box``, one QP
+    solve on any other C."""
     x = as_point(x)
     u = as_point(u, x.size)
     if not beta > 0.0:
         raise ValueError("beta must be positive")
-    solution = least_distance(assemble(C, []), x - beta * u)
-    if counters is not None:
-        counters.qp_solves += 1
-    return solution.point
+    return _project(C, x - beta * u, counters)
 
 
 def linesearch_f(
@@ -250,7 +263,8 @@ def step2_stop_check(
     ||x - z||^2 <= tol_residual (the iterate is already stationary) or
     ||z - P_C(z - v)||^2 <= tol_residual for v = select(z) (the trial point
     solves the problem); returns None otherwise.  The second test costs one
-    operator evaluation and one projection.
+    operator evaluation and one projection onto C, which is a QP solve unless
+    C is a ``Box``.
     """
     x = as_point(x)
     z = as_point(z, x.size)
@@ -260,9 +274,7 @@ def step2_stop_check(
     v = T.select(z)
     if counters is not None:
         counters.operator_evals += 1
-    reprojected = least_distance(assemble(C, []), z - v).point
-    if counters is not None:
-        counters.qp_solves += 1
+    reprojected = _project(C, z - v, counters)
     solves_sq = float(((z - reprojected) ** 2).sum())
     if solves_sq <= params.tol_residual:
         return StopReason.ZK_SOLVES_STEP2B, z.copy(), solves_sq
@@ -338,32 +350,38 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
 def solve(problem: ProblemInstance, x0, params: SolverParams | None = None) -> RunReport:
     """Run the outer loop from ``x0`` until a stop test fires.
 
-    A start outside the feasible set is replaced by its projection and flagged
-    in the report.  A linesearch breakdown is reported as a stop reason rather
-    than raised.
+    A start outside the feasible set is replaced by its projection onto C
+    (closed form on a ``Box``, else one QP solve) and flagged in the report.
+    A linesearch breakdown is reported as a stop reason rather than raised.
+    A floating-point overflow, invalid value or division by zero anywhere in
+    the run raises ``FloatingPointError`` naming the iteration, as the QP's
+    ``MaxPivots`` and ``InfeasibleSystem`` are raised, and prints no warning.
     """
     if params is None:
         params = SolverParams()
     x0 = as_point(x0, problem.dim)
     started = time.perf_counter()
-    start_projected = False
-    if not problem.feasible.contains(x0, 1e-9):
-        projected = least_distance(assemble(problem.feasible, []), x0).point
-        state = SolverState.initial(projected)
-        state.counters.qp_solves += 1
-        start_projected = True
-    else:
-        state = SolverState.initial(x0)
-
-    report = None
-    while report is None:
+    counters = Counters()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            state, report = step(state, problem, params)
-        except LinesearchFailure as failure:
-            certificate = StopCertificate(
-                "linesearch_halvings", float(failure.probes), float(MAX_LINESEARCH_HALVINGS)
-            )
-            report = _report(state, StopReason.LINESEARCH_FAILURE, state.x, certificate)
+            start_projected = not problem.feasible.contains(x0, 1e-9)
+            if start_projected:
+                x0 = _project(problem.feasible, x0, counters)
+            state = SolverState.initial(x0)
+            state.counters = counters
+            report = None
+            while report is None:
+                try:
+                    state, report = step(state, problem, params)
+                except LinesearchFailure as failure:
+                    certificate = StopCertificate(
+                        "linesearch_halvings", float(failure.probes), float(MAX_LINESEARCH_HALVINGS)
+                    )
+                    report = _report(state, StopReason.LINESEARCH_FAILURE, state.x, certificate)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"numeric breakdown at iteration {counters.outer_iters}: {exc}"
+            ) from None
     report.wall_time_s = time.perf_counter() - started
     report.start_projected = start_projected
     return report

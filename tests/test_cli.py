@@ -226,6 +226,16 @@ def test_projection_breakdown_maps_to_exit_four(monkeypatch, capsys, error):
         raise error("injected breakdown")
 
     monkeypatch.setattr(vifd.solver, "least_distance", broken)
-    code = main(["solve", "--problem", "hs-quasimonotone", "--x0", "0.5,0.5"])
+    # from (0, 0) the run reaches its first anchored projection; the box's own
+    # projections are closed form and never call least_distance
+    code = main(["solve", "--problem", "hs-quasimonotone", "--x0", "0,0"])
     assert code == 4
     assert capsys.readouterr().err.strip() == "error: projection failed: injected breakdown"
+
+
+def test_overflow_inside_a_run_maps_to_exit_four(capsys):
+    code = main(["solve", "--problem", "ray-setvalued", "--x0", "1e200,0.5"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == "error: numeric breakdown at iteration 0: overflow encountered in square\n"

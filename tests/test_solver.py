@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vifd.solver
 from vifd.operators import (
@@ -15,11 +17,13 @@ from vifd.operators import (
     SupportResult,
     make_problem,
 )
-from vifd.qp import InfeasibleSystem
+from vifd.qp import InfeasibleSystem, least_distance
 from vifd.sets import (
     Box,
     Halfspace,
     LinearConstraintSystem,
+    SimplexSlice,
+    assemble,
     contains,
     halfspace_from_pair,
     w_halfspace,
@@ -208,11 +212,38 @@ def test_compute_z_projects_trial_step():
     counters = Counters()
     z = compute_z([0.5, 0.5], [1.0, 0.0], 0.25, box, counters)
     np.testing.assert_allclose(z, [0.25, 0.5], atol=1e-12)
-    assert counters.qp_solves == 1
+    # a box projection is closed form, not a QP solve
+    assert counters.qp_solves == 0
     z = compute_z([0.5, 0.5], [-1.0, -1.0], 2.0, box)
     np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-12)
     with pytest.raises(ValueError):
         compute_z([0.5, 0.5], [1.0, 0.0], 0.0, box)
+    # any other C is one QP solve
+    z = compute_z([1.0, 1.0, 0.0], [0.0, 0.0, -1.0], 1.0, SimplexSlice(2.0, 3), counters)
+    np.testing.assert_allclose(z, [2 / 3, 2 / 3, 2 / 3], atol=1e-12)
+    assert counters.qp_solves == 1
+
+
+_BOUND = st.one_of(st.just(math.inf), st.floats(0.0, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_box_projection_is_the_qp_projection(data, n):
+    # lower = centre - below and upper = centre + above, each bound possibly
+    # infinite; y lies up to 1e6 outside the box
+    centre = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    below = np.array(data.draw(st.lists(_BOUND, min_size=n, max_size=n)))
+    above = np.array(data.draw(st.lists(_BOUND, min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    box = Box(centre - below, centre + above)
+    y = centre + y
+    closed = compute_z(y, np.zeros(n), 1.0, box)
+    exact = least_distance(assemble(box, []), y).point
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(y)))
+    np.testing.assert_allclose(closed, exact, rtol=0.0, atol=tol)
+    assert box.contains(closed)
+    np.testing.assert_array_equal(compute_z(closed, np.zeros(n), 1.0, box), closed)
 
 
 class TestLinesearch:
@@ -292,6 +323,18 @@ class TestStep2:
         np.testing.assert_array_equal(terminal, [1.0, 1.0])
         assert value <= 1e-30
         assert counters.operator_evals == 1
+        # the box reprojection is closed form
+        assert counters.qp_solves == 0
+
+    def test_reprojection_onto_a_simplex_slice_is_one_qp_solve(self):
+        problem = make_problem("fractional-simplex", a=5.0, seed=0)
+        x_star = np.full(5, 1.0)
+        counters = Counters()
+        reason, _, _ = step2_stop_check(
+            np.zeros(5), x_star, problem.operator, problem.feasible, SolverParams(), counters
+        )
+        assert reason is StopReason.ZK_SOLVES_STEP2B
+        assert counters.operator_evals == 1
         assert counters.qp_solves == 1
 
     def test_returns_none_away_from_solutions(self):
@@ -358,6 +401,43 @@ class TestSolve:
         assert report.counters.operator_evals == 2
         assert report.counters.linesearch_probes == 0
         assert report.wall_time_s > 0.0
+
+    @staticmethod
+    def _qp_systems(monkeypatch):
+        """The system of every ``least_distance`` call ``vifd.solver`` makes."""
+        systems = []
+
+        def counted(system, *args, **kwargs):
+            systems.append(system)
+            return least_distance(system, *args, **kwargs)
+
+        monkeypatch.setattr(vifd.solver, "least_distance", counted)
+        return systems
+
+    def test_box_solve_makes_one_qp_per_iteration(self, monkeypatch):
+        problem = make_problem("hs-quasimonotone")
+        systems = self._qp_systems(monkeypatch)
+        report = solve(problem, [0.0, 0.0], SolverParams(delta=0.9))
+        k = report.counters.outer_iters
+        assert k == 6
+        # only the anchored projections: none onto C alone
+        assert report.counters.qp_solves == len(systems) == k
+        assert all(system is not problem.feasible.constraints for system in systems)
+
+    def test_simplex_solve_makes_three_qps_per_iteration(self, monkeypatch):
+        problem = make_problem("fractional-simplex", a=5.0, seed=0)
+        systems = self._qp_systems(monkeypatch)
+        report = solve(problem, [0.0, 0.0, 5.0, 0.0, 0.0],
+                       SolverParams(theta=0.25, tol_residual=1e-4))
+        assert report.stop_reason is StopReason.ZK_SOLVES_STEP2B
+        k = report.counters.outer_iters
+        assert k == 26
+        plain = sum(system is problem.feasible.constraints for system in systems)
+        # two plain projections per iteration, the stopping one included, and
+        # one anchored projection per completed iteration
+        assert plain == 2 * (k + 1)
+        assert len(systems) - plain == k
+        assert report.counters.qp_solves == len(systems)
 
     def test_infeasible_start_is_projected(self):
         problem = make_problem("hs-quasimonotone")
