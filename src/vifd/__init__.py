@@ -8,15 +8,12 @@ halfspace found so far.
 
 from .sets import (
     Box,
+    ConstraintStore,
     FeasibleSet,
-    Halfspace,
     LinearConstraintSystem,
     SimplexSlice,
     as_point,
     assemble,
-    contains,
-    halfspace_from_pair,
-    w_halfspace,
 )
 from .qp import (
     InfeasibleSystem,

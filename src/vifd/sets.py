@@ -1,4 +1,5 @@
-"""Feasible sets, separating halfspaces, and stacked linear constraint systems."""
+"""Feasible sets, linear constraint systems, and the store of a run's cuts; a
+cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``."""
 
 from __future__ import annotations
 
@@ -9,15 +10,12 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "Halfspace",
     "Box",
     "SimplexSlice",
     "FeasibleSet",
     "LinearConstraintSystem",
+    "ConstraintStore",
     "as_point",
-    "halfspace_from_pair",
-    "w_halfspace",
-    "contains",
     "assemble",
 ]
 
@@ -47,65 +45,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Halfspace:
-    """Closed halfspace ``{y : <normal, y - anchor> <= 0}``.
-
-    A zero normal is allowed and denotes the whole space.
-    """
-
-    normal: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        normal = _frozen(as_point(self.normal))
-        anchor = _frozen(as_point(self.anchor, normal.size))
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "anchor", anchor)
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
-
-    @property
-    def is_whole_space(self) -> bool:
-        return not self.normal.any()
-
-
-def _owned_halfspace(normal: np.ndarray, anchor: np.ndarray) -> Halfspace:
-    """A ``Halfspace`` around checked arrays that no caller holds, frozen in place."""
-    normal.flags.writeable = anchor.flags.writeable = False
-    halfspace = object.__new__(Halfspace)
-    object.__setattr__(halfspace, "normal", normal)
-    object.__setattr__(halfspace, "anchor", anchor)
-    return halfspace
-
-
-def halfspace_from_pair(z, u) -> Halfspace:
-    """Halfspace ``{y : <u, y - z> <= 0}`` with its boundary through ``z``.
-
-    The normal is rescaled to unit length so that accumulated constraint rows
-    stay uniformly conditioned; a zero ``u`` yields the whole space.
-    """
-    z = as_point(z)
-    u = as_point(u, z.size)
-    norm = float(np.linalg.norm(u))
-    return _owned_halfspace(u / norm if norm > 0.0 else u.copy(), z.copy())
-
-
-def w_halfspace(x0, x) -> Halfspace:
-    """Halfspace ``{y : <y - x, x0 - x> <= 0}``; equals the whole space when x0 = x."""
-    x0 = as_point(x0)
-    x = as_point(x, x0.size)
-    return _owned_halfspace(x0 - x, x.copy())
-
-
-def contains(halfspace: Halfspace, y, tol: float = 0.0) -> bool:
-    """Membership test ``<normal, y - anchor> <= tol``."""
-    y = as_point(y, halfspace.dim)
-    return float(halfspace.normal @ (y - halfspace.anchor)) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,11 +153,8 @@ class LinearConstraintSystem:
     b: np.ndarray
 
     def __post_init__(self):
-        G, h, A, b = _validate_rows(self.G, self.h, self.A, self.b)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        for name, value in zip("GhAb", _validate_rows(self.G, self.h, self.A, self.b)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -241,20 +177,30 @@ class LinearConstraintSystem:
 FeasibleSet = Union[Box, SimplexSlice, LinearConstraintSystem]
 
 
-def _stacked(base: LinearConstraintSystem, rows: np.ndarray, rhs: np.ndarray):
-    """``base`` with ``rows``/``rhs`` appended; only the new rows are validated."""
-    if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
-        raise ValueError("constraint data must be finite")
-    G, h = np.concatenate([base.G, rows]), np.concatenate([base.h, rhs])
+def _system(G: np.ndarray, h: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """A system around rows that are already checked, frozen in place without a copy."""
     G.flags.writeable = h.flags.writeable = False
     system = object.__new__(LinearConstraintSystem)
-    for name, value in (("G", G), ("h", h), ("A", base.A), ("b", base.b)):
+    for name, value in zip("GhAb", (G, h, A, b)):
         object.__setattr__(system, name, value)
     return system
 
 
-def assemble(C: FeasibleSet, halfspaces) -> LinearConstraintSystem:
-    """Stack the rows of ``C`` with one row per halfspace.
+def _unit_rows(normals: np.ndarray, points: np.ndarray):
+    """One unit-normal row per finite pair with a nonzero normal, which keeps an
+    accumulated system uniformly conditioned; a non-finite row raises ``ValueError``."""
+    norms = np.linalg.norm(normals, axis=1)
+    keep = norms > 0.0
+    rows = normals[keep] / norms[keep, None]
+    rhs = np.einsum("ij,ij->i", rows, points[keep])
+    if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
+        raise ValueError("constraint data must be finite")
+    return rows, rhs
+
+
+def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
+    """The rows of ``C`` followed by one row per cut ``(normal, point)``, the
+    halfspace ``{y : <normal, y - point> <= 0}``.
 
     Box bounds become +-identity rows (infinite bounds are skipped), a simplex
     slice becomes nonnegativity rows plus one all-ones equality, and a
@@ -262,12 +208,10 @@ def assemble(C: FeasibleSet, halfspaces) -> LinearConstraintSystem:
     contributes its rows verbatim.  A box's or a slice's rows are built once,
     on first use, as its ``constraints`` system.  Any other type of ``C``
     raises ``TypeError``.
-    Halfspace rows follow in list order with unit-normalized normals;
-    whole-space halfspaces are dropped.  When no row is added, the base
-    system itself is returned, so ``assemble(C, [])`` is the same object on
-    every call.  Extending a system one halfspace at a time gives the same
-    arrays as stacking them all at once.  Systems are immutable, so sharing
-    them is safe.
+    Cut rows follow in order with unit normals; a zero normal adds no row.
+    When no row is added, the base system itself is returned, so
+    ``assemble(C, [])`` is the same object on every call.  Systems are
+    immutable, so sharing them is safe.
     """
     if isinstance(C, LinearConstraintSystem):
         base = C
@@ -275,21 +219,55 @@ def assemble(C: FeasibleSet, halfspaces) -> LinearConstraintSystem:
         base = C.constraints
     else:
         raise TypeError(f"unsupported feasible set type: {type(C).__name__}")
-    n = base.n
-    halfspaces = list(halfspaces)
-    if not halfspaces:
+    cuts = list(cuts)
+    if not cuts:
         return base
-    bad = next((hs for hs in halfspaces if hs.dim != n), None)
-    if bad is not None:
-        raise ValueError(
-            f"halfspace dimension {bad.dim} does not match feasible set dimension {n}"
-        )
-    normals = np.array([hs.normal for hs in halfspaces])
-    anchors = np.array([hs.anchor for hs in halfspaces])
-    norms = np.linalg.norm(normals, axis=1)
-    keep = norms > 0.0
-    if not keep.any():
+    normals = np.array([normal for normal, _ in cuts], dtype=float)
+    points = np.array([point for _, point in cuts], dtype=float)
+    if normals.ndim != 2 or normals.shape != points.shape or normals.shape[1] != base.n:
+        raise ValueError(f"cuts must be pairs of vectors of length {base.n}")
+    if not (np.isfinite(normals).all() and np.isfinite(points).all()):
+        raise ValueError("constraint data must be finite")
+    rows, rhs = _unit_rows(normals, points)
+    if not rhs.size:
         return base
-    rows = normals[keep] / norms[keep, None]
-    rhs = np.einsum("ij,ij->i", rows, anchors[keep])
-    return _stacked(base, rows, rhs)
+    return _system(np.concatenate([base.G, rows]), np.concatenate([base.h, rhs]), base.A, base.b)
+
+
+class ConstraintStore:
+    """The rows of a feasible set C followed by every cut added so far.
+
+    One buffer, whose capacity doubles when full, holds the ``rows`` inequality
+    rows; ``add`` writes the row ``assemble`` would append, in O(n).
+    ``system`` is a read-only view of the rows so far with C's equalities; rows
+    never move, so later ``add`` calls leave a system taken earlier unchanged.
+    """
+
+    def __init__(self, C: FeasibleSet):
+        base = assemble(C)
+        self.rows, n = base.G.shape
+        # C's rows and a few cuts before the first doubling
+        self._G, self._h = np.empty((self.rows + 16, n)), np.empty(self.rows + 16)
+        self._G[:self.rows], self._h[:self.rows] = base.G, base.h
+        self._A, self._b = base.A, base.b
+        self._view = base
+
+    def add(self, normal, point) -> None:
+        """Store the cut ``{y : <normal, y - point> <= 0}``; a zero normal adds no row."""
+        n = self._G.shape[1]
+        row, rhs = _unit_rows(as_point(normal, n)[None], as_point(point, n)[None])
+        if not rhs.size:
+            return
+        if self.rows == self._h.size:
+            G, h = np.empty((2 * self.rows, n)), np.empty(2 * self.rows)
+            G[:self.rows], h[:self.rows] = self._G, self._h
+            self._G, self._h = G, h
+        self._G[self.rows], self._h[self.rows] = row[0], rhs[0]
+        self.rows += 1
+        self._view = None
+
+    @property
+    def system(self) -> LinearConstraintSystem:
+        if self._view is None:
+            self._view = _system(self._G[:self.rows], self._h[:self.rows], self._A, self._b)
+        return self._view

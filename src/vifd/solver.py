@@ -29,15 +29,7 @@ import numpy as np
 
 from .operators import ProblemInstance, SetValuedOperator
 from .qp import least_distance
-from .sets import (
-    Box,
-    FeasibleSet,
-    LinearConstraintSystem,
-    as_point,
-    assemble,
-    halfspace_from_pair,
-    w_halfspace,
-)
+from .sets import Box, ConstraintStore, FeasibleSet, as_point, assemble
 
 __all__ = [
     "SolverParams",
@@ -132,14 +124,14 @@ class Counters:
 
 @dataclass
 class SolverState:
-    """Mutable loop state: iterate, counters, the constraint store ``cuts``
-    holding C's rows and every cut so far (None before the first), and the
-    stored rows active at the last anchored projection."""
+    """Mutable loop state: iterate, start point, counters (which count the
+    iterations), the ``ConstraintStore`` ``cuts`` of C's rows and every cut so
+    far (None before the first), and the stored rows active at the last
+    anchored projection."""
 
     x: np.ndarray
     x0: np.ndarray
-    k: int = 0
-    cuts: LinearConstraintSystem | None = None
+    cuts: ConstraintStore | None = None
     counters: Counters = field(default_factory=Counters)
     warm_active: list[int] = field(default_factory=list)
 
@@ -283,7 +275,6 @@ def step2_stop_check(
 
 def _report(state: SolverState, reason: StopReason, terminal: np.ndarray,
             certificate: StopCertificate) -> RunReport:
-    state.counters.outer_iters = state.k
     return RunReport(
         stop_reason=reason,
         terminal_point=np.array(terminal),
@@ -295,18 +286,18 @@ def _report(state: SolverState, reason: StopReason, terminal: np.ndarray,
 def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     """Run one outer iteration; return ``(state, report_or_None)``.
 
-    The separating halfspace found this iteration extends the constraint store
-    ``state.cuts`` (all cuts are kept; the slab anchored at the current iterate
-    is added fresh every iteration and never stored), and the next iterate is
-    the projection of the start point onto the intersection.
+    The separating halfspace found this iteration is added to the constraint
+    store ``state.cuts`` as one row (all cuts are kept).  The slab anchored at
+    the current iterate is never stored: one ``assemble`` call appends it to
+    the store's rows, and the next iterate projects the start point onto that.
     Raises :class:`LinesearchFailure` if the linesearch stalls.
     """
     C, T = problem.feasible, problem.operator
     counters = state.counters
-    if state.k >= params.max_outer_iterations:
-        certificate = StopCertificate(
-            "max_outer_iterations", float(state.k), float(params.max_outer_iterations)
-        )
+    k = counters.outer_iters
+    if k >= params.max_outer_iterations:
+        certificate = StopCertificate("max_outer_iterations", float(k),
+                                      float(params.max_outer_iterations))
         return state, _report(state, StopReason.MAX_ITERATIONS, state.x, certificate)
 
     u = T.select(state.x)
@@ -326,21 +317,23 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
 
     alpha, ubar, _ = linesearch_f(T, state.x, z, u, params, counters)
     xbar = alpha * z + (1.0 - alpha) * state.x
-    separator = halfspace_from_pair(xbar, ubar)
-    slab = w_halfspace(state.x0, state.x)
-    state.cuts = assemble(C if state.cuts is None else state.cuts, [separator])
-    system = assemble(state.cuts, [slab])
+    if state.cuts is None:
+        state.cuts = ConstraintStore(C)
+    # the store normalises the normal again; scaling it first keeps the row
+    # bitwise the one every recorded trajectory was computed with
+    norm = float(np.linalg.norm(ubar))
+    state.cuts.add(ubar / norm if norm > 0.0 else ubar, xbar)
+    system = assemble(state.cuts.system, [(state.x0 - state.x, state.x)])
     solution = least_distance(system, state.x0, warm_start=state.warm_active or None)
     counters.qp_solves += 1
     x_next = solution.point
     # stored rows keep their indices in the next iteration's system; the slab
     # row (always last) does not
-    state.warm_active = [i for i in solution.active_set if i < len(state.cuts.h)]
+    state.warm_active = [i for i in solution.active_set if i < state.cuts.rows]
 
     step_norm = float(np.linalg.norm(x_next - state.x))
     state.x = x_next
-    state.k += 1
-    counters.outer_iters = state.k
+    counters.outer_iters += 1
     if step_norm <= TOL_STEP4:
         certificate = StopCertificate("step_norm_step4", step_norm, TOL_STEP4)
         return state, _report(state, StopReason.FIXED_POINT_STEP4, x_next, certificate)

@@ -1,0 +1,49 @@
+"""``tools/trajectory_digest.py``: a solve that raises is counted, not fatal."""
+
+import importlib.util
+import os
+import sys
+
+from vifd.bench import ExperimentConfig, run_reports
+from vifd.operators import DomainError
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "trajectory_digest.py")
+
+
+def _load_tool(monkeypatch):
+    # the tool puts src/ and perfbench/ on sys.path and pins the BLAS threads
+    # when imported; both are undone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    spec = importlib.util.spec_from_file_location("trajectory_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_solves_that_raise_are_counted_and_hashed(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch)
+    solved = ExperimentConfig("hs-quasimonotone", [[0.5, 0.5], [0.0, 0.0]])
+    breakdown = ExperimentConfig("rho-squared", [[0.5]])
+    invalid = ExperimentConfig("rho-squared", [[0.5], [-0.5], [0.2]])
+    failures = {id(breakdown): FloatingPointError("numeric breakdown at iteration 3"),
+                id(invalid): DomainError("probe outside the domain")}
+
+    def reports(config):
+        if id(config) in failures:
+            raise failures[id(config)]
+        return run_reports(config)
+
+    monkeypatch.setattr(tool, "configs", lambda seed: iter([solved, breakdown, invalid]))
+    monkeypatch.setattr(tool, "run_reports", reports)
+    assert tool.main(["--seed", "1"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert first[:2] == ["solves 6", "raised 4"]
+    # the exception's name enters the digest
+    failures[id(invalid)] = ValueError("a plain ValueError")
+    assert tool.main(["--seed", "1"]) == 0
+    second = capsys.readouterr().out.splitlines()
+    assert second[:2] == first[:2]
+    assert second[2] != first[2]
+

@@ -11,7 +11,7 @@ from test_solver import run_iterations
 from vifd import qp
 from vifd.operators import make_problem
 from vifd.qp import InfeasibleSystem, MaxPivots, least_distance, simplex_projection
-from vifd.sets import Box, Halfspace, LinearConstraintSystem, SimplexSlice, assemble
+from vifd.sets import Box, LinearConstraintSystem, SimplexSlice, assemble
 from vifd.solver import SolverParams
 
 
@@ -241,7 +241,7 @@ def _slice_with_cuts(seed):
     system = assemble(SimplexSlice(5.0, 5), [])
     for _ in range(6):
         normal = rng.normal(size=5)
-        system = assemble(system, [Halfspace(normal, 1.0 + rng.uniform(0.1, 0.5) * normal)])
+        system = assemble(system, [(normal, 1.0 + rng.uniform(0.1, 0.5) * normal)])
     return system
 
 
@@ -315,7 +315,7 @@ def test_a_reduced_form_is_built_once_per_system(monkeypatch):
     second = least_distance(system, x0, warm_start=first.active_set)
     assert len(built) == 1 and built[0] is system
     np.testing.assert_array_equal(second.point, first.point)
-    extended = assemble(system, [Halfspace(np.ones(5), np.full(5, 1.2))])
+    extended = assemble(system, [(np.ones(5), np.full(5, 1.2))])
     least_distance(extended, x0)
     least_distance(extended, x0)
     assert len(built) == 2 and built[1] is extended
@@ -386,7 +386,7 @@ def test_oracle_matches_solver_on_run_generated_planar_systems():
             for rec in iterations:
                 if rec.x_next is None:
                     continue
-                system = assemble(rec.cuts, [rec.slab])
+                system = assemble(rec.cuts, [(anchor - rec.x, rec.x)])
                 exact = least_distance(system, anchor).point
                 brute = oracle_project(system, anchor, resolution=1e-3)
                 assert float(np.linalg.norm(exact - brute)) <= 2e-3

@@ -1,18 +1,15 @@
-"""Halfspaces, feasible sets, and the stacked constraint assembler."""
+"""Feasible sets, cuts as (normal, point) pairs, the assembler and the constraint store."""
 
 import numpy as np
 import pytest
 
 from vifd.sets import (
     Box,
-    Halfspace,
+    ConstraintStore,
     LinearConstraintSystem,
     SimplexSlice,
     as_point,
     assemble,
-    contains,
-    halfspace_from_pair,
-    w_halfspace,
 )
 from vifd.qp import InfeasibleSystem, least_distance
 
@@ -65,26 +62,35 @@ def test_as_point_converts_every_other_input_as_before():
         as_point(np.array([np.nan], dtype=np.float32))
 
 
+def _space(n):
+    """R^n as a system without rows, to read single cuts off."""
+    return LinearConstraintSystem(np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0))
+
+
 def test_halfspace_basic_geometry():
-    hs = Halfspace([1.0, 0.0], [2.0, 5.0])
-    assert hs.dim == 2
-    assert not hs.is_whole_space
-    assert contains(hs, [2.0, 100.0])
-    assert contains(hs, [1.0, -3.0])
-    assert not contains(hs, [2.1, 0.0])
-    assert contains(hs, [2.1, 0.0], tol=0.2)
+    system = assemble(_space(2), [([1.0, 0.0], [2.0, 5.0])])
+    assert system.G.shape == (1, 2)
+    assert system.contains([2.0, 100.0])
+    assert system.contains([1.0, -3.0])
+    assert not system.contains([2.1, 0.0])
+    assert system.contains([2.1, 0.0], tol=0.2)
 
 
 def test_halfspace_zero_normal_is_whole_space():
-    hs = Halfspace([0.0, 0.0], [1.0, 1.0])
-    assert hs.is_whole_space
-    assert contains(hs, [1e9, -1e9])
+    space = _space(2)
+    assert assemble(space, [([0.0, 0.0], [1.0, 1.0])]) is space
+    store = ConstraintStore(space)
+    store.add([0.0, 0.0], [1.0, 1.0])
+    assert store.rows == 0 and store.system is space
 
 
 def test_halfspace_arrays_are_read_only():
-    hs = Halfspace([1.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        hs.normal[0] = 5.0
+    store = ConstraintStore(_space(2))
+    store.add([1.0, 1.0], [0.0, 0.0])
+    for system in (assemble(_space(2), [([1.0, 1.0], [0.0, 0.0])]), store.system):
+        for name in ("G", "h"):
+            with pytest.raises(ValueError):
+                getattr(system, name)[0] = 5.0
 
 
 def test_halfspace_from_pair_unit_normal_through_anchor():
@@ -93,11 +99,11 @@ def test_halfspace_from_pair_unit_normal_through_anchor():
         n = rng.integers(1, 6)
         z = rng.normal(size=n)
         u = rng.normal(size=n)
-        hs = halfspace_from_pair(z, u)
-        assert np.linalg.norm(hs.normal) == pytest.approx(1.0, abs=1e-12)
+        system = assemble(_space(n), [(u, z)])
+        assert np.linalg.norm(system.G[0]) == pytest.approx(1.0, abs=1e-12)
         # boundary passes through z, and z + u is strictly cut off
-        assert contains(hs, z, tol=1e-12)
-        assert not contains(hs, z + u, tol=1e-12)
+        assert system.contains(z, tol=1e-12)
+        assert not system.contains(z + u, tol=1e-12)
 
 
 def test_halfspace_from_pair_normalization_preserves_membership():
@@ -110,48 +116,52 @@ def test_halfspace_from_pair_normalization_preserves_membership():
         margin = float(u @ (y - z))
         if abs(margin) < 1e-7:
             continue
-        assert contains(halfspace_from_pair(z, u), y, tol=1e-12) == (margin < 0.0)
+        assert assemble(_space(n), [(u, z)]).contains(y, tol=1e-12) == (margin < 0.0)
 
 
 def test_w_halfspace_anchored_at_iterate():
-    hs = w_halfspace([0.0, 0.0], [1.0, 1.0])
-    np.testing.assert_allclose(hs.normal, [-1.0, -1.0])
-    np.testing.assert_allclose(hs.anchor, [1.0, 1.0])
+    # the slab W = {y : <y - x, x0 - x> <= 0} is the cut (x0 - x, x)
+    x0, x = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+    system = assemble(_space(2), [(x0 - x, x)])
+    np.testing.assert_allclose(system.G[0], [-np.sqrt(0.5), -np.sqrt(0.5)])
+    np.testing.assert_allclose(system.h[0], -np.sqrt(2.0))
     # x0 itself must violate the slab whenever x0 != x
-    assert not contains(hs, [0.0, 0.0], tol=1e-12)
-    assert contains(hs, [2.0, 2.0])
-    assert w_halfspace([1.0, 1.0], [1.0, 1.0]).is_whole_space
+    assert not system.contains(x0, tol=1e-12)
+    assert system.contains([2.0, 2.0])
+    space = _space(2)
+    assert assemble(space, [(x - x, x)]) is space
 
 
 def test_pair_and_slab_halfspaces_own_read_only_arrays():
-    cases = [
-        (halfspace_from_pair, [1.0, 2.0], [3.0, 4.0]),
-        (halfspace_from_pair, [1.0, 2.0], [0.0, 0.0]),
-        (w_halfspace, [1.0, 2.0], [3.0, 4.0]),
-        (w_halfspace, [1.0, 2.0], [1.0, 2.0]),
-    ]
-    for make, first, second in cases:
-        inputs = np.array(first), np.array(second)
-        hs = make(*inputs)
-        expected = hs.normal.copy(), hs.anchor.copy()
-        for arr in (hs.normal, hs.anchor):
-            assert not arr.flags.writeable
-            assert not any(np.shares_memory(arr, given) for given in inputs)
-        for given in inputs:
-            given[:] = 7.0
-        np.testing.assert_array_equal(hs.normal, expected[0])
-        np.testing.assert_array_equal(hs.anchor, expected[1])
+    # the rows a store or an assembled system holds are its own: writing to
+    # the vectors a cut was made from afterwards changes nothing
+    for first, second in (([3.0, 4.0], [1.0, 2.0]), ([0.0, -2.0], [1.0, 2.0])):
+        normal, point = np.array(first), np.array(second)
+        store = ConstraintStore(_space(2))
+        store.add(normal, point)
+        systems = (store.system, assemble(_space(2), [(normal, point)]))
+        expected = [(s.G.copy(), s.h.copy()) for s in systems]
+        for system in systems:
+            for arr in (system.G, system.h):
+                assert not arr.flags.writeable
+                assert not any(np.shares_memory(arr, given) for given in (normal, point))
+        normal[:] = point[:] = 7.0
+        for system, (G, h) in zip(systems, expected):
+            np.testing.assert_array_equal(system.G, G)
+            np.testing.assert_array_equal(system.h, h)
 
 
 def test_pair_and_slab_halfspaces_check_their_inputs():
     good = np.array([1.0, 2.0])
     for bad in (np.array([np.nan, 0.0]), np.array([1.0, np.inf]), np.array([1.0, 2.0, 3.0])):
-        for make in (halfspace_from_pair, w_halfspace):
+        for pair in ((good, bad), (bad, good)):
             with pytest.raises(ValueError):
-                make(good, bad)
-            if bad.size == 2:
-                with pytest.raises(ValueError):
-                    make(bad, good)
+                assemble(_space(2), [pair])
+            with pytest.raises(ValueError):
+                ConstraintStore(_space(2)).add(*pair)
+    # a zero normal adds no row, but its point must still be finite
+    with pytest.raises(ValueError):
+        assemble(_space(2), [(np.zeros(2), np.array([np.inf, 0.0]))])
 
 
 def test_box_validation_and_membership():
@@ -243,9 +253,7 @@ def test_assemble_polyhedron_rows_verbatim():
 
 def test_assemble_appends_unit_normalized_halfspace_rows_in_order():
     box = Box([0.0, 0.0], [1.0, 1.0])
-    h1 = Halfspace([3.0, 0.0], [0.5, 0.0])
-    h2 = Halfspace([0.0, -2.0], [0.0, 0.25])
-    system = assemble(box, [h1, h2])
+    system = assemble(box, [([3.0, 0.0], [0.5, 0.0]), ([0.0, -2.0], [0.0, 0.25])])
     np.testing.assert_allclose(system.G[-2], [1.0, 0.0])
     np.testing.assert_allclose(system.h[-2], 0.5)
     np.testing.assert_allclose(system.G[-1], [0.0, -1.0])
@@ -254,16 +262,21 @@ def test_assemble_appends_unit_normalized_halfspace_rows_in_order():
 
 def test_assemble_skips_whole_space_and_rejects_dimension_mismatch():
     box = Box([0.0, 0.0], [1.0, 1.0])
-    system = assemble(box, [Halfspace([0.0, 0.0], [0.3, 0.3])])
-    assert system.G.shape == (4, 2)
+    system = assemble(box, [([0.0, 0.0], [0.3, 0.3]), ([1.0, 0.0], [0.3, 0.3])])
+    assert system.G.shape == (5, 2)
+    for bad in ([([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])], [([1.0, 0.0], [0.0, 0.0, 0.0])],
+                [([1.0, 0.0], [0.0, 0.0]), ([1.0], [0.0])]):
+        with pytest.raises(ValueError):
+            assemble(box, bad)
     with pytest.raises(ValueError):
-        assemble(box, [Halfspace([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])])
+        ConstraintStore(box).add([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_extending_a_stacked_system_one_halfspace_at_a_time_matches_stacking_all():
     # the solver grows its constraint store by one cut per iteration; its
     # trajectories equal those of stacking every cut at once only while the
-    # arrays are identical
+    # arrays are identical.  80 cuts take each store through at least two
+    # doublings of its buffer.
     rng = np.random.default_rng(11)
     sets = [
         Box([0.0, -np.inf, -1.0], [1.0, 2.0, np.inf]),
@@ -273,19 +286,46 @@ def test_extending_a_stacked_system_one_halfspace_at_a_time_matches_stacking_all
     ]
     for C in sets:
         n = assemble(C, []).n
-        halfspaces = [
-            halfspace_from_pair(rng.normal(size=n), rng.normal(size=n))
-            if i % 2 else Halfspace(rng.normal(size=n) * 7.0, rng.normal(size=n))
-            for i in range(12)
-        ]
-        halfspaces.insert(5, Halfspace(np.zeros(n), rng.normal(size=n)))
-        stacked = assemble(C, halfspaces)
+        m = assemble(C, []).G.shape[0]
+        cuts = [(rng.normal(size=n) * (7.0 if i % 2 else 1.0), rng.normal(size=n))
+                for i in range(80)]
+        cuts.insert(5, (np.zeros(n), rng.normal(size=n)))
+        stacked = assemble(C, cuts)
         grown = assemble(C, [])
-        for hs in halfspaces:
-            grown = assemble(grown, [hs])
-        assert stacked.G.shape[0] == assemble(C, []).G.shape[0] + 12
-        for name in ("G", "h", "A", "b"):
-            assert np.array_equal(getattr(grown, name), getattr(stacked, name)), name
+        store = ConstraintStore(C)
+        capacities = set()
+        for cut in cuts:
+            grown = assemble(grown, [cut])
+            store.add(*cut)
+            capacities.add(store._h.size)
+        assert stacked.G.shape[0] == store.rows == m + 80
+        assert len(capacities) >= 3
+        for system in (grown, store.system):
+            for name in ("G", "h", "A", "b"):
+                assert np.array_equal(getattr(system, name), getattr(stacked, name)), name
+                assert getattr(system, name).dtype == np.float64
+
+
+def test_a_store_system_keeps_its_rows_when_the_store_grows():
+    rng = np.random.default_rng(12)
+    C = SimplexSlice(5.0, 4)
+    store = ConstraintStore(C)
+    # before any cut the store's system is the set's own
+    assert store.system is assemble(C, [])
+    snapshots = []
+    for _ in range(40):
+        store.add(rng.normal(size=4), rng.normal(size=4))
+        system = store.system
+        # taken twice without an add in between: the same system
+        assert store.system is system
+        snapshots.append((system, system.G.copy(), system.h.copy()))
+    for system, G, h in snapshots:
+        np.testing.assert_array_equal(system.G, G)
+        np.testing.assert_array_equal(system.h, h)
+        assert system.A is store.system.A and system.b is store.system.b
+    for name in ("G", "h", "A", "b"):
+        with pytest.raises(ValueError):
+            getattr(store.system, name)[...] = 0.0
 
 
 def test_a_sets_rows_are_built_once_and_shared_read_only():
@@ -303,8 +343,8 @@ def test_a_sets_rows_are_built_once_and_shared_read_only():
         # a general polyhedral set is its own constraint system
         assert getattr(C, "constraints", C) is system
         assert assemble(system, []) is system
-        assert assemble(system, [Halfspace(np.zeros(3), [1.0, 2.0, 3.0])]) is system
-        extended = assemble(system, [Halfspace([0.0, 2.0, 0.0], [0.0, 0.5, 0.0])])
+        assert assemble(system, [(np.zeros(3), [1.0, 2.0, 3.0])]) is system
+        extended = assemble(system, [([0.0, 2.0, 0.0], [0.0, 0.5, 0.0])])
         np.testing.assert_array_equal(extended.G[-1], [0.0, 1.0, 0.0])
         for s in (system, extended):
             for name in ("G", "h", "A", "b"):
@@ -315,11 +355,16 @@ def test_a_sets_rows_are_built_once_and_shared_read_only():
 
 
 def test_extension_still_rejects_non_finite_new_rows():
-    system = assemble(Box([0.0, 0.0], [1.0, 1.0]), [])
-    # a finite halfspace whose right-hand side overflows
-    huge = Halfspace([1.0, 1.0], [1.7e308, 1.7e308])
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    system = assemble(box, [])
+    # a finite cut whose right-hand side overflows
+    huge = ([1.0, 1.0], [1.7e308, 1.7e308])
     with pytest.raises(ValueError, match="finite"):
         assemble(system, [huge])
+    store = ConstraintStore(box)
+    with pytest.raises(ValueError, match="finite"):
+        store.add(*huge)
+    assert store.rows == 4
 
 
 def _random_feasible_set(rng):
@@ -345,15 +390,13 @@ def test_assemble_is_set_equivalent_on_random_points():
     while checked < 1000:
         C = _random_feasible_set(rng)
         n = assemble(C, []).n
-        halfspaces = [
-            halfspace_from_pair(rng.normal(size=n), rng.normal(size=n))
-            for _ in range(rng.integers(0, 4))
-        ]
-        system = assemble(C, halfspaces)
+        cuts = [(rng.normal(size=n), rng.normal(size=n)) for _ in range(rng.integers(0, 4))]
+        system = assemble(C, cuts)
         for _ in range(25):
             y = rng.normal(size=n) * rng.uniform(0.5, 3.0)
+            # the unit row of each cut holds the same points as the cut itself
             direct = C.contains(y, 1e-10) and all(
-                contains(hs, y, 1e-10) for hs in halfspaces
+                float(u @ (y - z)) <= 1e-10 * float(np.linalg.norm(u)) for u, z in cuts
             )
             assert system.contains(y, 1e-10) == direct
             checked += 1

@@ -5,10 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vifd.solver
+from vifd import qp
 from vifd.operators import (
     DomainError,
     HsQuasimonotone,
@@ -18,16 +19,7 @@ from vifd.operators import (
     make_problem,
 )
 from vifd.qp import InfeasibleSystem, least_distance
-from vifd.sets import (
-    Box,
-    Halfspace,
-    LinearConstraintSystem,
-    SimplexSlice,
-    assemble,
-    contains,
-    halfspace_from_pair,
-    w_halfspace,
-)
+from vifd.sets import Box, LinearConstraintSystem, SimplexSlice, assemble
 from vifd.solver import (
     SOLUTION_STOPS,
     Counters,
@@ -69,9 +61,9 @@ class Iteration:
     """What one outer iteration produced, read through ``step``'s seams.
 
     ``alpha`` and every field after it stay None when the iteration stopped at
-    step 2, before its linesearch. ``cuts`` is the constraint store after the
-    iteration and ``slab`` the halfspace anchored at ``x``; the next iterate is
-    the projection of the start point onto both.
+    step 2, before its linesearch. ``cuts`` is the constraint store's system
+    after the iteration; the next iterate is the projection of the start point
+    x0 onto it and the slab ``{y : <y - x, x0 - x> <= 0}``.
     """
 
     x: np.ndarray
@@ -82,7 +74,6 @@ class Iteration:
     xbar: np.ndarray | None = None
     x_next: np.ndarray | None = None
     cuts: LinearConstraintSystem | None = None
-    slab: Halfspace | None = None
 
 
 _SEAMS = ("step", "compute_z", "linesearch_f")
@@ -102,11 +93,10 @@ def run_iterations(problem, x0, params):
     def step(state, problem, params):
         current = Iteration(x=state.x)
         iterations.append(current)
-        k = state.k
+        k = state.counters.outer_iters
         state, report = originals["step"](state, problem, params)
-        if state.k > k:
-            current.x_next, current.cuts = state.x, state.cuts
-            current.slab = w_halfspace(state.x0, current.x)
+        if state.counters.outer_iters > k:
+            current.x_next, current.cuts = state.x, state.cuts.system
         return state, report
 
     def compute_z(x, u, *args):
@@ -227,20 +217,33 @@ def test_compute_z_projects_trial_step():
 _BOUND = st.one_of(st.just(math.inf), st.floats(0.0, 1e3))
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(1, 6))
-def test_box_projection_is_the_qp_projection(data, n):
+@st.composite
+def _boxes_and_points(draw):
     # lower = centre - below and upper = centre + above, each bound possibly
     # infinite; y lies up to 1e6 outside the box
-    centre = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-    below = np.array(data.draw(st.lists(_BOUND, min_size=n, max_size=n)))
-    above = np.array(data.draw(st.lists(_BOUND, min_size=n, max_size=n)))
-    y = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
-    box = Box(centre - below, centre + above)
-    y = centre + y
+    n = draw(st.integers(1, 6))
+
+    def vector(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    centre, below, above = vector(st.floats(-1e3, 1e3)), vector(_BOUND), vector(_BOUND)
+    return centre - below, centre + above, centre + vector(st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_boxes_and_points())
+# a point 1e-10 above a zero upper bound, which the QP leaves where it is
+@example(case=(np.zeros(5), np.array([np.inf, np.inf, np.inf, 0.0, np.inf]),
+               np.array([0.0, 0.0, 0.0, 1e-10, 0.0])))
+def test_box_projection_is_the_qp_projection(case):
+    lower, upper, y = case
+    n = y.size
+    box = Box(lower, upper)
     closed = compute_z(y, np.zeros(n), 1.0, box)
     exact = least_distance(assemble(box, []), y).point
-    tol = 1e-12 * max(1.0, float(np.linalg.norm(y)))
+    # the clip is exact, but the QP reference holds each constraint only to
+    # its feasibility tolerance qp.TOL, so the two agree to TOL plus round-off
+    tol = qp.TOL + 1e-12 * max(1.0, float(np.linalg.norm(y)))
     np.testing.assert_allclose(closed, exact, rtol=0.0, atol=tol)
     assert box.contains(closed)
     np.testing.assert_array_equal(compute_z(closed, np.zeros(n), 1.0, box), closed)
@@ -354,25 +357,26 @@ class TestStep:
         state = SolverState.initial([0.0, 0.0])
         state, report = step(state, problem, params)
         assert report is None
-        assert state.k == 1
         assert state.counters.outer_iters == 1
         # the same iteration, watched through step's seams
         _, (rec,) = run_iterations(
             problem, [0.0, 0.0], SolverParams(delta=0.01, max_outer_iterations=1)
         )
-        # the constraint store holds the 4 box rows plus the single cut
-        assert state.cuts.G.shape == (5, 2)
-        np.testing.assert_array_equal(rec.cuts.G, state.cuts.G)
-        cut = halfspace_from_pair(rec.xbar, rec.ubar)
-        np.testing.assert_allclose(state.cuts.G[-1], cut.normal, atol=1e-15)
+        # the constraint store holds the 4 box rows plus the single cut, the
+        # unit row through xbar with normal ubar
+        assert state.cuts.rows == 5
+        assert state.cuts.system.G.shape == (5, 2)
+        np.testing.assert_array_equal(rec.cuts.G, state.cuts.system.G)
+        np.testing.assert_allclose(state.cuts.system.G[-1],
+                                   rec.ubar / np.linalg.norm(rec.ubar), atol=1e-15)
+        assert state.cuts.system.h[-1] == pytest.approx(state.cuts.system.G[-1] @ rec.xbar)
         np.testing.assert_array_equal(rec.x, [0.0, 0.0])
         np.testing.assert_allclose(rec.u, [0.0, -1.0], atol=1e-15)
         np.testing.assert_allclose(rec.z, [0.0, 1.0], atol=1e-12)
         assert float(np.sum((rec.x - rec.z) ** 2)) == pytest.approx(1.0, abs=1e-12)
-        assert rec.alpha is not None and not cut.is_whole_space
+        assert rec.alpha is not None and rec.ubar.any()
         # the slab is anchored at the current iterate, which here is x0 itself,
         # so it degenerates to the whole space and is not part of the system
-        assert rec.slab is not None and rec.slab.is_whole_space
         np.testing.assert_array_equal(rec.x_next, state.x)
         # warm start indices must reference rows that keep their position:
         # the 5 stored rows
@@ -571,15 +575,16 @@ def test_run_invariants(name, kwargs, x0, params):
             >= (rec.alpha / beta_hat) * params.delta * float(np.sum(d**2)) - 1e-10
         )
 
-        # every cut and every slab retains the known dual solution
-        assert contains(halfspace_from_pair(rec.xbar, rec.ubar), dual, 1e-8)
-        assert contains(rec.slab, dual, 1e-8)
+        # every stored row, C's and every cut so far, and the slab
+        # {y : <y - x, x0 - x> <= 0} retain the known dual solution
+        assert rec.cuts.max_violation(dual) <= 1e-8
+        assert float((dual - rec.x) @ (anchor - rec.x)) <= 1e-8
 
         # the next iterate satisfies the whole working system it came from:
         # C's rows and every cut so far (the store), and the slab
         assert C.contains(rec.x_next, 1e-8)
         assert rec.cuts.max_violation(rec.x_next) <= 1e-8
-        assert contains(rec.slab, rec.x_next, 1e-8)
+        assert float((rec.x_next - rec.x) @ (anchor - rec.x)) <= 1e-8
 
         # anchored distance grows, steps stay square-summable
         assert (

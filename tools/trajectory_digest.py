@@ -8,12 +8,15 @@ Solves every start of presets table1 to table4, then every solve of the
 ``perfbench/workloads.py`` workloads (anchored-long, box-wide, ray-short)
 drawn from ``--seed``, in that order.  Each solve contributes its stop
 reason, outer iterations, operator evaluations, QP solves and the bytes of
-its terminal point.  The script prints the number of solves and the digest.
+its terminal point.  The script prints the number of solves, the number of
+those that raised, and the digest.
 
 Two commits that print the same digest at the same seed give bitwise the same
 trajectories on all of these solves, so a refactor meant to change no result
-can be checked by running this on both sides.  A solve that raises counts
-with the exception's name in place of its counters.
+can be checked by running this on both sides.  When a solve raises (a QP
+failure, a numeric breakdown, or any other ``ValueError`` such as a
+``DomainError``), the exception's name stands in for the counters of every
+solve of its config, and those solves count as raised.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from vifd.bench import preset_configs, run_reports  # noqa: E402
-from vifd.operators import DomainError  # noqa: E402
 from vifd.qp import InfeasibleSystem, MaxPivots  # noqa: E402
 
 import workloads  # noqa: E402
@@ -52,13 +54,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
-    solves = 0
+    solves = raised = 0
     for config in configs(args.seed):
         try:
             reports = run_reports(config)
-        except (MaxPivots, InfeasibleSystem, DomainError) as exc:
+        except (MaxPivots, InfeasibleSystem, FloatingPointError, ValueError) as exc:
             digest.update(f"{type(exc).__name__}\n".encode())
             solves += len(config.starts)
+            raised += len(config.starts)
             continue
         for report in reports:
             c = report.counters
@@ -69,6 +72,7 @@ def main(argv=None) -> int:
             digest.update(report.terminal_point.tobytes())
             solves += 1
     print(f"solves {solves}")
+    print(f"raised {raised}")
     print(f"sha256 {digest.hexdigest()}")
     return 0
 
