@@ -8,26 +8,23 @@ projection onto an affine set and can be solved with small dense least-squares
 factorizations; the final active set is re-solved once more to certify the
 KKT conditions at full precision.
 
-Constraint systems are immutable, so everything that depends on the system
-alone is computed once per system and reused: the particular solution and
-null-space basis of the equalities, the screen of rows that are constant on
-the affine subspace, and the normalised rows that remain.  That reduced form
-is stored on the system object itself, so it lives and dies with the system
-and costs no lookup table; the equality basis is also kept, for a fixed
-number of distinct ``A, b``, because every system extended from a set shares
-the set's equalities.  Every solve uses the same feasibility and KKT
-tolerance, ``TOL``.
+Constraint systems are immutable, so what depends on the system alone (the
+equality basis, the screen of rows constant on the affine subspace and the
+normalised rows that remain: ``vifd.sets._reduce``) is computed once and kept
+on the system object; a system from ``ConstraintStore.with_cut`` comes with
+it.  A KKT residual is computed when first read.  Every solve uses the same
+feasibility and KKT tolerance, ``TOL``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .sets import LinearConstraintSystem, as_point
+from .sets import TOL, InfeasibleSystem, LinearConstraintSystem, _reduced_form, as_point
 
 __all__ = [
     "QpSolution",
@@ -37,16 +34,8 @@ __all__ = [
     "simplex_projection",
 ]
 
-# feasibility and KKT tolerance of every solve
-TOL = 1e-10
 # the pivot guard allows this many pivots per constraint row
 PIVOTS_PER_ROW = 50
-# distinct equality systems whose affine basis is kept; a solve uses one or two
-AFFINE_CACHE_SIZE = 32
-
-
-class InfeasibleSystem(RuntimeError):
-    """The constraint system has no feasible point."""
 
 
 class MaxPivots(RuntimeError):
@@ -60,93 +49,18 @@ class QpSolution:
     ``active_set`` lists the inequality rows tight at the solution in the
     order the pivoting visited them, which makes it directly reusable as a
     warm start.  ``kkt_residual`` is the largest violation among stationarity,
-    primal feasibility, dual feasibility, and complementarity.
+    primal feasibility, dual feasibility, and complementarity, computed on
+    first read from the solve's own copies of the point and ``x0``.
     """
 
     point: np.ndarray
     active_set: list[int]
     iterations: int
-    kkt_residual: float
+    _certificate: tuple = field(repr=False, compare=False)
 
-
-def _affine_basis(A: np.ndarray, b: np.ndarray):
-    """Minimum-norm particular solution of ``A y = b`` and an orthonormal null basis.
-
-    Both are read-only and shared by every caller with the same ``A, b``.
-    """
-    return _affine_basis_of(A.shape, A.tobytes(), b.tobytes())
-
-
-@functools.lru_cache(maxsize=AFFINE_CACHE_SIZE)
-def _affine_basis_of(shape, A_bytes: bytes, b_bytes: bytes):
-    A = np.frombuffer(A_bytes).reshape(shape)
-    b = np.frombuffer(b_bytes)
-    y_part, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    scale = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
-    if float(np.abs(A @ y_part - b).max()) > 1e-8 * scale:
-        raise InfeasibleSystem("equality constraints are inconsistent")
-    u, s, vt = np.linalg.svd(A)
-    if s.size:
-        rank = int(np.sum(s > s[0] * max(A.shape) * np.finfo(float).eps))
-    else:
-        rank = 0
-    Z = vt[rank:].T
-    y_part.flags.writeable = Z.flags.writeable = False
-    return y_part, Z
-
-
-@dataclass(frozen=True)
-class _ReducedForm:
-    """The part of a projection onto one system that depends on the system alone.
-
-    ``y_part``/``Z`` are ``None`` without equalities.  The reduced rows
-    ``G Z`` with norm above 1e-13 are kept (mask ``keep``, indices ``kept``)
-    and divided by their ``norms`` into ``rows``/``rhs``; the others are
-    constant on the affine subspace and were checked feasible when the form
-    was built.  ``position[i]`` is the index of system row ``i`` among the
-    kept rows (meaningful where ``keep[i]``).  When the equalities pin a
-    single point, ``Z`` has no columns and no row is kept.  Every array is
-    read-only.
-    """
-
-    y_part: np.ndarray | None
-    Z: np.ndarray | None
-    rows: np.ndarray
-    rhs: np.ndarray
-    norms: np.ndarray
-    keep: np.ndarray
-    kept: np.ndarray
-    position: np.ndarray
-
-
-def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
-    # systems are immutable, so the form stays valid for the system's life
-    form = system.__dict__.get("_reduced_form")
-    if form is None:
-        form = _reduce(system)
-        object.__setattr__(system, "_reduced_form", form)
-    return form
-
-
-def _reduce(system: LinearConstraintSystem) -> _ReducedForm:
-    G, h, A, b = system.G, system.h, system.A, system.b
-    if A.shape[0]:
-        y_part, Z = _affine_basis(A, b)
-        M = G @ Z
-        d = h - G @ y_part
-    else:
-        y_part, Z = None, None
-        M, d = G, h
-    # screen rows that vanish on the reduced space, then unit-normalize the rest
-    norms = np.linalg.norm(M, axis=1)
-    keep = norms > 1e-13
-    if (d[~keep] < -TOL).any():
-        raise InfeasibleSystem("a constraint is constant and violated on the affine subspace")
-    rows, rhs = M[keep] / norms[keep, None], d[keep] / norms[keep]
-    kept, position = keep.nonzero()[0], keep.cumsum() - 1
-    for arr in (rows, rhs, norms, keep, kept, position):
-        arr.flags.writeable = False
-    return _ReducedForm(y_part, Z, rows, rhs, norms, keep, kept, position)
+    @cached_property
+    def kkt_residual(self) -> float:
+        return _kkt_residual(*self._certificate)
 
 
 def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]):
@@ -273,8 +187,9 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     equality elimination, the screen of rows constant on the affine subspace,
     the normalised reduced rows and the warm-start index map) is done on the
     first call for a system, stored on the system object, and reused by later
-    calls.  Feasibility and the KKT conditions are held to ``TOL``, and the
-    pivot guard allows ``PIVOTS_PER_ROW * max(m + p, 1)`` pivots for ``m``
+    calls; a system from ``ConstraintStore.with_cut`` has it already.
+    Feasibility and the KKT conditions are held to ``TOL``, and the pivot
+    guard allows ``PIVOTS_PER_ROW * max(m + p, 1)`` pivots for ``m``
     inequality and ``p`` equality rows.
 
     Parameters
@@ -320,7 +235,7 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     active = [int(form.kept[i]) for i in active_n]
     for i, lam_i in zip(active, lam_n):
         mu[i] = lam_i / form.norms[i]
-    return QpSolution(y, active, pivots, _kkt_residual(system, Z, x0, y, mu))
+    return QpSolution(y, active, pivots, (system, Z, x0.copy(), y.copy(), mu))
 
 
 def simplex_projection(v, a: float = 1.0) -> np.ndarray:

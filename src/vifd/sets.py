@@ -1,5 +1,8 @@
 """Feasible sets, linear constraint systems, and the store of a run's cuts; a
-cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``."""
+cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``.
+A projection works on a system's reduced form (``_reduce``), built once per
+system; the ``ConstraintStore`` keeps its rows' reduced form beside the raw
+rows and reduces each row once."""
 
 from __future__ import annotations
 
@@ -20,6 +23,12 @@ __all__ = [
 ]
 
 _FLOAT = np.dtype(float)
+# feasibility tolerance of the reduction's screen and of every QP solve
+TOL = 1e-10
+
+
+class InfeasibleSystem(RuntimeError):
+    """The constraint system has no feasible point."""
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -186,10 +195,97 @@ def _system(G: np.ndarray, h: np.ndarray, A: np.ndarray, b: np.ndarray):
     return system
 
 
+def _affine_basis(A: np.ndarray, b: np.ndarray):
+    """Minimum-norm particular solution of ``A y = b`` and an orthonormal null basis,
+    both read-only; ``(None, None)`` without equalities."""
+    if not A.shape[0]:
+        return None, None
+    y_part, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    scale = max(1.0, float(np.abs(b).max()))
+    if float(np.abs(A @ y_part - b).max()) > 1e-8 * scale:
+        raise InfeasibleSystem("equality constraints are inconsistent")
+    u, s, vt = np.linalg.svd(A)
+    rank = int(np.sum(s > s[0] * max(A.shape) * np.finfo(float).eps)) if s.size else 0
+    Z = vt[rank:].T
+    y_part.flags.writeable = Z.flags.writeable = False
+    return y_part, Z
+
+
+@dataclass(frozen=True)
+class _ReducedForm:
+    """The part of a projection onto one system that depends on the system alone.
+
+    ``y_part``/``Z`` are ``None`` without equalities.  The reduced rows
+    ``G Z`` with norm above 1e-13 are kept (mask ``keep``, indices ``kept``)
+    and divided by their ``norms`` into ``rows``/``rhs``; the others are
+    constant on the affine subspace and were checked feasible when the form
+    was built.  ``position[i]`` is the index of system row ``i`` among the
+    kept rows (meaningful where ``keep[i]``).  When the equalities pin a
+    single point, ``Z`` has no columns and no row is kept.  Every array is
+    read-only.
+    """
+
+    y_part: np.ndarray | None
+    Z: np.ndarray | None
+    rows: np.ndarray
+    rhs: np.ndarray
+    norms: np.ndarray
+    keep: np.ndarray
+    kept: np.ndarray
+    position: np.ndarray
+
+
+def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
+    """The reduced form of the rows ``G y <= h`` on ``{y_part + Z w}`` (the whole
+    space when ``Z`` is None); ``InfeasibleSystem`` if a row is constant and violated.
+
+    A row's result depends on that row alone, except that the BLAS may make
+    the last bits of ``G @ Z`` and ``G @ y_part`` depend on how many rows share
+    the product: with OpenBLAS at n = 5 two or more rows give each row the
+    bits of the whole system's product and one row does not, and at n >= 20
+    two-row products can differ from the whole system's in the last bits.
+    """
+    if Z is not None:
+        M = G @ Z
+        d = h - G @ y_part
+    else:
+        M, d = G, h
+    # screen rows that vanish on the reduced space, then unit-normalize the rest
+    norms = np.linalg.norm(M, axis=1)
+    keep = norms > 1e-13
+    if not keep.all() and (d[~keep] < -TOL).any():
+        raise InfeasibleSystem("a constraint is constant and violated on the affine subspace")
+    rows, rhs = M[keep] / norms[keep, None], d[keep] / norms[keep]
+    kept, position = keep.nonzero()[0], keep.cumsum() - 1
+    for arr in (rows, rhs, norms, keep, kept, position):
+        arr.flags.writeable = False
+    return _ReducedForm(y_part, Z, rows, rhs, norms, keep, kept, position)
+
+
+def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
+    """The reduced form, built on first use and kept on the immutable system."""
+    form = system.__dict__.get("_reduced_form")
+    if form is None:
+        form = _reduce(system.G, system.h, *_affine_basis(system.A, system.b))
+        object.__setattr__(system, "_reduced_form", form)
+    return form
+
+
 def _unit_rows(normals: np.ndarray, points: np.ndarray):
     """One unit-normal row per finite pair with a nonzero normal, which keeps an
-    accumulated system uniformly conditioned; a non-finite row raises ``ValueError``."""
-    norms = np.linalg.norm(normals, axis=1)
+    accumulated system uniformly conditioned; a non-finite row raises ``ValueError``.
+    A normal whose norm over- or underflows is divided by its largest entry first."""
+    try:
+        with np.errstate(over="raise", under="raise"):
+            norms = np.linalg.norm(normals, axis=1)
+    except FloatingPointError:
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(normals, axis=1)
+            scale = np.abs(normals).max(axis=1)
+            scaled = ((norms == 0.0) | (norms == np.inf)) & (scale > 0.0)
+            # only the rows whose norm is 0 or infinite change: x / 1.0 is x
+            normals = normals / np.where(scaled, scale, 1.0)[:, None]
+            norms = np.where(scaled, np.linalg.norm(normals, axis=1), norms)
     keep = norms > 0.0
     rows = normals[keep] / norms[keep, None]
     rhs = np.einsum("ij,ij->i", rows, points[keep])
@@ -241,6 +337,7 @@ class ConstraintStore:
     rows; ``add`` writes the row ``assemble`` would append, in O(n).
     ``system`` is a read-only view of the rows so far with C's equalities; rows
     never move, so later ``add`` calls leave a system taken earlier unchanged.
+    ``with_cut`` returns the rows plus one more cut, reduced, as a new system.
     """
 
     def __init__(self, C: FeasibleSet):
@@ -251,6 +348,9 @@ class ConstraintStore:
         self._G[:self.rows], self._h[:self.rows] = base.G, base.h
         self._A, self._b = base.A, base.b
         self._view = base
+        self._basis = _affine_basis(base.A, base.b)
+        # the last with_cut's reduced form, and its rows and kept rows that were stored
+        self._reduced = None, 0, 0
 
     def add(self, normal, point) -> None:
         """Store the cut ``{y : <normal, y - point> <= 0}``; a zero normal adds no row."""
@@ -271,3 +371,28 @@ class ConstraintStore:
         if self._view is None:
             self._view = _system(self._G[:self.rows], self._h[:self.rows], self._A, self._b)
         return self._view
+
+    def with_cut(self, normal, point) -> LinearConstraintSystem:
+        """The stored rows and the row of the cut ``(normal, point)`` (none for a
+        zero normal) as a new system that owns its arrays, with its reduced form
+        attached; the cut is not stored.  The rows not reduced yet and the cut's
+        row are reduced in one ``_reduce`` batch, so each row is reduced once."""
+        n = self._G.shape[1]
+        row, rhs = _unit_rows(as_point(normal, n)[None], as_point(point, n)[None])
+        G = np.concatenate([self._G[:self.rows], row])
+        h = np.concatenate([self._h[:self.rows], rhs])
+        done, start, before = self._reduced
+        form = _reduce(G[start:], h[start:], *self._basis)
+        if done is not None:
+            arrays = {}
+            for name, end, offset in (
+                    ("rows", before, 0), ("rhs", before, 0), ("kept", before, start),
+                    ("norms", start, 0), ("keep", start, 0), ("position", start, before)):
+                new = getattr(form, name) + offset if offset else getattr(form, name)
+                arrays[name] = np.concatenate([getattr(done, name)[:end], new])
+                arrays[name].flags.writeable = False
+            form = _ReducedForm(*self._basis, **arrays)
+        system = _system(G, h, self._A, self._b)
+        object.__setattr__(system, "_reduced_form", form)
+        self._reduced = form, self.rows, int(form.position[self.rows - 1]) + 1 if self.rows else 0
+        return system

@@ -288,8 +288,8 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
 
     The separating halfspace found this iteration is added to the constraint
     store ``state.cuts`` as one row (all cuts are kept).  The slab anchored at
-    the current iterate is never stored: one ``assemble`` call appends it to
-    the store's rows, and the next iterate projects the start point onto that.
+    the current iterate is never stored: the next iterate projects the start
+    point onto the system ``state.cuts.with_cut`` makes of the rows and slab.
     Raises :class:`LinesearchFailure` if the linesearch stalls.
     """
     C, T = problem.feasible, problem.operator
@@ -323,7 +323,7 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     # bitwise the one every recorded trajectory was computed with
     norm = float(np.linalg.norm(ubar))
     state.cuts.add(ubar / norm if norm > 0.0 else ubar, xbar)
-    system = assemble(state.cuts.system, [(state.x0 - state.x, state.x)])
+    system = state.cuts.with_cut(state.x0 - state.x, state.x)
     solution = least_distance(system, state.x0, warm_start=state.warm_active or None)
     counters.qp_solves += 1
     x_next = solution.point

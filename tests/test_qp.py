@@ -8,7 +8,7 @@ import pytest
 
 from oracle import UnsupportedShape, kkt_residual_lstsq, oracle_project
 from test_solver import run_iterations
-from vifd import qp
+from vifd import qp, sets
 from vifd.operators import make_problem
 from vifd.qp import InfeasibleSystem, MaxPivots, least_distance, simplex_projection
 from vifd.sets import Box, LinearConstraintSystem, SimplexSlice, assemble
@@ -265,7 +265,6 @@ def test_a_cache_hit_gives_the_cold_solution(build, x0):
     first.point[:] = np.nan
     hit = least_distance(system, x0)
     hit_warm = least_distance(system, x0, warm_start=first.active_set)
-    qp._affine_basis_of.cache_clear()
     cold = least_distance(build(), x0)
     for sol in (hit, hit_warm):
         np.testing.assert_array_equal(sol.point, cold.point)
@@ -275,6 +274,34 @@ def test_a_cache_hit_gives_the_cold_solution(build, x0):
     for name, arr in vars(form).items():
         if arr is not None:
             assert not arr.flags.writeable, name
+
+
+@pytest.mark.parametrize(
+    "build, x0", CACHED_CASES, ids=["slice-cuts", "triangle", "pinned", "vanishing-row"]
+)
+def test_the_certificate_computed_on_read_is_the_eager_one(build, x0):
+    system = build()
+    x0 = np.array(x0)
+    m, p = system.G.shape[0], system.A.shape[0]
+    # the reference: the residual computed eagerly from the solve's own pieces
+    form = qp._reduced_form(system)
+    w0 = form.Z.T @ (x0 - form.y_part) if form.Z is not None else x0
+    w, active, lam, _ = qp._dual_active_set(
+        form.rows, form.rhs, w0, qp.PIVOTS_PER_ROW * max(m + p, 1), None)
+    y = form.y_part + form.Z @ w if form.Z is not None else w
+    mu = np.zeros(m)
+    for i, lam_i in zip(form.kept[active], lam):
+        mu[i] = lam_i / form.norms[i]
+    eager = qp._kkt_residual(system, form.Z, x0, y, mu)
+    read_first = least_distance(system, x0)
+    assert read_first.kkt_residual == eager
+    # writing to the point or to x0 before the first read changes nothing
+    written_first = least_distance(system, x0)
+    written_first.point[:] = np.nan
+    x0[:] = np.nan
+    assert written_first.kkt_residual == eager
+    read_first.point[:] = np.nan
+    assert read_first.kkt_residual == eager
 
 
 def test_kkt_residual_from_null_basis_matches_lstsq_reference():
@@ -292,7 +319,7 @@ def test_kkt_residual_from_null_basis_matches_lstsq_reference():
             # stationarity term decides the residual
             system = _system(G, G @ y + np.where(mu > 0.0, 0.0, 1.0), A, A @ y)
             x0 = y + rng.normal(size=n)
-            Z = qp._affine_basis(system.A, system.b)[1] if p else None
+            Z = sets._affine_basis(system.A, system.b)[1]
             got = qp._kkt_residual(system, Z, x0, y, mu)
             ref = kkt_residual_lstsq(system, x0, y, mu)
             assert abs(got - ref) <= 1e-14 * max(1.0, ref)
@@ -302,23 +329,23 @@ def test_kkt_residual_from_null_basis_matches_lstsq_reference():
 
 def test_a_reduced_form_is_built_once_per_system(monkeypatch):
     built = []
-    reduce = qp._reduce
+    reduce = sets._reduce
 
-    def counting_reduce(system):
-        built.append(system)
-        return reduce(system)
+    def counting_reduce(G, h, y_part, Z):
+        built.append(G)
+        return reduce(G, h, y_part, Z)
 
-    monkeypatch.setattr(qp, "_reduce", counting_reduce)
+    monkeypatch.setattr(sets, "_reduce", counting_reduce)
     system = _slice_with_cuts(15)
     x0 = [4.0, -1.0, 0.5, 3.0, 0.0]
     first = least_distance(system, x0)
     second = least_distance(system, x0, warm_start=first.active_set)
-    assert len(built) == 1 and built[0] is system
+    assert len(built) == 1 and built[0] is system.G
     np.testing.assert_array_equal(second.point, first.point)
     extended = assemble(system, [(np.ones(5), np.full(5, 1.2))])
     least_distance(extended, x0)
     least_distance(extended, x0)
-    assert len(built) == 2 and built[1] is extended
+    assert len(built) == 2 and built[1] is extended.G
 
 
 def test_a_projected_system_is_not_kept_alive():

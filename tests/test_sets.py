@@ -1,8 +1,11 @@
 """Feasible sets, cuts as (normal, point) pairs, the assembler and the constraint store."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from vifd import sets
 from vifd.sets import (
     Box,
     ConstraintStore,
@@ -326,6 +329,73 @@ def test_a_store_system_keeps_its_rows_when_the_store_grows():
     for name in ("G", "h", "A", "b"):
         with pytest.raises(ValueError):
             getattr(store.system, name)[...] = 0.0
+
+
+@pytest.mark.parametrize("normal, row", [
+    ([1e200, 1e200], [2.0 ** -0.5, 2.0 ** -0.5]),  # the sum of squares overflows
+    ([1e-170, 0.0], [1.0, 0.0]),  # the sum of squares underflows to 0
+], ids=["overflow", "underflow"])
+def test_a_cut_whose_norm_over_or_underflows_keeps_its_row(normal, row):
+    point = [1.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = assemble(_space(2), [(normal, point), ([0.0, 0.0], point)])
+        store = ConstraintStore(_space(2))
+        store.add(normal, point)
+        store.add([0.0, 0.0], point)
+    # one row each: the zero normal still adds none
+    for s in (system, store.system):
+        assert s.G.shape == (1, 2)
+        np.testing.assert_allclose(s.G[0], row, rtol=1e-15, atol=0.0)
+        assert s.h[0] == pytest.approx(row[0], rel=1e-15)
+
+
+STORE_SETS = [
+    SimplexSlice(5.0, 4),
+    Box([0.0, -np.inf, -1.0, -2.0], [1.0, 2.0, np.inf, 2.0]),
+    # the first row is constant on the plane sum(y) = 1, so the screen drops it
+    LinearConstraintSystem(G=[[1.0, 1.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]], h=[2.0, 1.0],
+                           A=[[1.0, 1.0, 1.0, 1.0]], b=[1.0]),
+]
+
+
+@pytest.mark.parametrize("C", STORE_SETS, ids=["slice", "box", "vanishing-row"])
+def test_the_store_reduces_its_rows_as_reduce_does(C):
+    rng = np.random.default_rng(21)
+    store = ConstraintStore(C)
+    taken, capacities = [], set()
+    for k in range(80):
+        normal = rng.normal(size=4)
+        if k == 7:
+            normal = np.zeros(4)  # adds no row
+        elif k == 11:
+            normal = np.ones(4)  # constant on the plane of the slice and of the last set
+        store.add(normal, np.full(4, 2.0) if k == 11 else rng.normal(size=4))
+        # the slab of iteration 0 is anchored at x0 itself, so it adds no row
+        slab = np.zeros(4) if k == 0 else rng.normal(size=4)
+        system = store.with_cut(slab, rng.normal(size=4))
+        capacities.add(store._h.size)
+        assert system.G.shape[0] == store.rows + (k > 0)
+        np.testing.assert_array_equal(system.G[:store.rows], store.system.G)
+        form = sets._reduced_form(system)
+        ref = sets._reduce(system.G, system.h, *sets._affine_basis(system.A, system.b))
+        for name in ("keep", "kept", "position"):
+            np.testing.assert_array_equal(getattr(form, name), getattr(ref, name), err_msg=name)
+        for name in ("rows", "rhs", "norms"):
+            np.testing.assert_allclose(getattr(form, name), getattr(ref, name),
+                                       rtol=0.0, atol=1e-15, err_msg=name)
+        arrays = {name: getattr(system, name) for name in "Gh"}
+        arrays.update((name, arr) for name, arr in vars(form).items() if arr is not None)
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+        taken.append((arrays, {name: arr.copy() for name, arr in arrays.items()}))
+    # the ones cut vanishes on the plane of the slice and of the last set
+    assert form.keep.all() == isinstance(C, Box)
+    assert len(capacities) >= 3
+    # a system taken at iteration k keeps its arrays through the later adds
+    for arrays, copies in taken:
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(arr, copies[name], err_msg=name)
 
 
 def test_a_sets_rows_are_built_once_and_shared_read_only():

@@ -1,7 +1,7 @@
 """Outer loop, linesearch, stop tests, and run-level geometric invariants."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vifd.solver
-from vifd import qp
+from vifd import qp, sets
+from vifd.bench import preset_configs
 from vifd.operators import (
     DomainError,
     HsQuasimonotone,
@@ -442,6 +443,34 @@ class TestSolve:
         assert plain == 2 * (k + 1)
         assert len(systems) - plain == k
         assert report.counters.qp_solves == len(systems)
+
+    def test_a_long_run_reduces_each_row_once_and_computes_no_certificate(self, monkeypatch):
+        # counts, not times, so that this guard runs on any machine
+        reduced_rows, certificates = [], []
+        reduce, kkt_residual = sets._reduce, qp._kkt_residual
+
+        def counted_reduce(G, *args):
+            reduced_rows.append(G.shape[0])
+            return reduce(G, *args)
+
+        def counted_kkt_residual(*args):
+            certificates.append(args)
+            return kkt_residual(*args)
+
+        monkeypatch.setattr(sets, "_reduce", counted_reduce)
+        monkeypatch.setattr(qp, "_kkt_residual", counted_kkt_residual)
+        config = preset_configs("table3")[-1]
+        assert config.params.delta == 0.99
+        problem = config.build_problem()
+        params = replace(config.params, max_outer_iterations=200)
+        report = solve(problem, config.starts[0], params)
+        assert report.stop_reason is StopReason.MAX_ITERATIONS
+        c_rows = assemble(problem.feasible, []).G.shape[0]
+        # C's rows once for the plain projections and once in the store's
+        # first batch, then one cut and one slab per iteration (409 rows);
+        # reducing the whole anchored system every iteration reduces 21,105
+        assert sum(reduced_rows) <= 2 * c_rows + 2 * report.counters.outer_iters
+        assert certificates == []
 
     def test_infeasible_start_is_projected(self):
         problem = make_problem("hs-quasimonotone")
