@@ -9,11 +9,12 @@ factorizations; the final active set is re-solved once more to certify the
 KKT conditions at full precision.
 
 Constraint systems are immutable, so what depends on the system alone (the
-equality basis, the screen of rows constant on the affine subspace and the
-normalised rows that remain: ``vifd.sets._reduce``) is computed once and kept
-on the system object; a system from ``ConstraintStore.with_cut`` comes with
-it.  A KKT residual is computed when first read.  Every solve uses the same
-feasibility and KKT tolerance, ``TOL``.
+equality basis and the normalised reduced rows, one per system row, with the
+rows constant on the affine subspace screened and made inert:
+``vifd.sets._reduce``) is computed once and kept on the system object; a system
+from ``ConstraintStore.with_cut`` comes with it.  The active-set iteration
+works in the system's own row numbering.  A KKT residual is computed when
+first read.  Every solve uses the same feasibility and KKT tolerance, ``TOL``.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start):
     y = w0.copy()
 
     if warm_start:
-        active = list(dict.fromkeys(i for i in warm_start if 0 <= i < m))
+        active = list(warm_start)
         while True:
             pivots += 1
             if pivots > max_pivots:
@@ -184,10 +185,10 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     """Project ``x0`` onto the polyhedron described by ``system``.
 
     Systems are immutable, so the work that depends on ``system`` alone (the
-    equality elimination, the screen of rows constant on the affine subspace,
-    the normalised reduced rows and the warm-start index map) is done on the
-    first call for a system, stored on the system object, and reused by later
-    calls; a system from ``ConstraintStore.with_cut`` has it already.
+    equality elimination, the screen of rows constant on the affine subspace
+    and the normalised reduced rows, numbered as the system's rows) is done on
+    the first call for a system, stored on the system object, and reused by
+    later calls; a system from ``ConstraintStore.with_cut`` has it already.
     Feasibility and the KKT conditions are held to ``TOL``, and the pivot
     guard allows ``PIVOTS_PER_ROW * max(m + p, 1)`` pivots for ``m``
     inequality and ``p`` equality rows.
@@ -198,9 +199,10 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
         Constraints ``G y <= h``, ``A y = b``; the feasible set must be nonempty.
     x0 : array_like
         Point to project.
-    warm_start : sequence of int, optional
+    warm_start : iterable of int, optional
         Inequality row indices to seed the active set with, typically the
-        ``active_set`` of a previous nearby solve.
+        ``active_set`` of a previous nearby solve; an index out of range, or
+        of a row constant on the equality subspace, is skipped.
 
     Returns
     -------
@@ -220,21 +222,18 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     y_part, Z = form.y_part, form.Z
     w0 = Z.T @ (x0 - y_part) if Z is not None else x0
 
+    # a warm-start row must exist and must not vanish on the affine subspace
     warm = None
-    if warm_start:
-        keep, position = form.keep, form.position
-        idx = np.asarray(list(warm_start), dtype=int)
-        idx = idx[(idx >= 0) & (idx < m)]
-        warm = [int(position[i]) for i in idx if keep[i]]
+    if warm_start is not None:
+        warm = list(dict.fromkeys(
+            i for i in map(int, warm_start) if 0 <= i < m and form.norms[i] < np.inf))
 
     max_pivots = PIVOTS_PER_ROW * max(m + p, 1)
-    w, active_n, lam_n, pivots = _dual_active_set(form.rows, form.rhs, w0, max_pivots, warm)
+    w, active, lam, pivots = _dual_active_set(form.rows, form.rhs, w0, max_pivots, warm)
 
     y = y_part + Z @ w if Z is not None else w
     mu = np.zeros(m)
-    active = [int(form.kept[i]) for i in active_n]
-    for i, lam_i in zip(active, lam_n):
-        mu[i] = lam_i / form.norms[i]
+    mu[active] = np.array(lam) / form.norms[active]
     return QpSolution(y, active, pivots, (system, Z, x0.copy(), y.copy(), mu))
 
 

@@ -1,11 +1,13 @@
 """Feasible sets, linear constraint systems, and the store of a run's cuts; a
 cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``.
 A projection works on a system's reduced form (``_reduce``), built once per
-system; the ``ConstraintStore`` keeps its rows' reduced form beside the raw
-rows and reduces each row once."""
+system and numbered as the system's rows; the ``ConstraintStore`` writes every
+cut row, keeps its rows' reduced form beside the raw rows and reduces each row
+once."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -106,10 +108,15 @@ class SimplexSlice:
     dim: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and self.a > 0.0):
-            raise ValueError("simplex slice requires a finite a > 0")
-        if self.dim < 1:
-            raise ValueError("simplex slice requires dimension >= 1")
+        a, dim = self.a, self.dim
+        def kind(x):  # a 0-d NumPy array of a numeric dtype counts as a number
+            return np.asarray(x).dtype.kind if np.ndim(x) == 0 else None
+        real = isinstance(a, numbers.Real) or kind(a) in ("i", "u", "f")
+        if isinstance(a, bool) or not real or not 0.0 < a < np.inf:
+            raise ValueError(f"simplex slice field a must be a finite real > 0, got {a!r}")
+        integer = isinstance(dim, numbers.Integral) or kind(dim) in ("i", "u")
+        if isinstance(dim, bool) or not integer or dim < 1:
+            raise ValueError(f"simplex slice field dim must be an integer >= 1, got {dim!r}")
 
     def contains(self, y, tol: float = 0.0) -> bool:
         y = as_point(y, self.dim)
@@ -215,14 +222,13 @@ def _affine_basis(A: np.ndarray, b: np.ndarray):
 class _ReducedForm:
     """The part of a projection onto one system that depends on the system alone.
 
-    ``y_part``/``Z`` are ``None`` without equalities.  The reduced rows
-    ``G Z`` with norm above 1e-13 are kept (mask ``keep``, indices ``kept``)
-    and divided by their ``norms`` into ``rows``/``rhs``; the others are
-    constant on the affine subspace and were checked feasible when the form
-    was built.  ``position[i]`` is the index of system row ``i`` among the
-    kept rows (meaningful where ``keep[i]``).  When the equalities pin a
-    single point, ``Z`` has no columns and no row is kept.  Every array is
-    read-only.
+    ``y_part``/``Z`` are ``None`` without equalities.  Row ``i`` of ``rows``,
+    ``rhs`` and ``norms`` is system row ``i``: its reduced row ``G Z`` divided
+    by its norm.  A row whose reduced norm is at most 1e-13 is constant on the
+    affine subspace, was checked feasible when the form was built, and is
+    stored as the inert row ``0 <= 0`` with norm ``inf``.  When the equalities
+    pin a single point, ``Z`` has no columns and every row is inert.  Every
+    array is read-only.
     """
 
     y_part: np.ndarray | None
@@ -230,14 +236,12 @@ class _ReducedForm:
     rows: np.ndarray
     rhs: np.ndarray
     norms: np.ndarray
-    keep: np.ndarray
-    kept: np.ndarray
-    position: np.ndarray
 
 
 def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
     """The reduced form of the rows ``G y <= h`` on ``{y_part + Z w}`` (the whole
-    space when ``Z`` is None); ``InfeasibleSystem`` if a row is constant and violated.
+    space when ``Z`` is None), one row per row of ``G``; ``InfeasibleSystem`` if
+    a row is constant and violated.
 
     A row's result depends on that row alone, except that the BLAS may make
     the last bits of ``G @ Z`` and ``G @ y_part`` depend on how many rows share
@@ -250,16 +254,18 @@ def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
         d = h - G @ y_part
     else:
         M, d = G, h
-    # screen rows that vanish on the reduced space, then unit-normalize the rest
+    # screen rows that vanish on the reduced space and make them inert (an
+    # infinite norm divides them to exactly 0), then unit-normalize the rest
     norms = np.linalg.norm(M, axis=1)
-    keep = norms > 1e-13
-    if not keep.all() and (d[~keep] < -TOL).any():
-        raise InfeasibleSystem("a constraint is constant and violated on the affine subspace")
-    rows, rhs = M[keep] / norms[keep, None], d[keep] / norms[keep]
-    kept, position = keep.nonzero()[0], keep.cumsum() - 1
-    for arr in (rows, rhs, norms, keep, kept, position):
+    vanish = norms <= 1e-13
+    if vanish.any():
+        if (d[vanish] < -TOL).any():
+            raise InfeasibleSystem("a constraint is constant and violated on the affine subspace")
+        norms[vanish] = np.inf
+    rows, rhs = M / norms[:, None], d / norms
+    for arr in (rows, rhs, norms):
         arr.flags.writeable = False
-    return _ReducedForm(y_part, Z, rows, rhs, norms, keep, kept, position)
+    return _ReducedForm(y_part, Z, rows, rhs, norms)
 
 
 def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
@@ -296,7 +302,7 @@ def _unit_rows(normals: np.ndarray, points: np.ndarray):
 
 def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
     """The rows of ``C`` followed by one row per cut ``(normal, point)``, the
-    halfspace ``{y : <normal, y - point> <= 0}``.
+    halfspace ``{y : <normal, y - point> <= 0}``, written by ``ConstraintStore.add``.
 
     Box bounds become +-identity rows (infinite bounds are skipped), a simplex
     slice becomes nonnegativity rows plus one all-ones equality, and a
@@ -307,50 +313,42 @@ def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
     Cut rows follow in order with unit normals; a zero normal adds no row.
     When no row is added, the base system itself is returned, so
     ``assemble(C, [])`` is the same object on every call.  Systems are
-    immutable, so sharing them is safe.
+    immutable, so sharing them is safe.  Otherwise the result owns exact-size
+    copies of the rows, not a view of the store's spare capacity.
     """
-    if isinstance(C, LinearConstraintSystem):
-        base = C
-    elif isinstance(C, (Box, SimplexSlice)):
-        base = C.constraints
-    else:
-        raise TypeError(f"unsupported feasible set type: {type(C).__name__}")
-    cuts = list(cuts)
-    if not cuts:
-        return base
-    normals = np.array([normal for normal, _ in cuts], dtype=float)
-    points = np.array([point for _, point in cuts], dtype=float)
-    if normals.ndim != 2 or normals.shape != points.shape or normals.shape[1] != base.n:
-        raise ValueError(f"cuts must be pairs of vectors of length {base.n}")
-    if not (np.isfinite(normals).all() and np.isfinite(points).all()):
-        raise ValueError("constraint data must be finite")
-    rows, rhs = _unit_rows(normals, points)
-    if not rhs.size:
-        return base
-    return _system(np.concatenate([base.G, rows]), np.concatenate([base.h, rhs]), base.A, base.b)
+    store = ConstraintStore(C)
+    for normal, point in cuts:
+        store.add(normal, point)
+    system = store.system
+    if system is store._base:
+        return system
+    return _system(system.G.copy(), system.h.copy(), system.A, system.b)
 
 
 class ConstraintStore:
     """The rows of a feasible set C followed by every cut added so far.
 
-    One buffer, whose capacity doubles when full, holds the ``rows`` inequality
-    rows; ``add`` writes the row ``assemble`` would append, in O(n).
-    ``system`` is a read-only view of the rows so far with C's equalities; rows
-    never move, so later ``add`` calls leave a system taken earlier unchanged.
-    ``with_cut`` returns the rows plus one more cut, reduced, as a new system.
+    The first ``add`` copies C's rows into one buffer, whose capacity doubles
+    when full, and each ``add`` writes one unit-normal row into it in O(n).
+    ``system`` is a read-only view of the ``rows`` inequality rows so far with
+    C's equalities; rows never move, so later ``add`` calls leave a system
+    taken earlier unchanged.  ``with_cut`` returns the rows plus one more cut,
+    reduced, as a new system.
     """
 
     def __init__(self, C: FeasibleSet):
-        base = assemble(C)
-        self.rows, n = base.G.shape
-        # C's rows and a few cuts before the first doubling
-        self._G, self._h = np.empty((self.rows + 16, n)), np.empty(self.rows + 16)
-        self._G[:self.rows], self._h[:self.rows] = base.G, base.h
-        self._A, self._b = base.A, base.b
-        self._view = base
-        self._basis = _affine_basis(base.A, base.b)
-        # the last with_cut's reduced form, and its rows and kept rows that were stored
-        self._reduced = None, 0, 0
+        if isinstance(C, LinearConstraintSystem):
+            base = C
+        elif isinstance(C, (Box, SimplexSlice)):
+            base = C.constraints
+        else:
+            raise TypeError(f"unsupported feasible set type: {type(C).__name__}")
+        # C's own read-only rows stand in for the buffer until the first add
+        self._G, self._h = base.G, base.h
+        self.rows = base.h.size
+        self._base = self._view = base
+        # the last with_cut's reduced form and the stored rows it covers
+        self._reduced = None, 0
 
     def add(self, normal, point) -> None:
         """Store the cut ``{y : <normal, y - point> <= 0}``; a zero normal adds no row."""
@@ -359,7 +357,9 @@ class ConstraintStore:
         if not rhs.size:
             return
         if self.rows == self._h.size:
-            G, h = np.empty((2 * self.rows, n)), np.empty(2 * self.rows)
+            # room for a few cuts past C's own read-only rows, then doubling
+            capacity = self.rows + 16 if self._h is self._base.h else 2 * self.rows
+            G, h = np.empty((capacity, n)), np.empty(capacity)
             G[:self.rows], h[:self.rows] = self._G, self._h
             self._G, self._h = G, h
         self._G[self.rows], self._h[self.rows] = row[0], rhs[0]
@@ -369,30 +369,30 @@ class ConstraintStore:
     @property
     def system(self) -> LinearConstraintSystem:
         if self._view is None:
-            self._view = _system(self._G[:self.rows], self._h[:self.rows], self._A, self._b)
+            G, h, base = self._G[:self.rows], self._h[:self.rows], self._base
+            self._view = _system(G, h, base.A, base.b)
         return self._view
 
     def with_cut(self, normal, point) -> LinearConstraintSystem:
         """The stored rows and the row of the cut ``(normal, point)`` (none for a
         zero normal) as a new system that owns its arrays, with its reduced form
         attached; the cut is not stored.  The rows not reduced yet and the cut's
-        row are reduced in one ``_reduce`` batch, so each row is reduced once."""
-        n = self._G.shape[1]
+        row are reduced in one ``_reduce`` batch and appended to the previous
+        call's reduced rows, so each row is reduced once."""
+        n, base = self._G.shape[1], self._base
         row, rhs = _unit_rows(as_point(normal, n)[None], as_point(point, n)[None])
         G = np.concatenate([self._G[:self.rows], row])
         h = np.concatenate([self._h[:self.rows], rhs])
-        done, start, before = self._reduced
-        form = _reduce(G[start:], h[start:], *self._basis)
-        if done is not None:
-            arrays = {}
-            for name, end, offset in (
-                    ("rows", before, 0), ("rhs", before, 0), ("kept", before, start),
-                    ("norms", start, 0), ("keep", start, 0), ("position", start, before)):
-                new = getattr(form, name) + offset if offset else getattr(form, name)
-                arrays[name] = np.concatenate([getattr(done, name)[:end], new])
-                arrays[name].flags.writeable = False
-            form = _ReducedForm(*self._basis, **arrays)
-        system = _system(G, h, self._A, self._b)
+        done, start = self._reduced
+        basis = _affine_basis(base.A, base.b) if done is None else (done.y_part, done.Z)
+        form = _reduce(G[start:], h[start:], *basis)
+        if start:
+            arrays = [np.concatenate([getattr(done, name)[:start], getattr(form, name)])
+                      for name in ("rows", "rhs", "norms")]
+            for arr in arrays:
+                arr.flags.writeable = False
+            form = _ReducedForm(*basis, *arrays)
+        system = _system(G, h, base.A, base.b)
         object.__setattr__(system, "_reduced_form", form)
-        self._reduced = form, self.rows, int(form.position[self.rows - 1]) + 1 if self.rows else 0
+        self._reduced = form, self.rows
         return system

@@ -184,6 +184,15 @@ def test_warm_start_ignores_out_of_range_indices():
     np.testing.assert_allclose(sol.point, [0.5, 0.5], atol=1e-10)
 
 
+def test_warm_start_accepts_a_numpy_array():
+    tri = _system([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
+    cold = least_distance(tri, [2.0, 2.0])
+    for warm_start in (np.array([4, 5]), np.array([2, 0])):
+        sol = least_distance(tri, [2.0, 2.0], warm_start=warm_start)
+        np.testing.assert_array_equal(sol.point, cold.point)
+        assert sol.active_set == cold.active_set == [2]
+
+
 def test_warm_start_skips_rows_that_vanish_on_the_equality_subspace():
     # row 0 is parallel to the equality normal, so it is constant on the line
     system = _system(
@@ -290,7 +299,7 @@ def test_the_certificate_computed_on_read_is_the_eager_one(build, x0):
         form.rows, form.rhs, w0, qp.PIVOTS_PER_ROW * max(m + p, 1), None)
     y = form.y_part + form.Z @ w if form.Z is not None else w
     mu = np.zeros(m)
-    for i, lam_i in zip(form.kept[active], lam):
+    for i, lam_i in zip(active, lam):
         mu[i] = lam_i / form.norms[i]
     eager = qp._kkt_residual(system, form.Z, x0, y, mu)
     read_first = least_distance(system, x0)

@@ -193,6 +193,19 @@ def test_simplex_slice_membership():
         SimplexSlice(0.0, 3)
     with pytest.raises(ValueError):
         SimplexSlice(1.0, 0)
+    # refused when built, not later in .constraints, with the field named
+    for a, dim, field in ((5.0, 2.5, "dim"), (5.0, True, "dim"), (5.0, "3", "dim"),
+                          (True, 3, "a"), ("5", 3, "a"), (np.nan, 3, "a"), (np.inf, 3, "a")):
+        with pytest.raises(ValueError, match=f"field {field} "):
+            SimplexSlice(a, dim)
+    # NumPy scalars and 0-d arrays of a numeric dtype are numbers like any other
+    assert SimplexSlice(np.float64(5.0), np.int64(3)).constraints.G.shape == (3, 3)
+    s0 = SimplexSlice(np.array(5.0), np.array(3))
+    assert s0.contains([1.0, 1.0, 3.0]) and s0.constraints.G.shape == (3, 3)
+    for a, dim, field in ((np.array(True), 3, "a"), (np.array([5.0]), 3, "a"),
+                          (5.0, np.array(3.0), "dim"), (5.0, np.array(True), "dim")):
+        with pytest.raises(ValueError, match=f"field {field} "):
+            SimplexSlice(a, dim)
 
 
 def test_polyhedron_membership_and_nonempty_check():
@@ -276,10 +289,11 @@ def test_assemble_skips_whole_space_and_rejects_dimension_mismatch():
 
 
 def test_extending_a_stacked_system_one_halfspace_at_a_time_matches_stacking_all():
-    # the solver grows its constraint store by one cut per iteration; its
-    # trajectories equal those of stacking every cut at once only while the
-    # arrays are identical.  80 cuts take each store through at least two
-    # doublings of its buffer.
+    # one assemble of every cut, assemble chained on its own results and a
+    # store grown one cut per iteration hold the same rows bit for bit: a
+    # zero-normal cut adds no row, a LinearConstraintSystem base keeps its
+    # rows verbatim, and 80 cuts take each store through at least two
+    # doublings of its buffer.  assemble's results own exact-size arrays.
     rng = np.random.default_rng(11)
     sets = [
         Box([0.0, -np.inf, -1.0], [1.0, 2.0, np.inf]),
@@ -302,6 +316,7 @@ def test_extending_a_stacked_system_one_halfspace_at_a_time_matches_stacking_all
             store.add(*cut)
             capacities.add(store._h.size)
         assert stacked.G.shape[0] == store.rows == m + 80
+        assert stacked.G.base is None and stacked.h.base is None
         assert len(capacities) >= 3
         for system in (grown, store.system):
             for name in ("G", "h", "A", "b"):
@@ -353,7 +368,7 @@ def test_a_cut_whose_norm_over_or_underflows_keeps_its_row(normal, row):
 STORE_SETS = [
     SimplexSlice(5.0, 4),
     Box([0.0, -np.inf, -1.0, -2.0], [1.0, 2.0, np.inf, 2.0]),
-    # the first row is constant on the plane sum(y) = 1, so the screen drops it
+    # the first row is constant on the plane sum(y) = 1, so the screen makes it inert
     LinearConstraintSystem(G=[[1.0, 1.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]], h=[2.0, 1.0],
                            A=[[1.0, 1.0, 1.0, 1.0]], b=[1.0]),
 ]
@@ -370,6 +385,7 @@ def test_the_store_reduces_its_rows_as_reduce_does(C):
             normal = np.zeros(4)  # adds no row
         elif k == 11:
             normal = np.ones(4)  # constant on the plane of the slice and of the last set
+            ones = store.rows
         store.add(normal, np.full(4, 2.0) if k == 11 else rng.normal(size=4))
         # the slab of iteration 0 is anchored at x0 itself, so it adds no row
         slab = np.zeros(4) if k == 0 else rng.normal(size=4)
@@ -379,18 +395,25 @@ def test_the_store_reduces_its_rows_as_reduce_does(C):
         np.testing.assert_array_equal(system.G[:store.rows], store.system.G)
         form = sets._reduced_form(system)
         ref = sets._reduce(system.G, system.h, *sets._affine_basis(system.A, system.b))
-        for name in ("keep", "kept", "position"):
-            np.testing.assert_array_equal(getattr(form, name), getattr(ref, name), err_msg=name)
+        # one reduced row per system row, in the system's order
+        assert form.rows.shape[0] == form.rhs.size == form.norms.size == system.G.shape[0]
+        inert = form.norms == np.inf
+        np.testing.assert_array_equal(inert, ref.norms == np.inf)
+        assert not form.rows[inert].any() and not form.rhs[inert].any()
         for name in ("rows", "rhs", "norms"):
-            np.testing.assert_allclose(getattr(form, name), getattr(ref, name),
+            got, want = getattr(form, name), getattr(ref, name)
+            np.testing.assert_array_equal(got[inert], want[inert], err_msg=name)
+            np.testing.assert_allclose(got[~inert], want[~inert],
                                        rtol=0.0, atol=1e-15, err_msg=name)
         arrays = {name: getattr(system, name) for name in "Gh"}
         arrays.update((name, arr) for name, arr in vars(form).items() if arr is not None)
         for name, arr in arrays.items():
             assert not arr.flags.writeable, name
         taken.append((arrays, {name: arr.copy() for name, arr in arrays.items()}))
-    # the ones cut vanishes on the plane of the slice and of the last set
-    assert form.keep.all() == isinstance(C, Box)
+    # the ones cut vanishes on the plane of the slice and of the last set, and
+    # it and the last set's first row are the only inert rows
+    expected = [] if isinstance(C, Box) else [ones] if isinstance(C, SimplexSlice) else [0, ones]
+    np.testing.assert_array_equal(np.flatnonzero(form.norms == np.inf), expected)
     assert len(capacities) >= 3
     # a system taken at iteration k keeps its arrays through the later adds
     for arrays, copies in taken:
