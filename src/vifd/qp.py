@@ -12,9 +12,16 @@ Constraint systems are immutable, so what depends on the system alone (the
 equality basis and the normalised reduced rows, one per system row, with the
 rows constant on the affine subspace screened and made inert:
 ``vifd.sets._reduce``) is computed once and kept on the system object; a system
-from ``ConstraintStore.with_cut`` comes with it.  The active-set iteration
+from ``ConstraintStore.add_with_slab`` comes with it.  The active-set iteration
 works in the system's own row numbering.  A KKT residual is computed when
 first read.  Every solve uses the same feasibility and KKT tolerance, ``TOL``.
+
+Consecutive anchored systems share every stored row bit for bit, so a solve on
+a system from ``add_with_slab`` records its last tight solve in the system's
+link, and the store carries it into the next system.  There, a warm start
+whose rows and ``w0`` are bitwise the carried solve's takes the carried point
+and multipliers in place of its first tight solve, which would compute the
+same bits.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,19 +72,33 @@ class QpSolution:
         return _kkt_residual(*self._certificate)
 
 
+class _TightSolve(NamedTuple):
+    """A tight solve as ``_Link`` keeps it: bitwise what ``_tight_solve`` returns
+    for these active rows and this ``w0`` on rows that share their bits."""
+
+    active: tuple[int, ...]
+    w0: bytes
+    w: np.ndarray
+    lam: tuple[float, ...]
+
+
 def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]):
     """Projection of ``w0`` onto the affine set where the active rows hold with equality."""
     if not active:
         return w0.copy(), []
-    N = M[active].T
-    gram = N.T @ N
-    rhs = M[active] @ w0 - d[active]
+    rows = M[active]
+    gram = rows @ rows.T
+    rhs = rows @ w0 - d[active]
     lam, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
-    return w0 - N @ lam, [float(v) for v in lam]
+    return w0 - rows.T @ lam, lam.tolist()
 
 
-def _dual_active_set(M, d, w0, max_pivots, warm_start):
-    """Dual active-set loop for min ||w - w0|| s.t. M w <= d (rows unit-normalized)."""
+def _dual_active_set(M, d, w0, max_pivots, warm_start, link=None):
+    """Dual active-set loop for min ||w - w0|| s.t. M w <= d (rows unit-normalized).
+
+    A warm start equal to the rows of ``link.carried``, at bitwise its ``w0``,
+    takes that solve as its first tight solve; the last goes to ``link.last``.
+    """
     m = M.shape[0]
     pivots = 0
     active: list[int] = []
@@ -85,11 +107,18 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start):
 
     if warm_start:
         active = list(warm_start)
+        carried = link.carried if link is not None else None
+        if carried is not None and (carried.active != tuple(active)
+                                    or carried.w0 != w0.tobytes()):
+            carried = None
         while True:
             pivots += 1
             if pivots > max_pivots:
                 raise MaxPivots("pivot guard exceeded while warm starting")
-            y, lam = _tight_solve(M, d, w0, active)
+            if carried is not None:
+                y, lam, carried = carried.w, list(carried.lam), None
+            else:
+                y, lam = _tight_solve(M, d, w0, active)
             if not lam or min(lam) >= -TOL:
                 break
             del active[int(np.argmin(lam))]
@@ -120,6 +149,10 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start):
                     y, lam = y2, lam2
                     continue
                 y, lam = y2, lam2
+                if link is not None:
+                    w = y.copy()
+                    w.flags.writeable = False
+                    link.last = _TightSolve(tuple(active), w0.tobytes(), w, tuple(lam))
             return y, active, [max(v, 0.0) for v in lam], pivots
 
         # drive constraint `worst` to feasibility, dropping blockers as needed
@@ -133,13 +166,14 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start):
                 N = M[active].T
                 r, _, _, _ = np.linalg.lstsq(N, row, rcond=None)
                 zdir = row - N @ r
+                r = r.tolist()
             else:
-                r = np.zeros(0)
+                r = []
                 zdir = row.copy()
             zsq = float(zdir @ zdir)
             s_cur = float(row @ y - d[worst])
-            t_full = s_cur / zsq if zsq > 1e-18 else np.inf
-            t_drop, blocker = np.inf, -1
+            t_full = s_cur / zsq if zsq > 1e-18 else math.inf
+            t_drop, blocker = math.inf, -1
             for i, lam_i in enumerate(lam):
                 if r[i] > 1e-12 and lam_i / r[i] < t_drop:
                     t_drop, blocker = lam_i / r[i], i
@@ -188,7 +222,9 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     equality elimination, the screen of rows constant on the affine subspace
     and the normalised reduced rows, numbered as the system's rows) is done on
     the first call for a system, stored on the system object, and reused by
-    later calls; a system from ``ConstraintStore.with_cut`` has it already.
+    later calls; a system from ``ConstraintStore.add_with_slab`` has it
+    already, and carries the previous system's last tight solve, which a
+    ``warm_start`` equal to its rows at bitwise the same ``x0`` reuses.
     Feasibility and the KKT conditions are held to ``TOL``, and the pivot
     guard allows ``PIVOTS_PER_ROW * max(m + p, 1)`` pivots for ``m``
     inequality and ``p`` equality rows.
@@ -229,11 +265,13 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
             i for i in map(int, warm_start) if 0 <= i < m and form.norms[i] < np.inf))
 
     max_pivots = PIVOTS_PER_ROW * max(m + p, 1)
-    w, active, lam, pivots = _dual_active_set(form.rows, form.rhs, w0, max_pivots, warm)
+    w, active, lam, pivots = _dual_active_set(
+        form.rows, form.rhs, w0, max_pivots, warm, system.__dict__.get("_link"))
 
     y = y_part + Z @ w if Z is not None else w
     mu = np.zeros(m)
-    mu[active] = np.array(lam) / form.norms[active]
+    if active:
+        mu[active] = np.array(lam) / form.norms[active]
     return QpSolution(y, active, pivots, (system, Z, x0.copy(), y.copy(), mu))
 
 

@@ -2,8 +2,8 @@
 cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``.
 A projection works on a system's reduced form (``_reduce``), built once per
 system and numbered as the system's rows; the ``ConstraintStore`` writes every
-cut row, keeps its rows' reduced form beside the raw rows and reduces each row
-once."""
+cut row, keeps its rows' reduced form beside the raw rows, reduces each row
+once, and links each anchored system it derives to the one before (``_Link``)."""
 
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         if arr.ndim != 1:
             raise ValueError(f"expected a vector, got array of shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected a vector of length {dim}, got {arr.size}")
@@ -228,7 +228,10 @@ class _ReducedForm:
     affine subspace, was checked feasible when the form was built, and is
     stored as the inert row ``0 <= 0`` with norm ``inf``.  When the equalities
     pin a single point, ``Z`` has no columns and every row is inert.  Every
-    array is read-only.
+    array is read-only.  A system from ``ConstraintStore.add_with_slab``
+    carries a ``_Link`` beside its form: the reduced rows it shares with the
+    system before it are bitwise the same, so that system's last tight solve
+    can stand in for the first one on this system.
     """
 
     y_part: np.ndarray | None
@@ -268,6 +271,19 @@ def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
     return _ReducedForm(y_part, Z, rows, rhs, norms)
 
 
+class _Link:
+    """What ``ConstraintStore.add_with_slab`` carries from one system to the
+    next: ``carried``, the last tight solve on the previous system when it held
+    no slab row tight, and ``last``, the last tight solve on this one, which
+    ``vifd.qp.least_distance`` writes (a ``vifd.qp._TightSolve``, O(|A| + n)
+    values)."""
+
+    __slots__ = ("carried", "last")
+
+    def __init__(self, carried):
+        self.carried, self.last = carried, None
+
+
 def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
     """The reduced form, built on first use and kept on the immutable system."""
     form = system.__dict__.get("_reduced_form")
@@ -279,8 +295,9 @@ def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
 
 def _unit_rows(normals: np.ndarray, points: np.ndarray):
     """One unit-normal row per finite pair with a nonzero normal, which keeps an
-    accumulated system uniformly conditioned; a non-finite row raises ``ValueError``.
-    A normal whose norm over- or underflows is divided by its largest entry first."""
+    accumulated system uniformly conditioned, and the mask of the pairs kept; a
+    non-finite row raises ``ValueError``.  A normal whose norm over- or
+    underflows is divided by its largest entry first."""
     try:
         with np.errstate(over="raise", under="raise"):
             norms = np.linalg.norm(normals, axis=1)
@@ -293,11 +310,24 @@ def _unit_rows(normals: np.ndarray, points: np.ndarray):
             normals = normals / np.where(scaled, scale, 1.0)[:, None]
             norms = np.where(scaled, np.linalg.norm(normals, axis=1), norms)
     keep = norms > 0.0
-    rows = normals[keep] / norms[keep, None]
-    rhs = np.einsum("ij,ij->i", rows, points[keep])
+    if keep.all():
+        rows = normals / norms[:, None]
+    else:
+        rows, points = normals[keep] / norms[keep, None], points[keep]
+    rhs = np.einsum("ij,ij->i", rows, points)
     if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
         raise ValueError("constraint data must be finite")
-    return rows, rhs
+    return rows, rhs, keep
+
+
+def _base_system(C: FeasibleSet) -> LinearConstraintSystem:
+    """The rows of ``C`` as a system: C itself, or a box's or a slice's cached
+    ``constraints``; any other type raises ``TypeError``."""
+    if isinstance(C, LinearConstraintSystem):
+        return C
+    if isinstance(C, (Box, SimplexSlice)):
+        return C.constraints
+    raise TypeError(f"unsupported feasible set type: {type(C).__name__}")
 
 
 def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
@@ -312,10 +342,14 @@ def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
     raises ``TypeError``.
     Cut rows follow in order with unit normals; a zero normal adds no row.
     When no row is added, the base system itself is returned, so
-    ``assemble(C, [])`` is the same object on every call.  Systems are
-    immutable, so sharing them is safe.  Otherwise the result owns exact-size
-    copies of the rows, not a view of the store's spare capacity.
+    ``assemble(C, [])`` is the same object on every call, and no store is
+    built without a cut.  Systems are immutable, so sharing them is safe.
+    Otherwise the result owns exact-size copies of the rows, not a view of
+    the store's spare capacity.
     """
+    cuts = list(cuts)
+    if not cuts:
+        return _base_system(C)
     store = ConstraintStore(C)
     for normal, point in cuts:
         store.add(normal, point)
@@ -328,43 +362,42 @@ def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
 class ConstraintStore:
     """The rows of a feasible set C followed by every cut added so far.
 
-    The first ``add`` copies C's rows into one buffer, whose capacity doubles
-    when full, and each ``add`` writes one unit-normal row into it in O(n).
-    ``system`` is a read-only view of the ``rows`` inequality rows so far with
-    C's equalities; rows never move, so later ``add`` calls leave a system
-    taken earlier unchanged.  ``with_cut`` returns the rows plus one more cut,
-    reduced, as a new system.
+    The first cut copies C's rows into one buffer, whose capacity doubles
+    when full, and each cut is written into it as one unit-normal row in
+    O(n).  ``system`` is a read-only view of the ``rows`` inequality rows so
+    far with C's equalities; rows never move, so later cuts leave a system
+    taken earlier unchanged.  ``add`` stores a cut; ``add_with_slab`` stores
+    one and returns the rows plus a slab row, reduced, as a new system.
     """
 
     def __init__(self, C: FeasibleSet):
-        if isinstance(C, LinearConstraintSystem):
-            base = C
-        elif isinstance(C, (Box, SimplexSlice)):
-            base = C.constraints
-        else:
-            raise TypeError(f"unsupported feasible set type: {type(C).__name__}")
-        # C's own read-only rows stand in for the buffer until the first add
+        base = _base_system(C)
+        # C's own read-only rows stand in for the buffer until the first cut
         self._G, self._h = base.G, base.h
         self.rows = base.h.size
         self._base = self._view = base
-        # the last with_cut's reduced form and the stored rows it covers
-        self._reduced = None, 0
+        # the last add_with_slab's reduced form, the stored rows it covers and
+        # its system's link
+        self._reduced = None, 0, None
+
+    def _write(self, row: np.ndarray, rhs: float) -> None:
+        """Append one unit-normal row, growing the buffer when it is full."""
+        if self.rows == self._h.size:
+            # room for a few cuts past C's own read-only rows, then doubling
+            capacity = self.rows + 16 if self._h is self._base.h else 2 * self.rows
+            G, h = np.empty((capacity, self._G.shape[1])), np.empty(capacity)
+            G[:self.rows], h[:self.rows] = self._G, self._h
+            self._G, self._h = G, h
+        self._G[self.rows], self._h[self.rows] = row, rhs
+        self.rows += 1
+        self._view = None
 
     def add(self, normal, point) -> None:
         """Store the cut ``{y : <normal, y - point> <= 0}``; a zero normal adds no row."""
         n = self._G.shape[1]
-        row, rhs = _unit_rows(as_point(normal, n)[None], as_point(point, n)[None])
-        if not rhs.size:
-            return
-        if self.rows == self._h.size:
-            # room for a few cuts past C's own read-only rows, then doubling
-            capacity = self.rows + 16 if self._h is self._base.h else 2 * self.rows
-            G, h = np.empty((capacity, n)), np.empty(capacity)
-            G[:self.rows], h[:self.rows] = self._G, self._h
-            self._G, self._h = G, h
-        self._G[self.rows], self._h[self.rows] = row[0], rhs[0]
-        self.rows += 1
-        self._view = None
+        row, rhs, kept = _unit_rows(as_point(normal, n)[None], as_point(point, n)[None])
+        if kept[0]:
+            self._write(row[0], rhs[0])
 
     @property
     def system(self) -> LinearConstraintSystem:
@@ -373,17 +406,28 @@ class ConstraintStore:
             self._view = _system(G, h, base.A, base.b)
         return self._view
 
-    def with_cut(self, normal, point) -> LinearConstraintSystem:
-        """The stored rows and the row of the cut ``(normal, point)`` (none for a
-        zero normal) as a new system that owns its arrays, with its reduced form
-        attached; the cut is not stored.  The rows not reduced yet and the cut's
-        row are reduced in one ``_reduce`` batch and appended to the previous
-        call's reduced rows, so each row is reduced once."""
+    def add_with_slab(self, normal, point, slab_normal, slab_point) -> LinearConstraintSystem:
+        """Store the cut ``(normal, point)`` as ``add`` does and return the stored
+        rows and the row of the slab ``(slab_normal, slab_point)`` (none for a
+        zero normal) as a new system that owns its arrays, with its reduced
+        form and a ``_Link`` attached; the slab is not stored.
+
+        The cut and the slab are normalised as one two-row batch.  The rows not
+        reduced yet and the slab row are reduced in one ``_reduce`` batch and
+        appended to the previous call's reduced rows, so each row is reduced
+        once.
+        """
         n, base = self._G.shape[1], self._base
-        row, rhs = _unit_rows(as_point(normal, n)[None], as_point(point, n)[None])
-        G = np.concatenate([self._G[:self.rows], row])
+        rows, rhs, kept = _unit_rows(
+            np.array((as_point(normal, n), as_point(slab_normal, n))),
+            np.array((as_point(point, n), as_point(slab_point, n))))
+        if kept[0]:
+            self._write(rows[0], rhs[0])
+            rows, rhs = rows[1:], rhs[1:]
+        # what is left is the slab's row, or none for a zero slab normal
+        G = np.concatenate([self._G[:self.rows], rows])
         h = np.concatenate([self._h[:self.rows], rhs])
-        done, start = self._reduced
+        done, start, link = self._reduced
         basis = _affine_basis(base.A, base.b) if done is None else (done.y_part, done.Z)
         form = _reduce(G[start:], h[start:], *basis)
         if start:
@@ -392,7 +436,10 @@ class ConstraintStore:
             for arr in arrays:
                 arr.flags.writeable = False
             form = _ReducedForm(*basis, *arrays)
+        last = link.last if link is not None else None
+        link = _Link(last if last is not None and max(last.active) < start else None)
         system = _system(G, h, base.A, base.b)
         object.__setattr__(system, "_reduced_form", form)
-        self._reduced = form, self.rows
+        object.__setattr__(system, "_link", link)
+        self._reduced = form, self.rows, link
         return system

@@ -114,12 +114,14 @@ class SolverParams:
 class Counters:
     """Work done by a run. ``qp_solves`` counts active-set QP solves only: the
     anchored projection of every iteration, and the plain projections onto a C
-    that is not a ``Box``; a projection onto a box is closed form and adds 0."""
+    that is not a ``Box``; a projection onto a box is closed form and adds 0.
+    ``qp_pivots`` sums those solves' pivots (``QpSolution.iterations``)."""
 
     outer_iters: int = 0
     operator_evals: int = 0
     qp_solves: int = 0
     linesearch_probes: int = 0
+    qp_pivots: int = 0
 
 
 @dataclass
@@ -177,13 +179,15 @@ class RunReport:
 
 
 def _project(C: FeasibleSet, y: np.ndarray, counters: Counters | None) -> np.ndarray:
-    """``P_C(y)``: ``np.clip`` on a ``Box``, else one QP solve counted in ``qp_solves``."""
+    """``P_C(y)``: ``np.clip`` on a ``Box``, else one QP solve counted in
+    ``qp_solves`` and ``qp_pivots``."""
     if isinstance(C, Box):
         return np.clip(y, C.lower, C.upper)
-    point = least_distance(assemble(C, []), y).point
+    solution = least_distance(assemble(C, []), y)
     if counters is not None:
         counters.qp_solves += 1
-    return point
+        counters.qp_pivots += solution.iterations
+    return solution.point
 
 
 def compute_z(x, u, beta: float, C: FeasibleSet, counters: Counters | None = None) -> np.ndarray:
@@ -289,7 +293,8 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     The separating halfspace found this iteration is added to the constraint
     store ``state.cuts`` as one row (all cuts are kept).  The slab anchored at
     the current iterate is never stored: the next iterate projects the start
-    point onto the system ``state.cuts.with_cut`` makes of the rows and slab.
+    point onto the system ``state.cuts.add_with_slab`` makes of the rows and
+    slab in the same call that stores the cut.
     Raises :class:`LinesearchFailure` if the linesearch stalls.
     """
     C, T = problem.feasible, problem.operator
@@ -321,17 +326,19 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
         state.cuts = ConstraintStore(C)
     # the store normalises the normal again; scaling it first keeps the row
     # bitwise the one every recorded trajectory was computed with
-    norm = float(np.linalg.norm(ubar))
-    state.cuts.add(ubar / norm if norm > 0.0 else ubar, xbar)
-    system = state.cuts.with_cut(state.x0 - state.x, state.x)
+    norm = math.sqrt(ubar @ ubar)
+    system = state.cuts.add_with_slab(ubar / norm if norm > 0.0 else ubar, xbar,
+                                      state.x0 - state.x, state.x)
     solution = least_distance(system, state.x0, warm_start=state.warm_active or None)
     counters.qp_solves += 1
+    counters.qp_pivots += solution.iterations
     x_next = solution.point
     # stored rows keep their indices in the next iteration's system; the slab
     # row (always last) does not
     state.warm_active = [i for i in solution.active_set if i < state.cuts.rows]
 
-    step_norm = float(np.linalg.norm(x_next - state.x))
+    moved = x_next - state.x
+    step_norm = math.sqrt(moved @ moved)
     state.x = x_next
     counters.outer_iters += 1
     if step_norm <= TOL_STEP4:

@@ -8,11 +8,12 @@ import pytest
 
 from oracle import UnsupportedShape, kkt_residual_lstsq, oracle_project
 from test_solver import run_iterations
+import vifd.solver
 from vifd import qp, sets
 from vifd.operators import make_problem
 from vifd.qp import InfeasibleSystem, MaxPivots, least_distance, simplex_projection
-from vifd.sets import Box, LinearConstraintSystem, SimplexSlice, assemble
-from vifd.solver import SolverParams
+from vifd.sets import Box, ConstraintStore, LinearConstraintSystem, SimplexSlice, assemble
+from vifd.solver import SolverParams, solve
 
 
 def _system(G, h, A=None, b=None):
@@ -364,6 +365,123 @@ def test_a_projected_system_is_not_kept_alive():
     del system
     gc.collect()
     assert ref() is None
+
+
+def _unlinked(system):
+    """An equal system that no store derived, so it carries no tight solve."""
+    return LinearConstraintSystem(system.G, system.h, system.A, system.b)
+
+
+@pytest.fixture
+def tight_solves(monkeypatch):
+    """A list that grows by one on every ``_tight_solve`` call."""
+    calls = []
+    tight_solve = qp._tight_solve
+
+    def counted(*args):
+        calls.append(None)
+        return tight_solve(*args)
+
+    monkeypatch.setattr(qp, "_tight_solve", counted)
+    return calls
+
+
+# runs whose anchored projections reuse the carried tight solve: on a box the
+# solve's point is its own w, on a slice it is mapped back from w
+CARRY_RUNS = [
+    ("hs-quasimonotone", [[0.0, 0.0], [1.0, 0.0]], SolverParams(delta=0.9)),
+    ("ray-setvalued", [[100.0, np.pi / 2], [1500.0, np.pi / 8]],
+     SolverParams(delta=0.5, theta=0.5, tol_residual=1e-30)),
+    ("fractional-simplex", [[0.0, 0.0, 5.0, 0.0, 0.0], [0.0, 2.0, 0.0, 2.0, 1.0]],
+     SolverParams(delta=0.5, theta=0.25, tol_residual=1e-4)),
+]
+
+
+@pytest.mark.parametrize("name, starts, params", CARRY_RUNS, ids=[r[0] for r in CARRY_RUNS])
+def test_a_carried_solve_gives_the_cold_solution(monkeypatch, tight_solves, name, starts, params):
+    # every anchored projection of a run, against the same solve on an equal
+    # system that carries nothing: bitwise the same result, one tight solve
+    # fewer exactly when the last solve on the previous system held rows
+    # tight and no slab row among them, and no harm from a caller that
+    # writes into the point
+    problem = make_problem(name, a=5.0) if name == "fractional-simplex" else make_problem(name)
+    previous = None  # the previous anchored system's slab row and active set
+    outcomes = []
+
+    def checked(system, x0, **kwargs):
+        nonlocal previous
+        if "warm_start" not in kwargs:
+            return least_distance(system, x0, **kwargs)
+        start = len(tight_solves)
+        cold = least_distance(_unlinked(system), x0, **kwargs)
+        middle = len(tight_solves)
+        sol = least_distance(system, x0, **kwargs)
+        saved = middle - start - (len(tight_solves) - middle)
+        assert sol.point.tobytes() == cold.point.tobytes()
+        assert (sol.active_set, sol.iterations) == (cold.active_set, cold.iterations)
+        if previous is not None:
+            slab, active = previous
+            held_slab = slab in active
+            outcomes.append(held_slab)
+            assert saved == (0 if held_slab or not active else 1)
+        else:
+            assert saved == 0
+        # the first anchored system of a run has no slab row (x = x0)
+        previous = (system.G.shape[0] - 1 if previous is not None else None, sol.active_set)
+        out = qp.QpSolution(sol.point.copy(), list(sol.active_set), sol.iterations,
+                            sol._certificate)
+        sol.point[:] = np.nan
+        return out
+
+    monkeypatch.setattr(vifd.solver, "least_distance", checked)
+    for x0 in starts:
+        previous = None
+        solve(problem, x0, params)
+    assert outcomes.count(False) >= 5
+
+
+def test_a_carried_solve_needs_its_rows_its_w0_and_a_derived_system(tight_solves):
+    C = Box([-5.0, -5.0], [5.0, 5.0])
+    x0 = np.zeros(2)
+    store = ConstraintStore(C)
+
+    def count(system, point, warm):
+        start = len(tight_solves)
+        sol = least_distance(system, point, warm_start=warm)
+        return sol, len(tight_solves) - start
+
+    def check(system, point, warm, saved):
+        sol, calls = count(system, point, warm)
+        cold, cold_calls = count(_unlinked(system), point.copy(), warm)
+        assert sol.point.tobytes() == cold.point.tobytes()
+        assert (sol.active_set, sol.iterations) == (cold.active_set, cold.iterations)
+        assert cold_calls - calls == saved
+        return sol
+
+    # iteration 0: x = x0, so no slab row; the cut y1 + y2 <= -2 is tight
+    first = least_distance(store.add_with_slab([1.0, 1.0], [-1.0, -1.0], x0 - x0, x0), x0)
+    assert first.active_set == [4]
+    x1 = first.point
+    system = store.add_with_slab([1.0, -0.5], [-2.0, 0.0], x0 - x1, x1)
+    # another x0, or x0 written in place after a solve, is a miss
+    check(system, np.array([0.0, 1e-300]), [4], 0)
+    moved = x0.copy()
+    check(system, moved, [4], 1)
+    moved[1] = 1e-300
+    check(system, moved, [4], 0)
+    # an equal system that the store did not derive is a miss
+    check(_unlinked(system), x0, [4], 0)
+    check(assemble(C, [([1.0, 1.0], [-1.0, -1.0]), ([1.0, -0.5], [-2.0, 0.0]),
+                       (x0 - x1, x1)]), x0, [4], 0)
+    # the last solve on a system holds its slab row (6) tight, so the next
+    # system, where row 6 is the new cut, carries nothing, even though here
+    # that cut repeats the slab's row and the carried solve would be exact
+    check(system, x0, [4], 1)
+    slab_solve = check(system, x0, [6], 0)
+    assert 6 in slab_solve.active_set
+    x2 = slab_solve.point
+    following = store.add_with_slab([1.0, 1.0], [-1.0, -1.0], x0 - x2, x2)
+    check(following, x0, slab_solve.active_set, 0)
 
 
 def test_simplex_projection_frozen_values():

@@ -386,10 +386,10 @@ def test_the_store_reduces_its_rows_as_reduce_does(C):
         elif k == 11:
             normal = np.ones(4)  # constant on the plane of the slice and of the last set
             ones = store.rows
-        store.add(normal, np.full(4, 2.0) if k == 11 else rng.normal(size=4))
+        point = np.full(4, 2.0) if k == 11 else rng.normal(size=4)
         # the slab of iteration 0 is anchored at x0 itself, so it adds no row
         slab = np.zeros(4) if k == 0 else rng.normal(size=4)
-        system = store.with_cut(slab, rng.normal(size=4))
+        system = store.add_with_slab(normal, point, slab, rng.normal(size=4))
         capacities.add(store._h.size)
         assert system.G.shape[0] == store.rows + (k > 0)
         np.testing.assert_array_equal(system.G[:store.rows], store.system.G)
@@ -419,6 +419,61 @@ def test_the_store_reduces_its_rows_as_reduce_does(C):
     for arrays, copies in taken:
         for name, arr in arrays.items():
             np.testing.assert_array_equal(arr, copies[name], err_msg=name)
+
+
+def _add_then_with_cut(store, done, normal, point, slab_normal, slab_point):
+    """The store's step as two calls, ``add`` and the former ``with_cut``: the
+    reference for ``add_with_slab``.  ``done`` is the last call's reduced form
+    and the stored rows it covers; returns the system's rows, its reduced
+    form and the new ``done``."""
+    store.add(normal, point)
+    n, base = store.system.n, store.system
+    row, rhs, _ = sets._unit_rows(as_point(slab_normal, n)[None], as_point(slab_point, n)[None])
+    G = np.concatenate([store.system.G, row])
+    h = np.concatenate([store.system.h, rhs])
+    form, start = done
+    basis = sets._affine_basis(base.A, base.b) if form is None else (form.y_part, form.Z)
+    new = sets._reduce(G[start:], h[start:], *basis)
+    reduced = [np.concatenate([getattr(form, name)[:start], getattr(new, name)])
+               if start else getattr(new, name) for name in ("rows", "rhs", "norms")]
+    return (G, h), reduced, (sets._ReducedForm(*basis, *reduced), store.rows)
+
+
+@pytest.mark.parametrize("C", STORE_SETS + [Box(-np.ones(20), np.ones(20))],
+                         ids=["slice", "box", "vanishing-row", "box-20"])
+def test_one_store_call_writes_the_rows_of_add_then_with_cut(C):
+    # bit for bit: the raw rows stored, the system's rows and its reduced
+    # rows, through a zero cut normal, the zero slab normal of the first
+    # iteration (x = x0), normals whose squares over- and underflow, and
+    # at least two doublings of the buffer
+    n, m = ConstraintStore(C).system.n, ConstraintStore(C).rows
+    rng = np.random.default_rng(31)
+    store, reference, done = ConstraintStore(C), ConstraintStore(C), (None, 0)
+    capacities = set()
+    for k in range(80):
+        normal, point = rng.normal(size=n), rng.normal(size=n)
+        slab_normal, slab_point = rng.normal(size=n), rng.normal(size=n)
+        if k == 0:
+            slab_normal = np.zeros(n)
+        elif k == 9:
+            normal = np.zeros(n)
+        elif k == 13:
+            normal = normal * 1e200
+        elif k == 17:
+            slab_normal = np.zeros(n)
+            slab_normal[0] = 1e-170
+        args = (normal, point, slab_normal, slab_point)
+        system = store.add_with_slab(*args)
+        (G, h), reduced, done = _add_then_with_cut(reference, done, *args)
+        capacities.add(store._h.size)
+        assert store.rows == reference.rows == m + k + (k < 9)
+        for got, want in [(store.system.G, reference.system.G), (store.system.h, reference.system.h),
+                          (system.G, G), (system.h, h)]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        form = sets._reduced_form(system)
+        for got, want in zip((form.rows, form.rhs, form.norms), reduced):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(capacities) >= 3
 
 
 def test_a_sets_rows_are_built_once_and_shared_read_only():

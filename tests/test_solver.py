@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import vifd.solver
 from vifd import qp, sets
-from vifd.bench import preset_configs
+from vifd.bench import preset_configs, run_reports
 from vifd.operators import (
     DomainError,
     HsQuasimonotone,
@@ -443,6 +443,56 @@ class TestSolve:
         assert plain == 2 * (k + 1)
         assert len(systems) - plain == k
         assert report.counters.qp_solves == len(systems)
+
+    def test_qp_pivots_sums_the_pivots_of_every_qp_solve(self, monkeypatch):
+        pivots = []
+
+        def counted(system, *args, **kwargs):
+            solution = least_distance(system, *args, **kwargs)
+            pivots.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(vifd.solver, "least_distance", counted)
+        runs = [
+            # an infeasible start, projected by one more QP solve
+            (make_problem("fractional-simplex", a=5.0, seed=0), [1.0, 0.0, 5.0, 0.0, 0.0],
+             SolverParams(theta=0.25, tol_residual=1e-4)),
+            (make_problem("hs-quasimonotone"), [0.0, 0.0], SolverParams(delta=0.9)),
+        ]
+        for problem, x0, params in runs:
+            pivots.clear()
+            counters = solve(problem, x0, params).counters
+            assert counters.qp_solves == len(pivots) > 0
+            assert counters.qp_pivots == sum(pivots) > 0
+
+    def test_the_delta_099_row_makes_one_tight_solve_per_anchored_qp(self, monkeypatch):
+        # an anchored QP's warm start takes the tight solve carried from the
+        # previous iteration in place of computing it, so what is left is its
+        # polish; without the carried solve this row makes 2.0 per anchored QP
+        config = preset_configs("table3")[-1]
+        assert config.params.delta == 0.99 and config.seed == 0
+        counts = {"tight": 0, "anchored": 0}
+        anchored = False
+        tight_solve = qp._tight_solve
+
+        def counted_tight_solve(*args):
+            counts["tight"] += anchored
+            return tight_solve(*args)
+
+        def counted(system, *args, **kwargs):
+            nonlocal anchored
+            anchored = "warm_start" in kwargs
+            counts["anchored"] += anchored
+            try:
+                return least_distance(system, *args, **kwargs)
+            finally:
+                anchored = False
+
+        monkeypatch.setattr(qp, "_tight_solve", counted_tight_solve)
+        monkeypatch.setattr(vifd.solver, "least_distance", counted)
+        reports = run_reports(config)
+        assert counts["anchored"] == sum(r.counters.outer_iters for r in reports) > 3000
+        assert counts["tight"] <= 1.01 * counts["anchored"]
 
     def test_a_long_run_reduces_each_row_once_and_computes_no_certificate(self, monkeypatch):
         # counts, not times, so that this guard runs on any machine
