@@ -41,7 +41,7 @@ class SupportResult:
 
     An infinite value means the supremum is not attained and carries no
     maximizer.  When a maximizer is present, its inner product with the query
-    direction reproduces ``value`` exactly.
+    direction reproduces ``value`` exactly.  A NaN value raises ``ValueError``.
     """
 
     value: float
@@ -49,6 +49,8 @@ class SupportResult:
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
+        if math.isnan(self.value):
+            raise ValueError("a support value must not be NaN")
         if math.isinf(self.value):
             if self.maximizer is not None:
                 raise ValueError("an unattained supremum cannot carry a maximizer")

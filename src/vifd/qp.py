@@ -27,6 +27,7 @@ same bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -236,9 +237,10 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     x0 : array_like
         Point to project.
     warm_start : iterable of int, optional
-        Inequality row indices to seed the active set with, typically the
-        ``active_set`` of a previous nearby solve; an index out of range, or
-        of a row constant on the equality subspace, is skipped.
+        Inequality row indices (Python or NumPy integers, not booleans) to seed
+        the active set with, typically the ``active_set`` of a previous nearby
+        solve; an index out of range, or of a row constant on the equality
+        subspace, is skipped, and any other entry raises ``ValueError``.
 
     Returns
     -------
@@ -261,12 +263,16 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     # a warm-start row must exist and must not vanish on the affine subspace
     warm = None
     if warm_start is not None:
+        warm_start = list(warm_start)
+        for i in warm_start:
+            if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
+                raise ValueError(f"warm_start must hold integer row indices, got {warm_start!r}")
         warm = list(dict.fromkeys(
             i for i in map(int, warm_start) if 0 <= i < m and form.norms[i] < np.inf))
 
     max_pivots = PIVOTS_PER_ROW * max(m + p, 1)
     w, active, lam, pivots = _dual_active_set(
-        form.rows, form.rhs, w0, max_pivots, warm, system.__dict__.get("_link"))
+        form.rows, form.rhs, w0, max_pivots, warm, system._link)
 
     y = y_part + Z @ w if Z is not None else w
     mu = np.zeros(m)

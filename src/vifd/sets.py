@@ -3,7 +3,8 @@ cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``.
 A projection works on a system's reduced form (``_reduce``), built once per
 system and numbered as the system's rows; the ``ConstraintStore`` writes every
 cut row, keeps its rows' reduced form beside the raw rows, reduces each row
-once, and links each anchored system it derives to the one before (``_Link``)."""
+once, links each anchored system it derives to the one before (``_Link``), and
+alone knows that system's layout: the slab is its last row and is never stored."""
 
 from __future__ import annotations
 
@@ -189,16 +190,17 @@ class LinearConstraintSystem:
     def contains(self, y, tol: float = 0.0) -> bool:
         return self.max_violation(y) <= tol
 
+    _link = None  # a system from ConstraintStore.add_with_slab has its own
+
 
 FeasibleSet = Union[Box, SimplexSlice, LinearConstraintSystem]
 
 
-def _system(G: np.ndarray, h: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """A system around rows that are already checked, frozen in place without a copy."""
+def _system(G: np.ndarray, h: np.ndarray, A: np.ndarray, b: np.ndarray, **attached):
+    """A system around checked rows, frozen in place without a copy, with ``attached`` set."""
     G.flags.writeable = h.flags.writeable = False
     system = object.__new__(LinearConstraintSystem)
-    for name, value in zip("GhAb", (G, h, A, b)):
-        object.__setattr__(system, name, value)
+    vars(system).update(G=G, h=h, A=A, b=b, **attached)
     return system
 
 
@@ -273,10 +275,10 @@ def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
 
 class _Link:
     """What ``ConstraintStore.add_with_slab`` carries from one system to the
-    next: ``carried``, the last tight solve on the previous system when it held
-    no slab row tight, and ``last``, the last tight solve on this one, which
-    ``vifd.qp.least_distance`` writes (a ``vifd.qp._TightSolve``, O(|A| + n)
-    values)."""
+    next: ``carried``, the last tight solve on the previous system when none of
+    its active rows was that system's slab, and ``last``, the last tight solve
+    on this one, which ``vifd.qp.least_distance`` writes (a
+    ``vifd.qp._TightSolve``, O(|A| + n) values)."""
 
     __slots__ = ("carried", "last")
 
@@ -348,49 +350,47 @@ def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
     the store's spare capacity.
     """
     cuts = list(cuts)
+    base = _base_system(C)
     if not cuts:
-        return _base_system(C)
-    store = ConstraintStore(C)
+        return base
+    store = ConstraintStore(base)
     for normal, point in cuts:
         store.add(normal, point)
-    system = store.system
-    if system is store._base:
-        return system
-    return _system(system.G.copy(), system.h.copy(), system.A, system.b)
+    if store.rows == base.h.size:
+        return base
+    return _system(store._G[:store.rows].copy(), store._h[:store.rows].copy(), base.A, base.b)
 
 
 class ConstraintStore:
-    """The rows of a feasible set C followed by every cut added so far.
+    """The rows of a feasible set C followed by every cut added so far, and the
+    one owner of the anchored systems' layout.
 
-    The first cut copies C's rows into one buffer, whose capacity doubles
-    when full, and each cut is written into it as one unit-normal row in
-    O(n).  ``system`` is a read-only view of the ``rows`` inequality rows so
-    far with C's equalities; rows never move, so later cuts leave a system
-    taken earlier unchanged.  ``add`` stores a cut; ``add_with_slab`` stores
-    one and returns the rows plus a slab row, reduced, as a new system.
+    C's rows are copied into the store's own buffer, with room for 16 cuts and
+    doubling when full, and each cut is written as one unit-normal row in O(n).
+    ``system`` is a read-only view of the ``rows`` inequality rows so far with
+    C's equalities; rows never move, so later cuts leave it unchanged.  ``add``
+    stores a cut; ``add_with_slab`` stores one, returns the rows plus a slab
+    row, reduced, as a new system, and sets its QP's ``warm_start``.
     """
 
     def __init__(self, C: FeasibleSet):
         base = _base_system(C)
-        # C's own read-only rows stand in for the buffer until the first cut
-        self._G, self._h = base.G, base.h
         self.rows = base.h.size
-        self._base = self._view = base
+        self._G = np.concatenate([base.G, np.empty((16, base.n))])
+        self._h = np.concatenate([base.h, np.empty(16)])
+        self._base = base
+        self.warm_start = None
         # the last add_with_slab's reduced form, the stored rows it covers and
         # its system's link
         self._reduced = None, 0, None
 
     def _write(self, row: np.ndarray, rhs: float) -> None:
-        """Append one unit-normal row, growing the buffer when it is full."""
+        """Append one unit-normal row, doubling the buffer when it is full."""
         if self.rows == self._h.size:
-            # room for a few cuts past C's own read-only rows, then doubling
-            capacity = self.rows + 16 if self._h is self._base.h else 2 * self.rows
-            G, h = np.empty((capacity, self._G.shape[1])), np.empty(capacity)
-            G[:self.rows], h[:self.rows] = self._G, self._h
-            self._G, self._h = G, h
+            self._G = np.concatenate([self._G, np.empty_like(self._G)])
+            self._h = np.concatenate([self._h, np.empty_like(self._h)])
         self._G[self.rows], self._h[self.rows] = row, rhs
         self.rows += 1
-        self._view = None
 
     def add(self, normal, point) -> None:
         """Store the cut ``{y : <normal, y - point> <= 0}``; a zero normal adds no row."""
@@ -401,10 +401,8 @@ class ConstraintStore:
 
     @property
     def system(self) -> LinearConstraintSystem:
-        if self._view is None:
-            G, h, base = self._G[:self.rows], self._h[:self.rows], self._base
-            self._view = _system(G, h, base.A, base.b)
-        return self._view
+        base = self._base
+        return _system(self._G[:self.rows], self._h[:self.rows], base.A, base.b)
 
     def add_with_slab(self, normal, point, slab_normal, slab_point) -> LinearConstraintSystem:
         """Store the cut ``(normal, point)`` as ``add`` does and return the stored
@@ -412,12 +410,19 @@ class ConstraintStore:
         zero normal) as a new system that owns its arrays, with its reduced
         form and a ``_Link`` attached; the slab is not stored.
 
+        The slab is always the system's last row, so of the last tight solve on
+        the previous system the active rows below that system's slab keep their
+        index: they become ``warm_start`` (None without a last solve), and the
+        solve is carried into the new system when it dropped none of them.
         The cut and the slab are normalised as one two-row batch.  The rows not
         reduced yet and the slab row are reduced in one ``_reduce`` batch and
         appended to the previous call's reduced rows, so each row is reduced
         once.
         """
         n, base = self._G.shape[1], self._base
+        done, start, link = self._reduced
+        last = link.last if link is not None else None
+        self.warm_start = None if last is None else [i for i in last.active if i < start]
         rows, rhs, kept = _unit_rows(
             np.array((as_point(normal, n), as_point(slab_normal, n))),
             np.array((as_point(point, n), as_point(slab_point, n))))
@@ -427,7 +432,6 @@ class ConstraintStore:
         # what is left is the slab's row, or none for a zero slab normal
         G = np.concatenate([self._G[:self.rows], rows])
         h = np.concatenate([self._h[:self.rows], rhs])
-        done, start, link = self._reduced
         basis = _affine_basis(base.A, base.b) if done is None else (done.y_part, done.Z)
         form = _reduce(G[start:], h[start:], *basis)
         if start:
@@ -436,10 +440,7 @@ class ConstraintStore:
             for arr in arrays:
                 arr.flags.writeable = False
             form = _ReducedForm(*basis, *arrays)
-        last = link.last if link is not None else None
-        link = _Link(last if last is not None and max(last.active) < start else None)
-        system = _system(G, h, base.A, base.b)
-        object.__setattr__(system, "_reduced_form", form)
-        object.__setattr__(system, "_link", link)
+        kept_all = last is not None and len(self.warm_start) == len(last.active)
+        link = _Link(last if kept_all else None)
         self._reduced = form, self.rows, link
-        return system
+        return _system(G, h, base.A, base.b, _reduced_form=form, _link=link)

@@ -127,15 +127,14 @@ class Counters:
 @dataclass
 class SolverState:
     """Mutable loop state: iterate, start point, counters (which count the
-    iterations), the ``ConstraintStore`` ``cuts`` of C's rows and every cut so
-    far (None before the first), and the stored rows active at the last
-    anchored projection."""
+    iterations), and the ``ConstraintStore`` ``cuts`` of C's rows and every cut
+    so far (None before the first), which also holds the next anchored
+    projection's warm start."""
 
     x: np.ndarray
     x0: np.ndarray
     cuts: ConstraintStore | None = None
     counters: Counters = field(default_factory=Counters)
-    warm_active: list[int] = field(default_factory=list)
 
     @classmethod
     def initial(cls, x0) -> "SolverState":
@@ -213,7 +212,8 @@ def linesearch_f(
     At each trial the support of T at ``alpha z + (1 - alpha) x`` along
     ``x - z`` is compared against ``delta <u, x - z>``; the first alpha whose
     support reaches the threshold is returned together with a witness element
-    achieving it and the number of probes spent.
+    achieving it and the number of probes spent; a witness that is not a
+    finite vector of the iterate's length raises ``ValueError``.
 
     Raises :class:`LinesearchFailure` after ``MAX_LINESEARCH_HALVINGS + 1``
     probes without success.
@@ -237,7 +237,7 @@ def linesearch_f(
                 ubar = np.array(result.maximizer)
             else:
                 ubar = T.witness_above(y, direction, threshold)
-            return alpha, ubar, probes
+            return alpha, as_point(ubar, x.size), probes
         alpha *= params.theta
     raise LinesearchFailure(
         f"no admissible step after {probes} probes (alpha reached {alpha:.3e})",
@@ -255,36 +255,35 @@ def step2_stop_check(
 ):
     """Early stop tests on the trial point.
 
-    Returns ``(reason, terminal_point, measured_value)`` when either
+    Returns ``(reason, terminal_point, certificate)``, the certificate a
+    ``StopCertificate`` of the test that fired, when either
     ||x - z||^2 <= tol_residual (the iterate is already stationary) or
     ||z - P_C(z - v)||^2 <= tol_residual for v = select(z) (the trial point
     solves the problem); returns None otherwise.  The second test costs one
     operator evaluation and one projection onto C, which is a QP solve unless
-    C is a ``Box``.
+    C is a ``Box``; a selection that is not a finite vector of the iterate's
+    length raises ``ValueError``.
     """
     x = as_point(x)
     z = as_point(z, x.size)
     residual_sq = float(((x - z) ** 2).sum())
     if residual_sq <= params.tol_residual:
-        return StopReason.RESIDUAL_ZERO_STEP2A, x.copy(), residual_sq
-    v = T.select(z)
+        certificate = StopCertificate("residual_sq_step2a", residual_sq, params.tol_residual)
+        return StopReason.RESIDUAL_ZERO_STEP2A, x.copy(), certificate
+    v = as_point(T.select(z), x.size)
     if counters is not None:
         counters.operator_evals += 1
     reprojected = _project(C, z - v, counters)
     solves_sq = float(((z - reprojected) ** 2).sum())
     if solves_sq <= params.tol_residual:
-        return StopReason.ZK_SOLVES_STEP2B, z.copy(), solves_sq
+        certificate = StopCertificate("residual_sq_step2b", solves_sq, params.tol_residual)
+        return StopReason.ZK_SOLVES_STEP2B, z.copy(), certificate
     return None
 
 
 def _report(state: SolverState, reason: StopReason, terminal: np.ndarray,
             certificate: StopCertificate) -> RunReport:
-    return RunReport(
-        stop_reason=reason,
-        terminal_point=np.array(terminal),
-        terminal_certificate=certificate,
-        counters=state.counters,
-    )
+    return RunReport(reason, np.array(terminal), certificate, state.counters)
 
 
 def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
@@ -294,8 +293,9 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     store ``state.cuts`` as one row (all cuts are kept).  The slab anchored at
     the current iterate is never stored: the next iterate projects the start
     point onto the system ``state.cuts.add_with_slab`` makes of the rows and
-    slab in the same call that stores the cut.
-    Raises :class:`LinesearchFailure` if the linesearch stalls.
+    slab in the same call that stores the cut, warm started at the store's
+    ``warm_start``.  Every stop, a linesearch breakdown included, returns its
+    report; the QP's ``MaxPivots`` and ``InfeasibleSystem`` still raise.
     """
     C, T = problem.feasible, problem.operator
     counters = state.counters
@@ -311,16 +311,14 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
 
     stop = step2_stop_check(state.x, z, T, C, params, counters)
     if stop is not None:
-        reason, terminal, value = stop
-        test = (
-            "residual_sq_step2a"
-            if reason is StopReason.RESIDUAL_ZERO_STEP2A
-            else "residual_sq_step2b"
-        )
-        certificate = StopCertificate(test, value, params.tol_residual)
-        return state, _report(state, reason, terminal, certificate)
+        return state, _report(state, *stop)
 
-    alpha, ubar, _ = linesearch_f(T, state.x, z, u, params, counters)
+    try:
+        alpha, ubar, _ = linesearch_f(T, state.x, z, u, params, counters)
+    except LinesearchFailure as failure:
+        certificate = StopCertificate("linesearch_halvings", float(failure.probes),
+                                      float(MAX_LINESEARCH_HALVINGS))
+        return state, _report(state, StopReason.LINESEARCH_FAILURE, state.x, certificate)
     xbar = alpha * z + (1.0 - alpha) * state.x
     if state.cuts is None:
         state.cuts = ConstraintStore(C)
@@ -329,13 +327,10 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     norm = math.sqrt(ubar @ ubar)
     system = state.cuts.add_with_slab(ubar / norm if norm > 0.0 else ubar, xbar,
                                       state.x0 - state.x, state.x)
-    solution = least_distance(system, state.x0, warm_start=state.warm_active or None)
+    solution = least_distance(system, state.x0, warm_start=state.cuts.warm_start)
     counters.qp_solves += 1
     counters.qp_pivots += solution.iterations
     x_next = solution.point
-    # stored rows keep their indices in the next iteration's system; the slab
-    # row (always last) does not
-    state.warm_active = [i for i in solution.active_set if i < state.cuts.rows]
 
     moved = x_next - state.x
     step_norm = math.sqrt(moved @ moved)
@@ -352,7 +347,7 @@ def solve(problem: ProblemInstance, x0, params: SolverParams | None = None) -> R
 
     A start outside the feasible set is replaced by its projection onto C
     (closed form on a ``Box``, else one QP solve) and flagged in the report.
-    A linesearch breakdown is reported as a stop reason rather than raised.
+    Every stop, a linesearch breakdown included, is ``step``'s report.
     A floating-point overflow, invalid value or division by zero anywhere in
     the run raises ``FloatingPointError`` naming the iteration, as the QP's
     ``MaxPivots`` and ``InfeasibleSystem`` are raised, and prints no warning.
@@ -371,13 +366,7 @@ def solve(problem: ProblemInstance, x0, params: SolverParams | None = None) -> R
             state.counters = counters
             report = None
             while report is None:
-                try:
-                    state, report = step(state, problem, params)
-                except LinesearchFailure as failure:
-                    certificate = StopCertificate(
-                        "linesearch_halvings", float(failure.probes), float(MAX_LINESEARCH_HALVINGS)
-                    )
-                    report = _report(state, StopReason.LINESEARCH_FAILURE, state.x, certificate)
+                state, report = step(state, problem, params)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"numeric breakdown at iteration {counters.outer_iters}: {exc}"

@@ -207,6 +207,15 @@ def test_support_result_validation():
         result.maximizer[0] = 9.0
 
 
+def test_support_result_refuses_a_nan_value():
+    # a NaN value passes no linesearch test, so it would spend the whole
+    # halving budget and end as a linesearch failure
+    with pytest.raises(ValueError, match="NaN"):
+        SupportResult(math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        SupportResult(math.nan, np.array([1.0, 2.0]))
+
+
 def test_support_oracle_consistency_across_operators():
     # wherever a maximizer is reported, it must attain the reported value,
     # and for single-valued operators it must be the selection itself

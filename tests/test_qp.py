@@ -194,6 +194,14 @@ def test_warm_start_accepts_a_numpy_array():
         assert sol.active_set == cold.active_set == [2]
 
 
+@pytest.mark.parametrize("warm_start", [[True], [1.7], ["1"], [np.bool_(True)], [1, None]],
+                         ids=["bool", "float", "str", "numpy-bool", "none"])
+def test_warm_start_refuses_entries_that_are_not_integers(warm_start):
+    tri = _system([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="warm_start"):
+        least_distance(tri, [2.0, 2.0], warm_start=warm_start)
+
+
 def test_warm_start_skips_rows_that_vanish_on_the_equality_subspace():
     # row 0 is parallel to the equality normal, so it is constant on the line
     system = _system(
@@ -438,6 +446,74 @@ def test_a_carried_solve_gives_the_cold_solution(monkeypatch, tight_solves, name
         previous = None
         solve(problem, x0, params)
     assert outcomes.count(False) >= 5
+
+
+@pytest.mark.parametrize("name, starts, params", CARRY_RUNS, ids=[r[0] for r in CARRY_RUNS])
+def test_each_anchored_qp_is_warm_started_at_the_last_active_rows_below_the_slab(
+        monkeypatch, name, starts, params):
+    # the store's warm start against the rule it replaces: the active set of
+    # the previous anchored QP without its slab row, the one row at or past
+    # the stored rows; the previous solve is carried exactly when that rule
+    # drops no row
+    problem = make_problem(name, a=5.0) if name == "fractional-simplex" else make_problem(name)
+    step = vifd.solver.step
+    anchored = []  # (warm start received, carried solve, solution) per anchored QP
+    previous = None  # the previous anchored QP's active set and the rows stored then
+    outcomes = []
+
+    def watched_qp(system, x0, **kwargs):
+        solution = least_distance(system, x0, **kwargs)
+        if "warm_start" in kwargs:
+            anchored.append((kwargs["warm_start"], system._link.carried, solution))
+        return solution
+
+    def watched_step(state, problem, params):
+        nonlocal previous
+        count = len(anchored)
+        state, report = step(state, problem, params)
+        if len(anchored) > count:
+            received, carried, solution = anchored[-1]
+            if previous is None:
+                assert received is None and carried is None
+            else:
+                active, rows = previous
+                kept = [i for i in active if i < rows]
+                assert list(received or ()) == kept
+                assert (carried is not None) == (bool(active) and kept == active)
+                if active:
+                    outcomes.append(kept == active)
+            previous = (list(solution.active_set), state.cuts.rows)
+        return state, report
+
+    monkeypatch.setattr(vifd.solver, "least_distance", watched_qp)
+    monkeypatch.setattr(vifd.solver, "step", watched_step)
+    for x0 in starts:
+        previous = None
+        solve(problem, x0, params)
+    assert outcomes.count(True) >= 5
+
+
+def test_the_store_drops_the_slab_from_its_warm_start_and_then_carries_nothing():
+    C = Box([-5.0, -5.0], [5.0, 5.0])
+    x0 = np.zeros(2)
+    store = ConstraintStore(C)
+    # iteration 0: no last solve; the cut y1 + y2 <= -2 (row 4) is tight
+    system = store.add_with_slab([1.0, 1.0], [-1.0, -1.0], x0 - x0, x0)
+    assert store.warm_start is None and system._link.carried is None
+    first = least_distance(system, x0, warm_start=store.warm_start)
+    assert first.active_set == [4]
+    # row 4 is stored, so it keeps its index and the solve is carried
+    x1 = first.point
+    system = store.add_with_slab([1.0, -0.5], [-2.0, 0.0], x0 - x1, x1)
+    assert store.warm_start == [4] and system._link.carried.active == (4,)
+    # a last solve that holds the slab row (6) tight: that row is the next
+    # system's new cut, so it is dropped and nothing is carried
+    slab_solve = least_distance(system, x0, warm_start=[6])
+    assert 6 in slab_solve.active_set
+    x2 = slab_solve.point
+    following = store.add_with_slab([1.0, 1.0], [-1.0, -1.0], x0 - x2, x2)
+    assert store.warm_start == [i for i in slab_solve.active_set if i != 6]
+    assert following._link.carried is None
 
 
 def test_a_carried_solve_needs_its_rows_its_w0_and_a_derived_system(tight_solves):

@@ -84,7 +84,7 @@ def test_halfspace_zero_normal_is_whole_space():
     assert assemble(space, [([0.0, 0.0], [1.0, 1.0])]) is space
     store = ConstraintStore(space)
     store.add([0.0, 0.0], [1.0, 1.0])
-    assert store.rows == 0 and store.system is space
+    assert store.rows == 0 and store.system.G.shape == (0, 2) and store.system.A is space.A
 
 
 def test_halfspace_arrays_are_read_only():
@@ -324,18 +324,33 @@ def test_extending_a_stacked_system_one_halfspace_at_a_time_matches_stacking_all
                 assert getattr(system, name).dtype == np.float64
 
 
+def test_a_new_store_owns_its_rows_and_a_zero_cut_keeps_the_sets_system():
+    sets = [Box([0.0, -np.inf, -1.0], [1.0, 2.0, np.inf]), SimplexSlice(5.0, 3),
+            LinearConstraintSystem(G=[[1.0, 1.0, 1.0]], h=[3.0], A=[[0.0, 0.0, 1.0]], b=[0.5])]
+    for C in sets:
+        base = assemble(C, [])
+        system = ConstraintStore(C).system
+        for name in ("G", "h"):
+            np.testing.assert_array_equal(getattr(system, name), getattr(base, name))
+            assert not np.shares_memory(getattr(system, name), getattr(base, name)), name
+        assert system.A is base.A and system.b is base.b
+        assert assemble(C, [(np.zeros(3), [1.0, 2.0, 3.0])]) is getattr(C, "constraints", C)
+
+
 def test_a_store_system_keeps_its_rows_when_the_store_grows():
     rng = np.random.default_rng(12)
     C = SimplexSlice(5.0, 4)
     store = ConstraintStore(C)
-    # before any cut the store's system is the set's own
-    assert store.system is assemble(C, [])
+    # before any cut the store's system has the set's own rows
+    for name in ("G", "h", "A", "b"):
+        np.testing.assert_array_equal(getattr(store.system, name), getattr(assemble(C, []), name))
     snapshots = []
     for _ in range(40):
         store.add(rng.normal(size=4), rng.normal(size=4))
         system = store.system
-        # taken twice without an add in between: the same system
-        assert store.system is system
+        # taken twice without an add in between: the same rows
+        for name in ("G", "h", "A", "b"):
+            np.testing.assert_array_equal(getattr(store.system, name), getattr(system, name))
         snapshots.append((system, system.G.copy(), system.h.copy()))
     for system, G, h in snapshots:
         np.testing.assert_array_equal(system.G, G)

@@ -288,6 +288,23 @@ class TestLinesearch:
             linesearch_f(T, [1.0], [0.0], [1.0], params)
         assert info.value.probes == 11
 
+    # SupportResult itself refuses a NaN maximizer
+    @pytest.mark.parametrize("attained, witness", [
+        (True, [1.0, 1.0]), (False, [1.0, 1.0]), (False, [math.nan]),
+    ], ids=["long-maximizer", "long-witness_above", "nan-witness_above"])
+    def test_refuses_a_witness_that_is_not_a_finite_point(self, attained, witness):
+        class Bad(StepFunctionOperator):
+            def support(self, x, d):
+                if attained:
+                    return SupportResult(1.0, np.array(witness))
+                return SupportResult(math.inf)
+
+            def witness_above(self, x, d, threshold):
+                return np.array(witness)
+
+        with pytest.raises(ValueError):
+            linesearch_f(Bad(1.0, 0.0, 1.0), [1.0], [0.0], [1.0], SolverParams())
+
     def test_exit_inequality_on_benchmark_runs(self):
         problem = make_problem("hs-quasimonotone")
         params = SolverParams(delta=0.01)
@@ -311,10 +328,10 @@ class TestStep2:
             [1.0, 1.0], [1.0, 1.0], self.problem.operator, self.problem.feasible,
             SolverParams(),
         )
-        reason, terminal, value = result
+        reason, terminal, certificate = result
         assert reason is StopReason.RESIDUAL_ZERO_STEP2A
         np.testing.assert_array_equal(terminal, [1.0, 1.0])
-        assert value == 0.0
+        assert certificate.value == 0.0
 
     def test_solving_trial_point_stops_second_branch(self):
         counters = Counters()
@@ -322,10 +339,10 @@ class TestStep2:
             [0.5, 0.5], [1.0, 1.0], self.problem.operator, self.problem.feasible,
             SolverParams(), counters,
         )
-        reason, terminal, value = result
+        reason, terminal, certificate = result
         assert reason is StopReason.ZK_SOLVES_STEP2B
         np.testing.assert_array_equal(terminal, [1.0, 1.0])
-        assert value <= 1e-30
+        assert certificate.value <= 1e-30
         assert counters.operator_evals == 1
         # the box reprojection is closed form
         assert counters.qp_solves == 0
@@ -341,6 +358,17 @@ class TestStep2:
         assert counters.operator_evals == 1
         assert counters.qp_solves == 1
 
+    @pytest.mark.parametrize("selection", [[0.0], [0.0, math.nan]], ids=["short", "nan"])
+    def test_refuses_a_selection_that_is_not_a_finite_point(self, selection):
+        # on the 2-D box a one-entry selection would broadcast against z
+        class Bad(HsQuasimonotone):
+            def select(self, x):
+                return np.array(selection)
+
+        with pytest.raises(ValueError):
+            step2_stop_check([0.0, 0.0], [0.0, 1.0], Bad(), self.problem.feasible,
+                             SolverParams())
+
     def test_returns_none_away_from_solutions(self):
         assert (
             step2_stop_check(
@@ -352,7 +380,7 @@ class TestStep2:
 
 
 class TestStep:
-    def test_structure_of_one_iteration(self):
+    def test_structure_of_one_iteration(self, monkeypatch):
         problem = make_problem("hs-quasimonotone")
         params = SolverParams(delta=0.01)
         state = SolverState.initial([0.0, 0.0])
@@ -380,8 +408,31 @@ class TestStep:
         # so it degenerates to the whole space and is not part of the system
         np.testing.assert_array_equal(rec.x_next, state.x)
         # warm start indices must reference rows that keep their position:
-        # the 5 stored rows
-        assert all(0 <= i < 5 for i in state.warm_active)
+        # the 5 stored rows.  The next iteration's projection receives them
+        # (its trial point would stop at step 2b, so that test is skipped).
+        received = []
+
+        def spy(system, x0, warm_start=None):
+            received.append(warm_start)
+            return least_distance(system, x0, warm_start=warm_start)
+
+        monkeypatch.setattr(vifd.solver, "step2_stop_check", lambda *args: None)
+        monkeypatch.setattr(vifd.solver, "least_distance", spy)
+        step(state, problem, params)
+        assert len(received) == 1 and received[0]
+        assert all(0 <= i < 5 for i in received[0])
+
+    def test_a_linesearch_breakdown_is_a_report(self, monkeypatch):
+        # a loop that drives step itself gets a report for this stop too
+        problem = ProblemInstance("jump", StepFunctionOperator(cut=1.0, low=-1.0, high=5.0),
+                                  Box([0.0], [1.0]))
+        monkeypatch.setattr(vifd.solver, "MAX_LINESEARCH_HALVINGS", 8)
+        state, report = step(SolverState.initial([1.0]), problem,
+                             SolverParams(delta=0.99, theta=0.5))
+        assert report.stop_reason is StopReason.LINESEARCH_FAILURE
+        assert report.terminal_certificate.value == 9.0
+        np.testing.assert_array_equal(report.terminal_point, [1.0])
+        assert report.counters is state.counters and state.counters.outer_iters == 0
 
     def test_budget_exhaustion_reports_max_iterations(self):
         problem = make_problem("rho-squared")
