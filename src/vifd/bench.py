@@ -10,9 +10,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .operators import ProblemInstance, make_problem
-from .solver import (
-    RunReport, SolverParams, StopCertificate, StopReason, _integer, _real, solve,
-)
+from .sets import _integer, _real
+from .solver import RunReport, SolverParams, StopCertificate, StopReason, solve
 
 __all__ = [
     "ExperimentConfig",
@@ -60,11 +59,11 @@ class ExperimentConfig:
     """One batch of solves: a problem, a list of starts, and shared parameters.
 
     Each value is checked here, where it enters: ``problem`` is a string,
-    ``starts`` a non-empty list of vectors of finite real numbers, ``a`` None
-    or a finite real number, ``seed`` an integer of at least 0 and ``label``
-    None or a string. Numbers are stored as plain ``float`` and ``int``, so a
-    config built from numpy scalars serializes as json; a bad value raises a
-    ``ValueError`` naming its key.
+    ``params`` a ``SolverParams``, ``starts`` a non-empty list of vectors of
+    finite real numbers, ``a`` None or a finite real number, ``seed`` an
+    integer of at least 0 and ``label`` None or a string. Numbers are stored
+    as plain ``float`` and ``int``, so a config built from numpy scalars
+    serializes as json; a bad value raises a ``ValueError`` naming its key.
     """
 
     problem: str
@@ -77,6 +76,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.problem, str):
             raise ValueError(f"'problem' must be a string, not {self.problem!r}")
+        if not isinstance(self.params, SolverParams):
+            raise ValueError(f"'params' must be a SolverParams, not {self.params!r}")
         if not isinstance(self.starts, (list, tuple)) or not self.starts:
             raise ValueError("'starts' must be a non-empty list of start points")
         self.starts = [_start_point(s) for s in self.starts]
@@ -190,27 +191,37 @@ def _row_dict(row: ResultRow) -> dict:
 
 
 def rows_from_json(text: str) -> list[ResultRow]:
-    """Rebuild result rows, in order, from the list of blocks that :func:`emit` writes as json."""
+    """Rebuild result rows, in order, from the list of blocks that :func:`emit` writes
+    as json; malformed input raises a ``ValueError`` naming the block."""
     blocks = json.loads(text)
     if not isinstance(blocks, list):
         raise ValueError("expected a json list of {'config', 'rows'} blocks")
     rows = []
-    for block in blocks:
-        for entry in block["rows"]:
-            rows.append(
-                ResultRow(
-                    start=np.array(entry["x0"], dtype=float),
-                    iterations=int(entry["iter"]),
-                    operator_evals=int(entry["nT"]),
-                    wall_time_s=float(entry["cpu_s"]),
-                    terminal_point=np.array(entry["sol"], dtype=float),
-                    stop_reason=StopReason(entry["stop_reason"]),
-                    certificate=(
-                        StopCertificate(**entry["certificate"])
-                        if "certificate" in entry else None
-                    ),
+    for index, block in enumerate(blocks):
+        entries = block.get("rows") if isinstance(block, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError(f"block {index} must be a json object with a 'rows' list")
+        for entry in entries:
+            try:
+                rows.append(
+                    ResultRow(
+                        start=np.array(entry["x0"], dtype=float),
+                        iterations=int(entry["iter"]),
+                        operator_evals=int(entry["nT"]),
+                        wall_time_s=float(entry["cpu_s"]),
+                        terminal_point=np.array(entry["sol"], dtype=float),
+                        stop_reason=StopReason(entry["stop_reason"]),
+                        certificate=(
+                            StopCertificate(**entry["certificate"])
+                            if "certificate" in entry else None
+                        ),
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise ValueError(f"block {index}: a row lacks the key {exc.args[0]!r}") from None
+            except TypeError as exc:
+                raise ValueError(f"block {index}: a row or one of its values has the wrong "
+                                 f"type ({exc})") from None
     return rows
 
 

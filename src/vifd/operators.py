@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import Box, FeasibleSet, SimplexSlice, as_point
+from .sets import Box, FeasibleSet, SimplexSlice, _integer, _real, as_point
 
 __all__ = [
     "DomainError",
@@ -304,10 +304,15 @@ def make_problem(
     ``dim`` is required only where the family is dimension-parametric (the
     rho operators); ``a`` scales the feasible set where applicable.  For the
     fractional problem the diagonal curvature h is drawn once, uniformly from
-    [0.1, 1.6], from a generator seeded with ``seed``.  Any other ``name``
-    raises :class:`UnknownProblem`, a ``ValueError`` that lists the registered
-    names.
+    [0.1, 1.6], from a generator seeded with ``seed``.  A ``dim`` other than
+    None or an integer >= 1, an ``a`` other than None or a finite real, or a
+    ``seed`` other than an integer >= 0 (a bool is neither) raises a
+    ``ValueError`` naming its key; any other ``name`` raises
+    :class:`UnknownProblem`, a ``ValueError`` that lists the registered names.
     """
+    dim = None if dim is None else _integer("dim", dim, 1)
+    a = None if a is None else _real("a", a)
+    seed = _integer("seed", seed, 0)
     if name == "hs-quasimonotone":
         if dim not in (None, 2):
             raise ValueError("hs-quasimonotone is two-dimensional")
@@ -318,8 +323,8 @@ def make_problem(
             known_dual_solutions=(np.array([1.0, 1.0]),),
         )
     if name in ("rho-squared", "rho-norm"):
-        n = 1 if dim is None else int(dim)
-        half = 1.0 if a is None else float(a)
+        n = 1 if dim is None else dim
+        half = 1.0 if a is None else a
         variant = "squared" if name == "rho-squared" else "norm"
         return ProblemInstance(
             name=name,
@@ -330,7 +335,7 @@ def make_problem(
     if name == "fractional-simplex":
         if dim not in (None, 5):
             raise ValueError("fractional-simplex is five-dimensional")
-        scale = 5.0 if a is None else float(a)
+        scale = 5.0 if a is None else a
         h = float(np.random.default_rng(seed).uniform(0.1, 1.6))
         return ProblemInstance(
             name=name,

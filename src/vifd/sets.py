@@ -1,13 +1,15 @@
 """Feasible sets, linear constraint systems, and the store of a run's cuts; a
 cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``.
 A projection works on a system's reduced form (``_reduce``), built once per
-system and numbered as the system's rows; the ``ConstraintStore`` writes every
-cut row, keeps its rows' reduced form beside the raw rows, reduces each row
-once, links each anchored system it derives to the one before (``_Link``), and
-alone knows that system's layout: the slab is its last row and is never stored."""
+system and numbered as the system's rows.  The ``ConstraintStore`` keeps only
+C's system and the last anchored system; its one writer, ``add_with_slab``,
+extends that system's stored rows, raw and reduced, by a cut and a slab row,
+links the new system to the last (``_Link``), and alone knows the layout: the
+slab is the last row and is never stored."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +53,26 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected a vector of length {dim}, got {arr.size}")
     return arr
+
+
+def _real(key: str, value) -> float:
+    """``value`` as a finite plain float, else a ``ValueError`` naming ``key``;
+    booleans and strings are not numbers."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValueError(f"{key!r} must be a finite real number, not {value!r}")
+
+
+def _integer(key: str, value, minimum: int) -> int:
+    """``value`` as a plain int of at least ``minimum``, else a ``ValueError``
+    naming ``key``; booleans are not integers."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise ValueError(f"{key!r} must be an integer of at least {minimum}, not {value!r}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -334,7 +356,7 @@ def _base_system(C: FeasibleSet) -> LinearConstraintSystem:
 
 def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
     """The rows of ``C`` followed by one row per cut ``(normal, point)``, the
-    halfspace ``{y : <normal, y - point> <= 0}``, written by ``ConstraintStore.add``.
+    halfspace ``{y : <normal, y - point> <= 0}``.
 
     Box bounds become +-identity rows (infinite bounds are skipped), a simplex
     slice becomes nonnegativity rows plus one all-ones equality, and a
@@ -342,105 +364,86 @@ def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
     contributes its rows verbatim.  A box's or a slice's rows are built once,
     on first use, as its ``constraints`` system.  Any other type of ``C``
     raises ``TypeError``.
-    Cut rows follow in order with unit normals; a zero normal adds no row.
-    When no row is added, the base system itself is returned, so
-    ``assemble(C, [])`` is the same object on every call, and no store is
-    built without a cut.  Systems are immutable, so sharing them is safe.
-    Otherwise the result owns exact-size copies of the rows, not a view of
-    the store's spare capacity.
+    Each cut is checked with ``as_point``, and all cuts are normalised in one
+    ``_unit_rows`` batch; their rows follow in order with unit normals, and a
+    zero normal adds no row.  When no row is added, the base system itself is
+    returned, so ``assemble(C, [])`` is the same object on every call;
+    otherwise the result owns new exact-size arrays.  Systems are immutable,
+    so sharing them is safe.  No store is built.
     """
-    cuts = list(cuts)
     base = _base_system(C)
+    cuts = [(as_point(normal, base.n), as_point(point, base.n)) for normal, point in cuts]
     if not cuts:
         return base
-    store = ConstraintStore(base)
-    for normal, point in cuts:
-        store.add(normal, point)
-    if store.rows == base.h.size:
+    rows, rhs, _ = _unit_rows(np.array([normal for normal, _ in cuts]),
+                              np.array([point for _, point in cuts]))
+    if not rhs.size:
         return base
-    return _system(store._G[:store.rows].copy(), store._h[:store.rows].copy(), base.A, base.b)
+    return _system(np.concatenate([base.G, rows]), np.concatenate([base.h, rhs]), base.A, base.b)
 
 
 class ConstraintStore:
-    """The rows of a feasible set C followed by every cut added so far, and the
+    """The rows of a feasible set C followed by every cut stored so far, and the
     one owner of the anchored systems' layout.
 
-    C's rows are copied into the store's own buffer, with room for 16 cuts and
-    doubling when full, and each cut is written as one unit-normal row in O(n).
-    ``system`` is a read-only view of the ``rows`` inequality rows so far with
-    C's equalities; rows never move, so later cuts leave it unchanged.  ``add``
-    stores a cut; ``add_with_slab`` stores one, returns the rows plus a slab
-    row, reduced, as a new system, and sets its QP's ``warm_start``.
+    The store keeps no buffer: its state is C's system, the last anchored
+    system it returned, the count ``rows`` of stored rows and ``warm_start``,
+    and ``add_with_slab`` is its one writer.  ``system`` is C's own system
+    before the first call, then a read-only view of the last system's first
+    ``rows`` rows with C's equalities, which later calls never change.
     """
 
     def __init__(self, C: FeasibleSet):
-        base = _base_system(C)
-        self.rows = base.h.size
-        self._G = np.concatenate([base.G, np.empty((16, base.n))])
-        self._h = np.concatenate([base.h, np.empty(16)])
-        self._base = base
+        self._base = _base_system(C)
+        self.rows = self._base.h.size
         self.warm_start = None
-        # the last add_with_slab's reduced form, the stored rows it covers and
-        # its system's link
-        self._reduced = None, 0, None
-
-    def _write(self, row: np.ndarray, rhs: float) -> None:
-        """Append one unit-normal row, doubling the buffer when it is full."""
-        if self.rows == self._h.size:
-            self._G = np.concatenate([self._G, np.empty_like(self._G)])
-            self._h = np.concatenate([self._h, np.empty_like(self._h)])
-        self._G[self.rows], self._h[self.rows] = row, rhs
-        self.rows += 1
-
-    def add(self, normal, point) -> None:
-        """Store the cut ``{y : <normal, y - point> <= 0}``; a zero normal adds no row."""
-        n = self._G.shape[1]
-        row, rhs, kept = _unit_rows(as_point(normal, n)[None], as_point(point, n)[None])
-        if kept[0]:
-            self._write(row[0], rhs[0])
+        self._last = None
 
     @property
     def system(self) -> LinearConstraintSystem:
-        base = self._base
-        return _system(self._G[:self.rows], self._h[:self.rows], base.A, base.b)
+        base, last = self._base, self._last
+        if last is None:
+            return base
+        return _system(last.G[:self.rows], last.h[:self.rows], base.A, base.b)
 
     def add_with_slab(self, normal, point, slab_normal, slab_point) -> LinearConstraintSystem:
-        """Store the cut ``(normal, point)`` as ``add`` does and return the stored
-        rows and the row of the slab ``(slab_normal, slab_point)`` (none for a
-        zero normal) as a new system that owns its arrays, with its reduced
-        form and a ``_Link`` attached; the slab is not stored.
+        """Store the cut ``(normal, point)`` and return the stored rows and the
+        row of the slab ``(slab_normal, slab_point)``, normalised as one two-row
+        batch, as a new system with its reduced form and a ``_Link`` attached;
+        a zero normal adds no row, and the slab is not stored.
 
-        The slab is always the system's last row, so of the last tight solve on
-        the previous system the active rows below that system's slab keep their
+        The system is one ``np.concatenate`` of the last system's stored rows
+        (C's before the first call) with the new rows, so it owns its arrays.
+        The slab is always its last row, so of the last tight solve on the
+        previous system the active rows below that system's slab keep their
         index: they become ``warm_start`` (None without a last solve), and the
-        solve is carried into the new system when it dropped none of them.
-        The cut and the slab are normalised as one two-row batch.  The rows not
-        reduced yet and the slab row are reduced in one ``_reduce`` batch and
-        appended to the previous call's reduced rows, so each row is reduced
-        once.
+        solve is carried when it dropped none of them.  The first call reduces
+        C's rows with the first cut and slab in one ``_reduce`` batch (reduced
+        alone, a one-row product may round differently); each later call
+        reduces only its new rows and extends the previous reduced rows.
         """
-        n, base = self._G.shape[1], self._base
-        done, start, link = self._reduced
-        last = link.last if link is not None else None
-        self.warm_start = None if last is None else [i for i in last.active if i < start]
+        base, previous, stored = self._base, self._last, self.rows
+        n = base.n
+        last = None if previous is None else previous._link.last
+        self.warm_start = None if last is None else [i for i in last.active if i < stored]
         rows, rhs, kept = _unit_rows(
             np.array((as_point(normal, n), as_point(slab_normal, n))),
             np.array((as_point(point, n), as_point(slab_point, n))))
-        if kept[0]:
-            self._write(rows[0], rhs[0])
-            rows, rhs = rows[1:], rhs[1:]
-        # what is left is the slab's row, or none for a zero slab normal
-        G = np.concatenate([self._G[:self.rows], rows])
-        h = np.concatenate([self._h[:self.rows], rhs])
-        basis = _affine_basis(base.A, base.b) if done is None else (done.y_part, done.Z)
-        form = _reduce(G[start:], h[start:], *basis)
-        if start:
-            arrays = [np.concatenate([getattr(done, name)[:start], getattr(form, name)])
+        source = base if previous is None else previous
+        G = np.concatenate([source.G[:stored], rows])
+        h = np.concatenate([source.h[:stored], rhs])
+        if previous is None:
+            form = _reduce(G, h, *_affine_basis(base.A, base.b))
+        else:
+            done = previous._reduced_form
+            new = _reduce(G[stored:], h[stored:], done.y_part, done.Z)
+            arrays = [np.concatenate([getattr(done, name)[:stored], getattr(new, name)])
                       for name in ("rows", "rhs", "norms")]
             for arr in arrays:
                 arr.flags.writeable = False
-            form = _ReducedForm(*basis, *arrays)
+            form = _ReducedForm(done.y_part, done.Z, *arrays)
         kept_all = last is not None and len(self.warm_start) == len(last.active)
-        link = _Link(last if kept_all else None)
-        self._reduced = form, self.rows, link
-        return _system(G, h, base.A, base.b, _reduced_form=form, _link=link)
+        self.rows += int(kept[0])
+        self._last = _system(G, h, base.A, base.b, _reduced_form=form,
+                             _link=_Link(last if kept_all else None))
+        return self._last

@@ -20,7 +20,6 @@ monotonically while consecutive steps stay square-summable.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,7 +28,7 @@ import numpy as np
 
 from .operators import ProblemInstance, SetValuedOperator
 from .qp import least_distance
-from .sets import Box, ConstraintStore, FeasibleSet, as_point, assemble
+from .sets import Box, ConstraintStore, FeasibleSet, _integer, _real, as_point, assemble
 
 __all__ = [
     "SolverParams",
@@ -59,26 +58,6 @@ class LinesearchFailure(RuntimeError):
     def __init__(self, message: str, probes: int):
         super().__init__(message)
         self.probes = probes
-
-
-def _real(key: str, value) -> float:
-    """``value`` as a finite plain float, else a ``ValueError`` naming ``key``;
-    booleans and strings are not numbers."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise ValueError(f"{key!r} must be a finite real number, not {value!r}")
-
-
-def _integer(key: str, value, minimum: int) -> int:
-    """``value`` as a plain int of at least ``minimum``, else a ``ValueError``
-    naming ``key``; booleans are not integers."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum:
-        return int(value)
-    raise ValueError(f"{key!r} must be an integer of at least {minimum}, not {value!r}")
 
 
 @dataclass

@@ -62,6 +62,12 @@ class TestExperimentConfig:
         config = _hs_config(starts=[(0, 1), np.array([1, 0]), np.array([0.5, 0.5], np.float32)])
         assert all(s.dtype == float for s in config.starts)
 
+    def test_refuses_params_that_are_not_solver_params(self):
+        # a dict or None would build and solve, then fail in run_experiment or emit
+        for bad in (None, {"delta": 0.5}, 0.5, "default"):
+            with pytest.raises(ValueError, match="'params'"):
+                _hs_config(params=bad)
+
     def test_dim_and_problem_build(self):
         config = ExperimentConfig(problem="rho-norm", starts=[[0.1] * 7], a=2.0)
         assert config.dim == 7
@@ -197,6 +203,26 @@ class TestEmit:
         assert len(json_rows) == 2
         table_text = emit(results, "table")
         assert "one" in table_text and "two" in table_text
+
+
+def test_rows_from_json_refuses_malformed_blocks_and_rows():
+    row = {"x0": [0.5], "iter": 1, "nT": 2, "cpu_s": 0.1, "sol": [0.5],
+           "stop_reason": StopReason.MAX_ITERATIONS.value}
+    cases = [
+        ([{"rows": [{}]}], r"block 0: .*'x0'"),
+        ([1], r"block 0 .*'rows'"),
+        ([{"config": {}}], r"block 0 .*'rows'"),
+        ([{"rows": 5}], r"block 0 .*'rows'"),
+        ([{"rows": [row]}, {"rows": [[0.5]]}], r"block 1: .*type"),
+        ([{"rows": [{**row, "iter": None}]}], r"block 0: .*type"),
+        ([{"rows": [{**row, "certificate": 3}]}], r"block 0: .*type"),
+        ([{"rows": [row, {k: v for k, v in row.items() if k != "stop_reason"}]}],
+         r"block 0: .*'stop_reason'"),
+    ]
+    for blocks, message in cases:
+        with pytest.raises(ValueError, match=message):
+            rows_from_json(json.dumps(blocks))
+    assert rows_from_json(json.dumps([{"rows": [row]}]))[0].iterations == 1
 
 
 def _row_with_reason(reason):

@@ -292,6 +292,26 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_problem("hs-quasimonotone", dim=3)
 
+    def test_refuses_arguments_that_are_not_numbers_of_their_kind(self):
+        # each refused before any problem is built, naming its key
+        for name, key, bad in [("rho-norm", "dim", 2.5), ("rho-norm", "dim", True),
+                               ("rho-norm", "dim", 0), ("rho-norm", "dim", "2"),
+                               ("hs-quasimonotone", "dim", 2.0), ("rho-squared", "a", "2"),
+                               ("rho-squared", "a", True), ("rho-squared", "a", math.nan),
+                               ("fractional-simplex", "a", True),
+                               ("fractional-simplex", "a", math.inf),
+                               ("fractional-simplex", "seed", 2.5),
+                               ("fractional-simplex", "seed", True),
+                               ("fractional-simplex", "seed", -1),
+                               ("fractional-simplex", "seed", "3")]:
+            with pytest.raises(ValueError, match=repr(key)):
+                make_problem(name, **{key: bad})
+        # numpy integers and reals are numbers of their kind
+        p = make_problem("rho-squared", dim=np.int64(3), a=np.float32(2.0))
+        assert p.dim == 3 and type(p.operator.a) is float and p.operator.a == 2.0
+        q = make_problem("fractional-simplex", a=np.int64(10), seed=np.uint8(4))
+        assert q.operator.h == make_problem("fractional-simplex", a=10.0, seed=4).operator.h
+
     def test_rho_instances(self):
         p = make_problem("rho-squared", dim=4, a=2.0)
         assert p.dim == 4

@@ -493,6 +493,48 @@ def test_each_anchored_qp_is_warm_started_at_the_last_active_rows_below_the_slab
     assert outcomes.count(True) >= 5
 
 
+@pytest.mark.parametrize("name, starts, params", CARRY_RUNS, ids=[r[0] for r in CARRY_RUNS])
+def test_the_store_system_is_the_stored_rows_of_the_last_anchored_system(
+        monkeypatch, name, starts, params):
+    # after every iteration the store's system is, bit for bit, the first
+    # ``rows`` rows of the anchored system that the iteration projected onto,
+    # with C's equalities; that system starts with C's rows and every earlier
+    # stored row, and past them holds at most one row, the slab
+    problem = make_problem(name, a=5.0) if name == "fractional-simplex" else make_problem(name)
+    base = assemble(problem.feasible, [])
+    step = vifd.solver.step
+    anchored = []
+    checked = 0
+
+    def watched_qp(system, x0, **kwargs):
+        if "warm_start" in kwargs:
+            anchored.append(system)
+        return least_distance(system, x0, **kwargs)
+
+    def watched_step(state, problem, params):
+        nonlocal previous, checked
+        count = len(anchored)
+        state, report = step(state, problem, params)
+        if len(anchored) > count:
+            system, rows, stored = anchored[-1], state.cuts.rows, state.cuts.system
+            assert system.G.shape[0] - rows in (0, 1)
+            for got, want in ((stored.G, system.G[:rows]), (stored.h, system.h[:rows]),
+                              (system.G[:previous[0].shape[0]], previous[0]),
+                              (system.h[:previous[1].size], previous[1])):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert stored.A is system.A is base.A and stored.b is system.b is base.b
+            previous = stored.G.copy(), stored.h.copy()
+            checked += 1
+        return state, report
+
+    monkeypatch.setattr(vifd.solver, "least_distance", watched_qp)
+    monkeypatch.setattr(vifd.solver, "step", watched_step)
+    for x0 in starts:
+        previous = base.G, base.h
+        solve(problem, x0, params)
+    assert checked >= 5
+
+
 def test_the_store_drops_the_slab_from_its_warm_start_and_then_carries_nothing():
     C = Box([-5.0, -5.0], [5.0, 5.0])
     x0 = np.zeros(2)
