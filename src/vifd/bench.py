@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .operators import ProblemInstance, make_problem
-from .sets import _integer, _real
+from .sets import _integer, _point, _real
 from .solver import RunReport, SolverParams, StopCertificate, StopReason, solve
 
 __all__ = [
@@ -36,32 +35,15 @@ _SOLVER_KEYS = tuple(f.name for f in fields(SolverParams))
 _ENTRY_KEYS = {"problem", "starts", "a", "seed", "label", *_SOLVER_KEYS}
 
 
-def _start_point(start) -> np.ndarray:
-    """``start`` as a float vector; it must be a non-empty list, tuple or 1-D
-    array of finite real numbers, and booleans and strings are not numbers."""
-    if isinstance(start, np.ndarray):
-        numeric = start.dtype.kind in "iuf"
-    else:
-        numeric = isinstance(start, (list, tuple)) and all(
-            isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_)) for v in start
-        )
-    try:
-        point = np.asarray(start, dtype=float) if numeric else None
-    except OverflowError:  # an integer too large for a float
-        point = None
-    if point is None or point.ndim != 1 or point.size == 0 or not np.isfinite(point).all():
-        raise ValueError(f"'starts' entries must be vectors of finite numbers, not {start!r}")
-    return point
-
-
 @dataclass
 class ExperimentConfig:
     """One batch of solves: a problem, a list of starts, and shared parameters.
 
     Each value is checked here, where it enters: ``problem`` is a string,
-    ``params`` a ``SolverParams``, ``starts`` a non-empty list of vectors of
-    finite real numbers, ``a`` None or a finite real number, ``seed`` an
-    integer of at least 0 and ``label`` None or a string. Numbers are stored
+    ``params`` a ``SolverParams``, ``starts`` a non-empty list of non-empty
+    lists, tuples or 1-D arrays that ``as_point`` accepts, ``a`` None or a
+    finite real number, ``seed`` an integer of at least 0 and ``label`` None
+    or a string; numbers follow the rule of ``vifd.sets``. Numbers are stored
     as plain ``float`` and ``int``, so a config built from numpy scalars
     serializes as json; a bad value raises a ``ValueError`` naming its key.
     """
@@ -80,7 +62,11 @@ class ExperimentConfig:
             raise ValueError(f"'params' must be a SolverParams, not {self.params!r}")
         if not isinstance(self.starts, (list, tuple)) or not self.starts:
             raise ValueError("'starts' must be a non-empty list of start points")
-        self.starts = [_start_point(s) for s in self.starts]
+        for s in self.starts:
+            vector = isinstance(s, (list, tuple)) or isinstance(s, np.ndarray) and s.ndim == 1
+            if not vector or not len(s):
+                raise ValueError(f"'starts' entries must be non-empty vectors, not {s!r}")
+        self.starts = [_point("starts", s) for s in self.starts]
         dims = {s.size for s in self.starts}
         if len(dims) != 1:
             raise ValueError("all start points must share one dimension")
@@ -190,9 +176,19 @@ def _row_dict(row: ResultRow) -> dict:
     return out
 
 
+def _certificate(test, value, tolerance) -> StopCertificate:
+    """A row's certificate: ``test`` a string, ``value`` and ``tolerance`` finite reals."""
+    if not isinstance(test, str):
+        raise ValueError(f"'test' must be a string, not {test!r}")
+    return StopCertificate(test, _real("value", value), _real("tolerance", tolerance))
+
+
 def rows_from_json(text: str) -> list[ResultRow]:
     """Rebuild result rows, in order, from the list of blocks that :func:`emit` writes
-    as json; malformed input raises a ``ValueError`` naming the block."""
+    as json, each value read by the rule of ``vifd.sets``: ``x0`` and ``sol``
+    through ``as_point``, ``iter`` and ``nT`` as integers of at least 0, ``cpu_s``
+    as a finite real, and a ``certificate`` as ``_certificate`` reads it.
+    Malformed input raises a ``ValueError`` naming the block and the key."""
     blocks = json.loads(text)
     if not isinstance(blocks, list):
         raise ValueError("expected a json list of {'config', 'rows'} blocks")
@@ -203,25 +199,23 @@ def rows_from_json(text: str) -> list[ResultRow]:
             raise ValueError(f"block {index} must be a json object with a 'rows' list")
         for entry in entries:
             try:
-                rows.append(
-                    ResultRow(
-                        start=np.array(entry["x0"], dtype=float),
-                        iterations=int(entry["iter"]),
-                        operator_evals=int(entry["nT"]),
-                        wall_time_s=float(entry["cpu_s"]),
-                        terminal_point=np.array(entry["sol"], dtype=float),
-                        stop_reason=StopReason(entry["stop_reason"]),
-                        certificate=(
-                            StopCertificate(**entry["certificate"])
-                            if "certificate" in entry else None
-                        ),
-                    )
-                )
+                rows.append(ResultRow(
+                    start=_point("x0", entry["x0"]),
+                    iterations=_integer("iter", entry["iter"], 0),
+                    operator_evals=_integer("nT", entry["nT"], 0),
+                    wall_time_s=_real("cpu_s", entry["cpu_s"]),
+                    terminal_point=_point("sol", entry["sol"]),
+                    stop_reason=StopReason(entry["stop_reason"]),
+                    certificate=(_certificate(**entry["certificate"])
+                                 if "certificate" in entry else None),
+                ))
             except KeyError as exc:
                 raise ValueError(f"block {index}: a row lacks the key {exc.args[0]!r}") from None
             except TypeError as exc:
                 raise ValueError(f"block {index}: a row or one of its values has the wrong "
                                  f"type ({exc})") from None
+            except ValueError as exc:
+                raise ValueError(f"block {index}: {exc}") from None
     return rows
 
 

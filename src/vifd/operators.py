@@ -126,18 +126,15 @@ class HsQuasimonotone(_SingletonOperator):
 class RhoOperator(_SingletonOperator):
     """Operator with all components equal to a scalar field rho(x) on [-a, a]^n.
 
-    ``variant`` picks rho: "squared" uses ||x||^2, "norm" uses ||x||.
+    ``variant`` picks rho: "squared" uses ||x||^2, "norm" uses ||x||.  ``dim``, an
+    integer >= 1, and ``a``, a real > 0, are checked by ``vifd.sets``.
     """
 
     def __init__(self, dim: int, a: float = 1.0, variant: str = "squared"):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if not a > 0.0:
-            raise ValueError("box half-width a must be positive")
+        self.dim = _integer("dim", dim, 1)
+        self.a = _real("a", a, 0.0)
         if variant not in ("squared", "norm"):
             raise ValueError("variant must be 'squared' or 'norm'")
-        self.dim = dim
-        self.a = float(a)
         self.variant = variant
 
     def select(self, x) -> np.ndarray:
@@ -163,18 +160,14 @@ class FractionalGradient(_SingletonOperator):
     the all-ones vector, where x* = (a/5)(1, ..., 1), and projecting onto the
     slice ignores that multiple.  The problem is therefore a strongly monotone
     affine VI whose modulus and Lipschitz constant are both h/a, with x* its
-    unique solution.
+    unique solution.  ``a`` and ``h``, reals > 0, are checked by ``vifd.sets``.
     """
 
     dim = 5
 
     def __init__(self, a: float = 5.0, h: float = 1.0):
-        if not a > 0.0:
-            raise ValueError("simplex scale a must be positive")
-        if not h > 0.0:
-            raise ValueError("curvature h must be positive")
-        self.a = float(a)
-        self.h = float(h)
+        self.a = _real("a", a, 0.0)
+        self.h = _real("h", h, 0.0)
 
     def objective(self, x) -> float:
         x = as_point(x, self.dim)

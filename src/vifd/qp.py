@@ -27,14 +27,14 @@ same bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .sets import TOL, InfeasibleSystem, LinearConstraintSystem, _reduced_form, as_point
+from .sets import (TOL, InfeasibleSystem, LinearConstraintSystem, _is_number, _real,
+                   _reduced_form, as_point)
 
 __all__ = [
     "QpSolution",
@@ -265,7 +265,7 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     if warm_start is not None:
         warm_start = list(warm_start)
         for i in warm_start:
-            if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
+            if type(i) is not int and not _is_number(i, "iu"):
                 raise ValueError(f"warm_start must hold integer row indices, got {warm_start!r}")
         warm = list(dict.fromkeys(
             i for i in map(int, warm_start) if 0 <= i < m and form.norms[i] < np.inf))
@@ -282,10 +282,9 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
 
 
 def simplex_projection(v, a: float = 1.0) -> np.ndarray:
-    """Exact sort-threshold projection of ``v`` onto ``{x >= 0, sum(x) = a}``, finite ``a > 0``."""
+    """Exact sort-threshold projection of ``v`` onto ``{x >= 0, sum(x) = a}``, real ``a > 0``."""
     v = as_point(v)
-    if not 0.0 < a < np.inf:
-        raise ValueError("simplex scale a must be positive and finite")
+    a = _real("a", a, 0.0)
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u)
     counts = np.arange(1, v.size + 1)

@@ -1,5 +1,6 @@
-"""Feasible sets, linear constraint systems, and the store of a run's cuts; a
-cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``.
+"""Feasible sets, linear constraint systems, the store of a run's cuts, and the
+one rule for what counts as a number (``as_point``, ``_real``, ``_integer``).
+A cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``.
 A projection works on a system's reduced form (``_reduce``), built once per
 system and numbered as the system's rows.  The ``ConstraintStore`` keeps only
 C's system and the last anchored system; its one writer, ``add_with_slab``,
@@ -36,16 +37,30 @@ class InfeasibleSystem(RuntimeError):
     """The constraint system has no feasible point."""
 
 
+def _floats(value, name: str = "vector") -> np.ndarray:
+    """``value`` as a float64 array, else a ``ValueError`` naming ``name``: its
+    dtype must be an integer or float kind (not bool, string or object, as for
+    an integer too large for a float), and a list or tuple, which NumPy turns
+    into floats, must hold no boolean."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or isinstance(value, (list, tuple)) and any(
+            isinstance(v, bool) or getattr(v, "dtype", None) == bool
+            for v in np.asarray(value, dtype=object).flat):
+        raise ValueError(f"{name} entries must be real numbers, not {value!r}")
+    return np.asarray(arr, dtype=float)
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float vector, optionally of a fixed length.
+    """``x`` as a finite 1-D float vector, optionally of a fixed length.
 
     A 1-D float64 ``np.ndarray`` is checked and returned as it is, the same
-    object, as ``np.asarray`` would; anything else is converted first.
+    object, as ``np.asarray`` would; anything else is converted by ``_floats``,
+    and a scalar becomes a vector of length 1.  A refusal is a ``ValueError``.
     """
     if type(x) is np.ndarray and x.ndim == 1 and x.dtype == _FLOAT:
         arr = x
     else:
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        arr = np.atleast_1d(_floats(x))
         if arr.ndim != 1:
             raise ValueError(f"expected a vector, got array of shape {arr.shape}")
     if not np.logical_and.reduce(np.isfinite(arr)):
@@ -55,22 +70,38 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _real(key: str, value) -> float:
-    """``value`` as a finite plain float, else a ``ValueError`` naming ``key``;
-    booleans and strings are not numbers."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer too large for a float
-            pass
-    raise ValueError(f"{key!r} must be a finite real number, not {value!r}")
+def _point(key: str, x, dim: int | None = None) -> np.ndarray:
+    """``as_point(x, dim)``, its refusal re-raised naming ``key``."""
+    try:
+        return as_point(x, dim)
+    except ValueError as exc:
+        raise ValueError(f"{key!r}: {exc}") from None
+
+
+def _is_number(value, kinds: str) -> bool:
+    """Whether ``value`` is a finite number, of a dtype kind in ``kinds``, that a
+    float can hold: a Python or NumPy number or a 0-d array, not a boolean."""
+    kind = ("f" if isinstance(value, float) else  # np.float64 is a float
+            value.dtype.kind if isinstance(value, np.ndarray) and value.ndim == 0 else
+            "b" if isinstance(value, bool) or not isinstance(value, numbers.Real) else
+            "i" if isinstance(value, numbers.Integral) else "f")
+    try:
+        return kind in kinds and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _real(key: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a plain float in (``low``, ``high``), else a ``ValueError`` naming ``key``."""
+    if _is_number(value, "iuf") and low < (number := float(value)) < high:
+        return number
+    bounds = "" if (low, high) == (-math.inf, math.inf) else f" in ({low:g}, {high:g})"
+    raise ValueError(f"{key!r} must be a finite real number{bounds}, not {value!r}")
 
 
 def _integer(key: str, value, minimum: int) -> int:
-    """``value`` as a plain int of at least ``minimum``, else a ``ValueError``
-    naming ``key``; booleans are not integers."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum:
+    """``value`` as a plain int of at least ``minimum``, else a ``ValueError`` naming ``key``."""
+    if _is_number(value, "iu") and value >= minimum:
         return int(value)
     raise ValueError(f"{key!r} must be an integer of at least {minimum}, not {value!r}")
 
@@ -89,8 +120,8 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.atleast_1d(_floats(self.lower, "'lower'"))
+        upper = np.atleast_1d(_floats(self.upper, "'upper'"))
         if lower.ndim != 1 or upper.shape != lower.shape:
             raise ValueError("box bounds must be two vectors of equal length")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
@@ -125,21 +156,14 @@ class Box:
 
 @dataclass(frozen=True, eq=False)
 class SimplexSlice:
-    """Scaled simplex ``{x >= 0, sum(x) = a}`` with ``a > 0``."""
+    """Scaled simplex ``{x >= 0, sum(x) = a}``, ``a`` a real > 0 and ``dim`` an integer >= 1."""
 
     a: float
     dim: int
 
     def __post_init__(self):
-        a, dim = self.a, self.dim
-        def kind(x):  # a 0-d NumPy array of a numeric dtype counts as a number
-            return np.asarray(x).dtype.kind if np.ndim(x) == 0 else None
-        real = isinstance(a, numbers.Real) or kind(a) in ("i", "u", "f")
-        if isinstance(a, bool) or not real or not 0.0 < a < np.inf:
-            raise ValueError(f"simplex slice field a must be a finite real > 0, got {a!r}")
-        integer = isinstance(dim, numbers.Integral) or kind(dim) in ("i", "u")
-        if isinstance(dim, bool) or not integer or dim < 1:
-            raise ValueError(f"simplex slice field dim must be an integer >= 1, got {dim!r}")
+        object.__setattr__(self, "a", _real("a", self.a, 0.0))
+        object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
 
     def contains(self, y, tol: float = 0.0) -> bool:
         y = as_point(y, self.dim)
@@ -153,10 +177,8 @@ class SimplexSlice:
 
 
 def _validate_rows(G, h, A, b):
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    G, A = np.atleast_2d(_floats(G, "'G'"), _floats(A, "'A'"))
+    h, b = np.atleast_1d(_floats(h, "'h'"), _floats(b, "'b'"))
     if (G.ndim, A.ndim, h.ndim, b.ndim) != (2, 2, 1, 1):
         raise ValueError("G and A must be matrices and h and b vectors, got shapes "
                          f"{G.shape}, {A.shape}, {h.shape} and {b.shape}")
@@ -164,10 +186,6 @@ def _validate_rows(G, h, A, b):
         G = G.reshape(0, A.shape[1] if A.size else G.shape[-1])
     if A.size == 0:
         A = A.reshape(0, G.shape[1])
-    if h.size == 0:
-        h = h.reshape(0)
-    if b.size == 0:
-        b = b.reshape(0)
     if G.shape[0] != h.size or A.shape[0] != b.size:
         raise ValueError("row counts of G/h and A/b must agree")
     if G.shape[1] != A.shape[1]:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .operators import ProblemInstance, SetValuedOperator
 from .qp import least_distance
-from .sets import Box, ConstraintStore, FeasibleSet, _integer, _real, as_point, assemble
+from .sets import Box, ConstraintStore, FeasibleSet, _integer, _point, _real, as_point, assemble
 
 __all__ = [
     "SolverParams",
@@ -82,10 +82,7 @@ class SolverParams:
     def __post_init__(self):
         for key, high in (("delta", 1.0), ("theta", 1.0), ("beta", math.inf),
                           ("tol_residual", math.inf)):
-            value = _real(key, getattr(self, key))
-            if not 0.0 < value < high:
-                raise ValueError(f"{key!r} must lie in (0, {high:g}), not {value!r}")
-            setattr(self, key, value)
+            setattr(self, key, _real(key, getattr(self, key), 0.0, high))
         self.max_outer_iterations = _integer("max_outer_iterations", self.max_outer_iterations, 1)
 
 
@@ -170,12 +167,10 @@ def _project(C: FeasibleSet, y: np.ndarray, counters: Counters | None) -> np.nda
 
 def compute_z(x, u, beta: float, C: FeasibleSet, counters: Counters | None = None) -> np.ndarray:
     """Projected trial point ``P_C(x - beta u)``: closed form on a ``Box``, one QP
-    solve on any other C."""
+    solve on any other C; ``beta``, a real > 0, is checked by ``vifd.sets``."""
     x = as_point(x)
     u = as_point(u, x.size)
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    return _project(C, x - beta * u, counters)
+    return _project(C, x - _real("beta", beta, 0.0) * u, counters)
 
 
 def linesearch_f(
@@ -333,7 +328,7 @@ def solve(problem: ProblemInstance, x0, params: SolverParams | None = None) -> R
     """
     if params is None:
         params = SolverParams()
-    x0 = as_point(x0, problem.dim)
+    x0 = _point("x0", x0, problem.dim)
     started = time.perf_counter()
     counters = Counters()
     with np.errstate(over="raise", invalid="raise", divide="raise"):

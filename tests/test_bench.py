@@ -22,7 +22,7 @@ from vifd.bench import (
     run_reports,
 )
 from vifd.operators import UnknownProblem
-from vifd.solver import SOLUTION_STOPS, SolverParams, StopReason
+from vifd.solver import SOLUTION_STOPS, SolverParams, StopCertificate, StopReason
 
 
 def _hs_config(**kwargs):
@@ -56,7 +56,7 @@ class TestExperimentConfig:
         for bad in ([[True, False]], [[np.True_, 0.5]], [np.array([True, False])],
                     [["0.5", "0.5"]], [np.array(["0.5", "0.5"])], [[0.5, np.nan]],
                     [np.array([np.inf, 0.5])], [[10**400, 0.5]], [0.5, 0.5], [[]],
-                    [[[0.5, 0.5]]], [np.array([[0.5, 0.5]])]):
+                    [[[0.5, 0.5]]], [np.array([[0.5, 0.5]])], [np.array(0.5)]):
             with pytest.raises(ValueError, match="'starts'"):
                 _hs_config(starts=bad)
         config = _hs_config(starts=[(0, 1), np.array([1, 0]), np.array([0.5, 0.5], np.float32)])
@@ -208,21 +208,52 @@ class TestEmit:
 def test_rows_from_json_refuses_malformed_blocks_and_rows():
     row = {"x0": [0.5], "iter": 1, "nT": 2, "cpu_s": 0.1, "sol": [0.5],
            "stop_reason": StopReason.MAX_ITERATIONS.value}
+    certificate = {"test": "residual_step2a", "value": 0.0, "tolerance": 1e-8}
     cases = [
         ([{"rows": [{}]}], r"block 0: .*'x0'"),
         ([1], r"block 0 .*'rows'"),
         ([{"config": {}}], r"block 0 .*'rows'"),
         ([{"rows": 5}], r"block 0 .*'rows'"),
         ([{"rows": [row]}, {"rows": [[0.5]]}], r"block 1: .*type"),
-        ([{"rows": [{**row, "iter": None}]}], r"block 0: .*type"),
+        ([{"rows": [{**row, "iter": None}]}], r"block 0: 'iter'"),
         ([{"rows": [{**row, "certificate": 3}]}], r"block 0: .*type"),
         ([{"rows": [row, {k: v for k, v in row.items() if k != "stop_reason"}]}],
          r"block 0: .*'stop_reason'"),
+        # each value is read by the rule of vifd.sets, not coerced
+        ([{"rows": [{**row, "iter": 2.7}]}], r"block 0: 'iter'"),
+        ([{"rows": [{**row, "iter": -1}]}], r"block 0: 'iter'"),
+        ([{"rows": [row]}, {"rows": [{**row, "nT": True}]}], r"block 1: 'nT'"),
+        ([{"rows": [{**row, "cpu_s": "0.1"}]}], r"block 0: 'cpu_s'"),
+        ([{"rows": [{**row, "sol": "1"}]}], r"block 0: 'sol'"),
+        ([{"rows": [{**row, "x0": [[0.5]]}]}], r"block 0: 'x0'"),
+        ([{"rows": [{**row, "x0": [math.nan]}]}], r"block 0: 'x0'"),
+        ([{"rows": [{**row, "certificate": {**certificate, "test": 3}}]}], r"block 0: 'test'"),
+        ([{"rows": [{**row, "certificate": {**certificate, "value": "0"}}]}],
+         r"block 0: 'value'"),
+        ([{"rows": [{**row, "certificate": {**certificate, "tolerance": None}}]}],
+         r"block 0: 'tolerance'"),
+        ([{"rows": [{**row, "certificate": {**certificate, "extra": 1}}]}], r"block 0: .*type"),
     ]
     for blocks, message in cases:
         with pytest.raises(ValueError, match=message):
             rows_from_json(json.dumps(blocks))
     assert rows_from_json(json.dumps([{"rows": [row]}]))[0].iterations == 1
+    (read,) = rows_from_json(json.dumps([{"rows": [{**row, "certificate": certificate}]}]))
+    assert read.certificate == StopCertificate(**certificate)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_rows_from_json_reads_every_preset_back_equal(name):
+    results = [(config, run_experiment(config)) for config in preset_configs(name)]
+    rows = [row for _, config_rows in results for row in config_rows]
+    read = rows_from_json(emit(results, "json"))
+    assert len(read) == len(rows)
+    for got, want in zip(read, rows):
+        assert (got.iterations, got.operator_evals, got.wall_time_s, got.stop_reason,
+                got.certificate) == (want.iterations, want.operator_evals, want.wall_time_s,
+                                     want.stop_reason, want.certificate)
+        assert got.start.tolist() == want.start.tolist()
+        assert got.terminal_point.tolist() == want.terminal_point.tolist()
 
 
 def _row_with_reason(reason):

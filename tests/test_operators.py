@@ -66,6 +66,13 @@ class TestRhoOperator:
             RhoOperator(2, 0.0)
         with pytest.raises(ValueError):
             RhoOperator(2, 1.0, "cubed")
+        # dim and a are numbers by the rule of vifd.sets, refused naming the key
+        for dim, a, key in ((True, 1.0, "dim"), (2.5, 1.0, "dim"), ("1", 1.0, "dim"),
+                            (2, math.inf, "a"), (2, True, "a"), (2, "1", "a")):
+            with pytest.raises(ValueError, match=repr(key)):
+                RhoOperator(dim, a)
+        op = RhoOperator(np.int64(2), np.array(0.5))
+        assert (op.dim, op.a) == (2, 0.5) and (type(op.dim), type(op.a)) == (int, float)
         with pytest.raises(DomainError):
             RhoOperator(1, 1.0).select([1.2])
 
@@ -120,6 +127,10 @@ class TestFractionalGradient:
             FractionalGradient(a=0.0)
         with pytest.raises(ValueError):
             FractionalGradient(h=0.0)
+        for key in ("a", "h"):
+            for bad in (math.inf, True, "1"):
+                with pytest.raises(ValueError, match=repr(key)):
+                    FractionalGradient(**{key: bad})
         op = FractionalGradient()
         with pytest.raises(DomainError):
             op.objective(np.zeros(5))

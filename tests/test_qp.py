@@ -194,8 +194,10 @@ def test_warm_start_accepts_a_numpy_array():
         assert sol.active_set == cold.active_set == [2]
 
 
-@pytest.mark.parametrize("warm_start", [[True], [1.7], ["1"], [np.bool_(True)], [1, None]],
-                         ids=["bool", "float", "str", "numpy-bool", "none"])
+@pytest.mark.parametrize("warm_start", [[True], [1.7], ["1"], [np.bool_(True)], [1, None],
+                                       [np.array(True)], [np.array(1.0)]],
+                         ids=["bool", "float", "str", "numpy-bool", "none", "0-d-bool",
+                              "0-d-float"])
 def test_warm_start_refuses_entries_that_are_not_integers(warm_start):
     tri = _system([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="warm_start"):
@@ -616,8 +618,8 @@ def test_simplex_projection_frozen_values():
 
 
 def test_simplex_projection_requires_positive_scale():
-    for a in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    for a in (0.0, -1.0, np.nan, np.inf, True, "1"):
+        with pytest.raises(ValueError, match="'a'"):
             simplex_projection([0.5, 0.5], a=a)
 
 

@@ -182,6 +182,9 @@ class TestSolverParams:
             {"max_outer_iterations": np.int64(0)},
             {"theta": np.bool_(True)},
             {"max_outer_iterations": 5.0},
+            {"theta": np.array(True)},
+            {"delta": np.array([0.5])},
+            {"max_outer_iterations": np.array(5.0)},
         ],
     )
     def test_rejects(self, kwargs):
@@ -196,6 +199,10 @@ class TestSolverParams:
         values = (params.delta, params.beta, params.tol_residual, params.max_outer_iterations)
         assert values == (0.5, 2.0, 1.0, 5)
         assert [type(v) for v in values] == [float, float, float, int]
+        # and so do 0-d arrays of a numeric dtype
+        params = SolverParams(delta=np.array(0.5), max_outer_iterations=np.array(5))
+        assert (params.delta, params.max_outer_iterations) == (0.5, 5)
+        assert (type(params.delta), type(params.max_outer_iterations)) == (float, int)
 
 
 def test_compute_z_projects_trial_step():
@@ -207,8 +214,9 @@ def test_compute_z_projects_trial_step():
     assert counters.qp_solves == 0
     z = compute_z([0.5, 0.5], [-1.0, -1.0], 2.0, box)
     np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        compute_z([0.5, 0.5], [1.0, 0.0], 0.0, box)
+    for beta in (0.0, True, math.inf, "1"):
+        with pytest.raises(ValueError, match="'beta'"):
+            compute_z([0.5, 0.5], [1.0, 0.0], beta, box)
     # any other C is one QP solve
     z = compute_z([1.0, 1.0, 0.0], [0.0, 0.0, -1.0], 1.0, SimplexSlice(2.0, 3), counters)
     np.testing.assert_allclose(z, [2 / 3, 2 / 3, 2 / 3], atol=1e-12)
@@ -457,6 +465,12 @@ class TestSolve:
         assert report.counters.operator_evals == 2
         assert report.counters.linesearch_probes == 0
         assert report.wall_time_s > 0.0
+
+    def test_refuses_a_start_that_is_not_numbers(self):
+        problem = make_problem("hs-quasimonotone")
+        for bad in ([True, False], ["0.5", "0.5"], np.array([True, False])):
+            with pytest.raises(ValueError, match="'x0'"):
+                solve(problem, bad)
 
     @staticmethod
     def _qp_systems(monkeypatch):
