@@ -88,6 +88,7 @@ class SetValuedOperator(ABC):
         works whenever the supremum is attained; operators with unbounded
         images override it.
         """
+        _real("level", level)
         result = self.support(x, d)
         if result.maximizer is None:
             raise NotImplementedError(
@@ -228,7 +229,7 @@ class RayOperator(SetValuedOperator):
 
     def witness_above(self, x, d, level: float) -> np.ndarray:
         r, theta = self._split(x)
-        d = as_point(d, 2)
+        d, level = as_point(d, 2), _real("level", level)
         direction = self._direction(theta)
         c = float(direction @ d)
         if c > self._ALIGN_TOL:
@@ -242,7 +243,7 @@ class RayOperator(SetValuedOperator):
     def member(self, x, u, tol: float = 1e-9) -> bool:
         """Whether ``u`` lies on the ray T(x) (up to ``tol``)."""
         r, theta = self._split(x)
-        u = as_point(u, 2)
+        u, tol = as_point(u, 2), _real("tol", tol)
         direction = self._direction(theta)
         t = float(u @ direction)
         on_line = float(np.linalg.norm(u - t * direction)) <= tol

@@ -5,8 +5,11 @@ eliminating the equalities onto their affine subspace and then running a dual
 active-set iteration on the reduced inequality-only problem.  Because the
 Hessian of the least-distance objective is the identity, every subproblem is a
 projection onto an affine set and can be solved with small dense least-squares
-factorizations; the final active set is re-solved once more to certify the
-KKT conditions at full precision.
+factorizations.  The iteration is one loop with one drop step, which serves
+the warm start's solve and every later solved point; the final active set is
+re-solved once more to certify the KKT conditions at full precision.  A warm
+start whose solve leaves one of its own rows violated (``lstsq`` on nearly
+parallel rows) is discarded, and the solve starts over cold.
 
 Constraint systems are immutable, so what depends on the system alone (the
 equality basis and the normalised reduced rows, one per system row, with the
@@ -33,8 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sets import (TOL, InfeasibleSystem, LinearConstraintSystem, _is_number, _real,
-                   _reduced_form, as_point)
+from .sets import (TOL, InfeasibleSystem, LinearConstraintSystem, _frozen, _is_number,
+                   _real, _reduced_form, as_point)
 
 __all__ = [
     "QpSolution",
@@ -94,74 +97,61 @@ def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]
     return w0 - rows.T @ lam, lam.tolist()
 
 
-def _dual_active_set(M, d, w0, max_pivots, warm_start, link=None):
+def _dual_active_set(M, d, w0, max_pivots, warm_start, link):
     """Dual active-set loop for min ||w - w0|| s.t. M w <= d (rows unit-normalized).
 
-    A warm start equal to the rows of ``link.carried``, at bitwise its ``w0``,
-    takes that solve as its first tight solve; the last goes to ``link.last``.
+    The first solve is the tight solve on the ``warm_start`` rows (``w0`` when
+    cold), or ``link.carried`` when it has bitwise these rows and ``w0``.  One
+    drop step serves every solved point with a multiplier below ``-TOL``.  A
+    primal-dual step leaves ``y`` inexact, so the final active set is solved
+    again (the polish), which may step off a row into the next primal-dual
+    step.  A warm-started solve that would return with an active row over
+    ``TOL`` starts over cold, once.  The first warm solve, each drop and each
+    primal-dual step count one pivot; the last tight solve goes to
+    ``link.last``.
     """
     m = M.shape[0]
-    pivots = 0
-    active: list[int] = []
-    lam: list[float] = []
-    y = w0.copy()
-
-    if warm_start:
-        active = list(warm_start)
-        carried = link.carried if link is not None else None
-        if carried is not None and (carried.active != tuple(active)
-                                    or carried.w0 != w0.tobytes()):
-            carried = None
-        while True:
-            pivots += 1
-            if pivots > max_pivots:
-                raise MaxPivots("pivot guard exceeded while warm starting")
-            if carried is not None:
-                y, lam, carried = carried.w, list(carried.lam), None
-            else:
-                y, lam = _tight_solve(M, d, w0, active)
-            if not lam or min(lam) >= -TOL:
-                break
-            del active[int(np.argmin(lam))]
+    active = list(warm_start or ())
+    carried = link and link.carried
+    if carried and (carried.active, carried.w0) == (tuple(active), w0.tobytes()):
+        y, lam = carried.w.copy(), list(carried.lam)
+    else:
+        y, lam = _tight_solve(M, d, w0, active)
+    pivots, exact = (1 if active else 0), True
 
     while True:
+        if pivots > max_pivots:
+            raise MaxPivots(f"pivot guard exceeded after {pivots} pivots")
+        if exact and lam and min(lam) < -TOL:
+            pivots += 1
+            del active[int(np.argmin(lam))]
+            y, lam = _tight_solve(M, d, w0, active)
+            continue
         slack = M @ y - d if m else np.zeros(0)
-        if active:
-            slack[active] = -np.inf
         worst = int(slack.argmax()) if m else -1
+        # the slack test is over the inactive rows; the active ones are masked
+        # only when some row is over TOL
+        masked = active and slack[worst] > TOL
+        if masked:
+            slack[active] = -np.inf
+            worst = int(slack.argmax())
         if worst < 0 or slack[worst] <= TOL:
-            if active:
-                y2, lam2 = _tight_solve(M, d, w0, active)
-                if lam2 and min(lam2) < -TOL:
-                    pivots += 1
-                    if pivots > max_pivots:
-                        raise MaxPivots("pivot guard exceeded while polishing")
-                    del active[int(np.argmin(lam2))]
-                    y, lam = _tight_solve(M, d, w0, active)
-                    continue
-                # the exact tight solve may step off an inactive row when the
-                # active rows are nearly dependent; if so, resume pivoting
-                slack2 = M @ y2 - d
-                slack2[active] = -np.inf
-                if float(slack2.max()) > TOL:
-                    pivots += 1
-                    if pivots > max_pivots:
-                        raise MaxPivots("pivot guard exceeded while polishing")
-                    y, lam = y2, lam2
-                    continue
-                y, lam = y2, lam2
-                if link is not None:
-                    w = y.copy()
-                    w.flags.writeable = False
-                    link.last = _TightSolve(tuple(active), w0.tobytes(), w, tuple(lam))
+            if not exact:
+                y, lam = _tight_solve(M, d, w0, active)
+                exact = True
+                continue
+            if masked and warm_start:
+                # lstsq on nearly parallel warm rows left one of them violated
+                warm_start, active, y, lam = None, [], w0.copy(), []
+                continue
+            if active and link is not None:
+                link.last = _TightSolve(tuple(active), w0.tobytes(), _frozen(y), tuple(lam))
             return y, active, [max(v, 0.0) for v in lam], pivots
 
         # drive constraint `worst` to feasibility, dropping blockers as needed
-        lam_new = 0.0
+        exact, lam_new = False, 0.0
         while True:
             pivots += 1
-            if pivots > max_pivots:
-                raise MaxPivots(f"pivot guard exceeded after {pivots} pivots")
             row = M[worst]
             if active:
                 N = M[active].T
@@ -226,9 +216,11 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     later calls; a system from ``ConstraintStore.add_with_slab`` has it
     already, and carries the previous system's last tight solve, which a
     ``warm_start`` equal to its rows at bitwise the same ``x0`` reuses.
-    Feasibility and the KKT conditions are held to ``TOL``, and the pivot
-    guard allows ``PIVOTS_PER_ROW * max(m + p, 1)`` pivots for ``m``
-    inequality and ``p`` equality rows.
+    A warm start whose solve leaves one of its own rows violated is discarded
+    for a cold restart.  Feasibility and the KKT conditions are held to
+    ``TOL``, and the pivot guard allows ``PIVOTS_PER_ROW * max(m + p, 1)``
+    pivots for ``m`` inequality and ``p`` equality rows, counting the warm
+    start's first solve, each drop and each primal-dual step.
 
     Parameters
     ----------

@@ -138,7 +138,7 @@ class Box:
         return self.lower.size
 
     def contains(self, y, tol: float = 0.0) -> bool:
-        y = as_point(y, self.dim)
+        y, tol = as_point(y, self.dim), _real("tol", tol)
         return bool((y >= self.lower - tol).all() and (y <= self.upper + tol).all())
 
     @cached_property
@@ -166,7 +166,7 @@ class SimplexSlice:
         object.__setattr__(self, "dim", _integer("dim", self.dim, 1))
 
     def contains(self, y, tol: float = 0.0) -> bool:
-        y = as_point(y, self.dim)
+        y, tol = as_point(y, self.dim), _real("tol", tol)
         return bool((y >= -tol).all() and abs(float(y.sum()) - self.a) <= tol)
 
     @cached_property
@@ -228,7 +228,7 @@ class LinearConstraintSystem:
         return worst
 
     def contains(self, y, tol: float = 0.0) -> bool:
-        return self.max_violation(y) <= tol
+        return self.max_violation(y) <= _real("tol", tol)
 
     _link = None  # a system from ConstraintStore.add_with_slab has its own
 

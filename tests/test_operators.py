@@ -177,6 +177,11 @@ class TestRayOperator:
         )
         with pytest.raises(ValueError):
             self.op.witness_above([1.0, 0.0], [-1.0, 0.0], -0.5)
+        # the level is a finite real, for the default witness of a singleton too
+        for op in (self.op, HsQuasimonotone()):
+            for level in ("3", True, None, math.nan, math.inf):
+                with pytest.raises(ValueError, match="'level'"):
+                    op.witness_above([1.0, 0.0], [1.0, 0.0], level)
 
     def test_member(self):
         d = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
@@ -184,6 +189,9 @@ class TestRayOperator:
         assert self.op.member([1.0, math.pi / 4], 1.0 * d)
         assert not self.op.member([1.0, math.pi / 4], 0.5 * d)
         assert not self.op.member([1.0, math.pi / 4], 2.0 * d + np.array([0.0, 1e-3]))
+        for tol in (True, "0.1", None, math.nan):
+            with pytest.raises(ValueError, match="'tol'"):
+                self.op.member([1.0, math.pi / 4], 0.5 * d, tol=tol)
 
     def test_domain_enforced(self):
         with pytest.raises(DomainError):

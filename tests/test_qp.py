@@ -235,12 +235,19 @@ def test_pivot_guard_raises(monkeypatch):
     tri = _system([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
     with pytest.raises(MaxPivots):
         least_distance(tri, [2.0, 2.0])
+    # the warm start's first solve counts, whether or not a row is then dropped
+    for warm_start in ([0, 1], [2]):
+        with pytest.raises(MaxPivots):
+            least_distance(tri, [2.0, 2.0], warm_start=warm_start)
 
 
 def test_nearly_parallel_rows_stay_feasible():
-    # clusters of almost-dependent rows stress the polish step; whatever path
-    # the pivoting takes, the returned point must satisfy every row
+    # clusters of almost-dependent rows stress the polish step and the warm
+    # start; whatever path the pivoting takes, the returned point must satisfy
+    # every row, and a warm start from any subset of the rows must reach the
+    # cold point (lstsq can leave one of two nearly parallel warm rows violated)
     rng = np.random.default_rng(8)
+    pick = np.random.default_rng(80)
     for _ in range(300):
         n = int(rng.integers(2, 4))
         base = rng.normal(size=n)
@@ -250,9 +257,13 @@ def test_nearly_parallel_rows_stay_feasible():
         center = rng.normal(size=n)
         h = G @ center + rng.uniform(0.0, 0.5, size=G.shape[0])
         system = _system(G, h)
-        sol = least_distance(system, center + rng.normal(size=n) * 3.0)
-        assert system.max_violation(sol.point) <= 5e-9
-        assert sol.kkt_residual <= 1e-7
+        x0 = center + rng.normal(size=n) * 3.0
+        sol = least_distance(system, x0)
+        warm = least_distance(system, x0, warm_start=np.flatnonzero(pick.random(G.shape[0]) < 0.5))
+        for s in (sol, warm):
+            assert system.max_violation(s.point) <= 5e-9
+            assert s.kkt_residual <= 1e-7
+        np.testing.assert_allclose(warm.point, sol.point, rtol=0.0, atol=1e-9)
 
 
 def _slice_with_cuts(seed):
@@ -307,7 +318,7 @@ def test_the_certificate_computed_on_read_is_the_eager_one(build, x0):
     form = qp._reduced_form(system)
     w0 = form.Z.T @ (x0 - form.y_part) if form.Z is not None else x0
     w, active, lam, _ = qp._dual_active_set(
-        form.rows, form.rhs, w0, qp.PIVOTS_PER_ROW * max(m + p, 1), None)
+        form.rows, form.rhs, w0, qp.PIVOTS_PER_ROW * max(m + p, 1), None, None)
     y = form.y_part + form.Z @ w if form.Z is not None else w
     mu = np.zeros(m)
     for i, lam_i in zip(active, lam):

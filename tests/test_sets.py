@@ -193,6 +193,10 @@ def test_box_validation_and_membership():
                               ([10**400], [np.inf], "lower")):
         with pytest.raises(ValueError, match=repr(key)):
             Box(lower, upper)
+    # so is a tolerance, which True would read as 1
+    for tol in (True, "0.1", None, np.nan, np.inf, np.array([0.1])):
+        with pytest.raises(ValueError, match="'tol'"):
+            box.contains([1.5, 0.0], tol=tol)
 
 
 def test_simplex_slice_membership():
@@ -217,6 +221,10 @@ def test_simplex_slice_membership():
                           (5.0, np.array(3.0), "dim"), (5.0, np.array(True), "dim")):
         with pytest.raises(ValueError, match=repr(field)):
             SimplexSlice(a, dim)
+    for tol in (True, "0.1", None, np.nan):
+        with pytest.raises(ValueError, match="'tol'"):
+            s.contains([1.0, 1.0, 3.5], tol=tol)
+    assert s.contains([1.0, 1.0, 3.5], tol=np.float64(0.5))
 
 
 def test_polyhedron_membership_and_nonempty_check():
@@ -241,6 +249,9 @@ def test_linear_constraint_system_violation():
     assert system.max_violation([2.0, 1.0]) == pytest.approx(1.0)
     assert system.contains([0.5, 1.5])
     assert not system.contains([0.5, 0.0])
+    for tol in (True, "2", None, np.nan):
+        with pytest.raises(ValueError, match="'tol'"):
+            system.contains([0.5, 0.0], tol=tol)
     with pytest.raises(ValueError):
         LinearConstraintSystem(G=[[1.0]], h=[1.0, 2.0], A=np.zeros((0, 1)), b=np.zeros(0))
     # arrays of the wrong rank: G and A are matrices, h and b vectors
