@@ -8,8 +8,11 @@ projection onto an affine set and can be solved with small dense least-squares
 factorizations.  The iteration is one loop with one drop step, which serves
 the warm start's solve and every later solved point; the final active set is
 re-solved once more to certify the KKT conditions at full precision.  A warm
-start whose solve leaves one of its own rows violated (``lstsq`` on nearly
-parallel rows) is discarded, and the solve starts over cold.
+start is discarded, and the solve starts over cold, when its solve leaves one
+of its own rows violated (``lstsq`` on nearly parallel rows) or a primal-dual
+step finds neither a full step nor a blocker (``lstsq``'s minimum-norm
+multipliers on dependent warm rows).  A tight solve on one active row, the
+common case on the anchored systems, takes ``dgelsd``'s own closed form.
 
 Constraint systems are immutable, so what depends on the system alone (the
 equality basis and the normalised reduced rows, one per system row, with the
@@ -63,7 +66,9 @@ class QpSolution:
     order the pivoting visited them, which makes it directly reusable as a
     warm start.  ``kkt_residual`` is the largest violation among stationarity,
     primal feasibility, dual feasibility, and complementarity, computed on
-    first read from the solve's own copies of the point and ``x0``.
+    first read from the solve's own copies of the point, ``x0`` and the active
+    rows; the inequality multipliers are built from those rows, the reduced
+    multipliers and the reduced rows' norms on that read too.
     """
 
     point: np.ndarray
@@ -73,7 +78,12 @@ class QpSolution:
 
     @cached_property
     def kkt_residual(self) -> float:
-        return _kkt_residual(*self._certificate)
+        system, Z, x0, y, active, lam, norms = self._certificate
+        mu = np.zeros(system.G.shape[0])
+        if active:
+            active = list(active)
+            mu[active] = np.array(lam) / norms[active]
+        return _kkt_residual(system, Z, x0, y, mu)
 
 
 class _TightSolve(NamedTuple):
@@ -87,14 +97,41 @@ class _TightSolve(NamedTuple):
 
 
 def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]):
-    """Projection of ``w0`` onto the affine set where the active rows hold with equality."""
+    """Projection of ``w0`` onto the affine set where the active rows hold with equality.
+
+    The multipliers solve the Gram system by ``lstsq`` (LAPACK's ``dgelsd``).
+    One row is solved as ``rhs * (1.0 / gram)``, which is what ``dgelsd``
+    computes for a 1x1 system whose entries lie in its unscaled range (its QR
+    and bidiagonal steps are identities, and its n = 1 branch multiplies by
+    the reciprocal), so the bits are ``lstsq``'s; outside that range, and for
+    a zero right-hand side, ``lstsq`` runs.
+    """
     if not active:
         return w0.copy(), []
     rows = M[active]
     gram = rows @ rows.T
     rhs = rows @ w0 - d[active]
-    lam, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
+    if len(active) == 1 and 1e-290 < gram[0, 0] < 1e290 and 1e-290 < abs(rhs[0]) < 1e290:
+        lam = rhs * (1.0 / gram[0, 0])
+    else:
+        lam, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
     return w0 - rows.T @ lam, lam.tolist()
+
+
+def _entering_row(slack: np.ndarray, active: list[int]):
+    """``(row, masked)``: the first inactive row of largest slack when that
+    slack is over ``TOL``, else a row whose slack is at most ``TOL`` (-1
+    without rows).  The active rows of ``slack`` are masked to -inf, and
+    ``masked`` is true, only when the first largest slack is over ``TOL`` and
+    on an active row; otherwise ``argmax`` already names that inactive row."""
+    if not slack.size:
+        return -1, False
+    worst = int(slack.argmax())
+    masked = worst in active and slack[worst] > TOL
+    if masked:
+        slack[active] = -np.inf
+        worst = int(slack.argmax())
+    return worst, masked
 
 
 def _dual_active_set(M, d, w0, max_pivots, warm_start, link):
@@ -105,10 +142,13 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start, link):
     drop step serves every solved point with a multiplier below ``-TOL``.  A
     primal-dual step leaves ``y`` inexact, so the final active set is solved
     again (the polish), which may step off a row into the next primal-dual
-    step.  A warm-started solve that would return with an active row over
-    ``TOL`` starts over cold, once.  The first warm solve, each drop and each
-    primal-dual step count one pivot; the last tight solve goes to
-    ``link.last``.
+    step.  The row to drive to feasibility is ``_entering_row``'s.  A
+    warm-started solve that would return with an active row over ``TOL``, or
+    whose primal-dual step finds neither a full step nor a blocker, starts
+    over cold, once; a cold solve without such a step raises
+    ``InfeasibleSystem``.  The first warm solve, each drop and each
+    primal-dual step count one pivot, and the count runs on across a restart;
+    the last tight solve goes to ``link.last``.
     """
     m = M.shape[0]
     active = list(warm_start or ())
@@ -128,13 +168,7 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start, link):
             y, lam = _tight_solve(M, d, w0, active)
             continue
         slack = M @ y - d if m else np.zeros(0)
-        worst = int(slack.argmax()) if m else -1
-        # the slack test is over the inactive rows; the active ones are masked
-        # only when some row is over TOL
-        masked = active and slack[worst] > TOL
-        if masked:
-            slack[active] = -np.inf
-            worst = int(slack.argmax())
+        worst, masked = _entering_row(slack, active)
         if worst < 0 or slack[worst] <= TOL:
             if not exact:
                 y, lam = _tight_solve(M, d, w0, active)
@@ -142,7 +176,7 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start, link):
                 continue
             if masked and warm_start:
                 # lstsq on nearly parallel warm rows left one of them violated
-                warm_start, active, y, lam = None, [], w0.copy(), []
+                warm_start, active, y, lam, exact = None, [], w0.copy(), [], True
                 continue
             if active and link is not None:
                 link.last = _TightSolve(tuple(active), w0.tobytes(), _frozen(y), tuple(lam))
@@ -170,7 +204,12 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start, link):
                     t_drop, blocker = lam_i / r[i], i
             t = min(t_full, t_drop)
             if not math.isfinite(t):
-                raise InfeasibleSystem("unbounded dual step: no feasible point exists")
+                if not warm_start:
+                    raise InfeasibleSystem("unbounded dual step: no feasible point exists")
+                # dependent warm rows: lstsq's minimum-norm multipliers leave
+                # neither a step nor a blocker
+                warm_start, active, y, lam, exact = None, [], w0.copy(), [], True
+                break
             t = max(t, 0.0)
             lam = [lam_i - t * r_i for lam_i, r_i in zip(lam, r)]
             lam_new += t
@@ -216,11 +255,15 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     later calls; a system from ``ConstraintStore.add_with_slab`` has it
     already, and carries the previous system's last tight solve, which a
     ``warm_start`` equal to its rows at bitwise the same ``x0`` reuses.
-    A warm start whose solve leaves one of its own rows violated is discarded
-    for a cold restart.  Feasibility and the KKT conditions are held to
-    ``TOL``, and the pivot guard allows ``PIVOTS_PER_ROW * max(m + p, 1)``
-    pivots for ``m`` inequality and ``p`` equality rows, counting the warm
-    start's first solve, each drop and each primal-dual step.
+    A warm start whose solve leaves one of its own rows violated, or whose
+    rows are linearly dependent so that a primal-dual step has nowhere to go,
+    is discarded for a cold restart.  Feasibility and the KKT conditions are
+    held to ``TOL``, and the pivot guard allows
+    ``PIVOTS_PER_ROW * max(m + p, 1)`` pivots for ``m`` inequality and ``p``
+    equality rows, counting the warm start's first solve, each drop and each
+    primal-dual step, across a restart too.  The solution keeps the active
+    rows, the multipliers and the reduced norms, and builds the certificate
+    from them only when ``kkt_residual`` is read.
 
     Parameters
     ----------
@@ -267,10 +310,8 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
         form.rows, form.rhs, w0, max_pivots, warm, system._link)
 
     y = y_part + Z @ w if Z is not None else w
-    mu = np.zeros(m)
-    if active:
-        mu[active] = np.array(lam) / form.norms[active]
-    return QpSolution(y, active, pivots, (system, Z, x0.copy(), y.copy(), mu))
+    return QpSolution(y, active, pivots,
+                      (system, Z, x0.copy(), y.copy(), tuple(active), lam, form.norms))
 
 
 def simplex_projection(v, a: float = 1.0) -> np.ndarray:

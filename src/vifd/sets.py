@@ -6,7 +6,11 @@ system and numbered as the system's rows.  The ``ConstraintStore`` keeps only
 C's system and the last anchored system; its one writer, ``add_with_slab``,
 extends that system's stored rows, raw and reduced, by a cut and a slab row,
 links the new system to the last (``_Link``), and alone knows the layout: the
-slab is the last row and is never stored."""
+slab is the last row and is never stored.  ``add_with_slab`` checks its four
+vectors and hands them to ``_add``, which the solver's ``step`` calls directly
+with vectors that are finite already; ``_unit_rows`` still refuses a row that
+is not.  Row norms are ``np.linalg.norm``'s own expression for real rows,
+``sqrt(add.reduce(x * x, axis=1))``, without its wrapper."""
 
 from __future__ import annotations
 
@@ -56,6 +60,10 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     A 1-D float64 ``np.ndarray`` is checked and returned as it is, the same
     object, as ``np.asarray`` would; anything else is converted by ``_floats``,
     and a scalar becomes a vector of length 1.  A refusal is a ``ValueError``.
+    A vector of at most 32 entries is first tested by its float sum, which is
+    finite only if every entry is (cheaper than NumPy's entrywise test up to
+    64 to 128 entries); a sum that is not, such as an overflow of finite
+    entries, and a longer vector take the entrywise test.
     """
     if type(x) is np.ndarray and x.ndim == 1 and x.dtype == _FLOAT:
         arr = x
@@ -63,7 +71,8 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         arr = np.atleast_1d(_floats(x))
         if arr.ndim != 1:
             raise ValueError(f"expected a vector, got array of shape {arr.shape}")
-    if not np.logical_and.reduce(np.isfinite(arr)):
+    if not (arr.size <= 32 and math.isfinite(sum(arr.tolist()))
+            or np.logical_and.reduce(np.isfinite(arr))):
         raise ValueError("vector entries must be finite")
     if dim is not None and arr.size != dim:
         raise ValueError(f"expected a vector of length {dim}, got {arr.size}")
@@ -283,11 +292,17 @@ class _ReducedForm:
     norms: np.ndarray
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)`` as NumPy defines it for real rows."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
 def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
     """The reduced form of the rows ``G y <= h`` on ``{y_part + Z w}`` (the whole
     space when ``Z`` is None), one row per row of ``G``; ``InfeasibleSystem`` if
     a row is constant and violated.
 
+    The norms are ``_norms``, bitwise ``np.linalg.norm(M, axis=1)``.
     A row's result depends on that row alone, except that the BLAS may make
     the last bits of ``G @ Z`` and ``G @ y_part`` depend on how many rows share
     the product: with OpenBLAS at n = 5 two or more rows give each row the
@@ -301,7 +316,7 @@ def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
         M, d = G, h
     # screen rows that vanish on the reduced space and make them inert (an
     # infinite norm divides them to exactly 0), then unit-normalize the rest
-    norms = np.linalg.norm(M, axis=1)
+    norms = _norms(M)
     vanish = norms <= 1e-13
     if vanish.any():
         if (d[vanish] < -TOL).any():
@@ -338,26 +353,27 @@ def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
 def _unit_rows(normals: np.ndarray, points: np.ndarray):
     """One unit-normal row per finite pair with a nonzero normal, which keeps an
     accumulated system uniformly conditioned, and the mask of the pairs kept; a
-    non-finite row raises ``ValueError``.  A normal whose norm over- or
-    underflows is divided by its largest entry first."""
-    try:
-        with np.errstate(over="raise", under="raise"):
-            norms = np.linalg.norm(normals, axis=1)
-    except FloatingPointError:
-        with np.errstate(over="ignore", under="ignore"):
-            norms = np.linalg.norm(normals, axis=1)
+    non-finite row raises ``ValueError``.  A nonzero normal whose norm over- or
+    underflows to inf or 0 is divided by its largest entry first."""
+    with np.errstate(over="ignore", under="ignore"):
+        norms = _norms(normals)
+        extreme = (norms == 0.0) | (norms == np.inf)
+        if extreme.any():
             scale = np.abs(normals).max(axis=1)
-            scaled = ((norms == 0.0) | (norms == np.inf)) & (scale > 0.0)
+            scaled = extreme & (scale > 0.0)
             # only the rows whose norm is 0 or infinite change: x / 1.0 is x
             normals = normals / np.where(scaled, scale, 1.0)[:, None]
-            norms = np.where(scaled, np.linalg.norm(normals, axis=1), norms)
+            norms = np.where(scaled, _norms(normals), norms)
     keep = norms > 0.0
     if keep.all():
         rows = normals / norms[:, None]
-    else:
+    elif (norms[~keep] == 0.0).all():  # a NaN norm is a non-finite normal
         rows, points = normals[keep] / norms[keep, None], points[keep]
+    else:
+        raise ValueError("constraint data must be finite")
+    # a right-hand side is finite only if its row's entries are
     rhs = np.einsum("ij,ij->i", rows, points)
-    if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
+    if not np.isfinite(rhs).all():
         raise ValueError("constraint data must be finite")
     return rows, rhs, keep
 
@@ -406,9 +422,10 @@ class ConstraintStore:
 
     The store keeps no buffer: its state is C's system, the last anchored
     system it returned, the count ``rows`` of stored rows and ``warm_start``,
-    and ``add_with_slab`` is its one writer.  ``system`` is C's own system
-    before the first call, then a read-only view of the last system's first
-    ``rows`` rows with C's equalities, which later calls never change.
+    and ``add_with_slab`` (through ``_add``) is its one writer.  ``system``
+    is C's own system before the first call, then a read-only view of the
+    last system's first ``rows`` rows with C's equalities, which later calls
+    never change.
     """
 
     def __init__(self, C: FeasibleSet):
@@ -439,14 +456,20 @@ class ConstraintStore:
         C's rows with the first cut and slab in one ``_reduce`` batch (reduced
         alone, a one-row product may round differently); each later call
         reduces only its new rows and extends the previous reduced rows.
+        Each argument is checked by ``as_point``; ``_add`` is the rest of
+        this method, for a caller whose four vectors are checked already.
         """
+        n = self._base.n
+        return self._add(as_point(normal, n), as_point(point, n),
+                         as_point(slab_normal, n), as_point(slab_point, n))
+
+    def _add(self, normal, point, slab_normal, slab_point) -> LinearConstraintSystem:
+        """``add_with_slab`` on finite float vectors of the set's dimension."""
         base, previous, stored = self._base, self._last, self.rows
-        n = base.n
         last = None if previous is None else previous._link.last
         self.warm_start = None if last is None else [i for i in last.active if i < stored]
-        rows, rhs, kept = _unit_rows(
-            np.array((as_point(normal, n), as_point(slab_normal, n))),
-            np.array((as_point(point, n), as_point(slab_point, n))))
+        rows, rhs, kept = _unit_rows(np.array((normal, slab_normal)),
+                                     np.array((point, slab_point)))
         source = base if previous is None else previous
         G = np.concatenate([source.G[:stored], rows])
         h = np.concatenate([source.h[:stored], rhs])

@@ -154,10 +154,11 @@ class RunReport:
 
 
 def _project(C: FeasibleSet, y: np.ndarray, counters: Counters | None) -> np.ndarray:
-    """``P_C(y)``: ``np.clip`` on a ``Box``, else one QP solve counted in
-    ``qp_solves`` and ``qp_pivots``."""
+    """``P_C(y)`` of a float vector ``y``: ``y.clip`` on a ``Box`` (the ufunc
+    ``np.clip`` calls), else one QP solve counted in ``qp_solves`` and
+    ``qp_pivots``."""
     if isinstance(C, Box):
-        return np.clip(y, C.lower, C.upper)
+        return y.clip(C.lower, C.upper)
     solution = least_distance(assemble(C, []), y)
     if counters is not None:
         counters.qp_solves += 1
@@ -297,10 +298,12 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     if state.cuts is None:
         state.cuts = ConstraintStore(C)
     # the store normalises the normal again; scaling it first keeps the row
-    # bitwise the one every recorded trajectory was computed with
+    # bitwise the one every recorded trajectory was computed with.  ubar, z
+    # and x were checked by linesearch_f, and the store refuses a row that is
+    # not finite, so the vectors skip add_with_slab's as_point checks.
     norm = math.sqrt(ubar @ ubar)
-    system = state.cuts.add_with_slab(ubar / norm if norm > 0.0 else ubar, xbar,
-                                      state.x0 - state.x, state.x)
+    system = state.cuts._add(ubar / norm if norm > 0.0 else ubar, xbar,
+                             state.x0 - state.x, state.x)
     solution = least_distance(system, state.x0, warm_start=state.cuts.warm_start)
     counters.qp_solves += 1
     counters.qp_pivots += solution.iterations

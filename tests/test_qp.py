@@ -216,6 +216,32 @@ def test_warm_start_skips_rows_that_vanish_on_the_equality_subspace():
 def test_infeasible_inequalities_raise():
     with pytest.raises(InfeasibleSystem):
         least_distance(_system([[1.0], [-1.0]], [0.0, -1.0]), [0.5])
+    # a warm start that ends in an unbounded dual step restarts cold, and the
+    # cold solve still raises
+    strip = _system([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, -1.0, 0.0])
+    for warm_start in (None, [0], [0, 1], [0, 1, 2]):
+        with pytest.raises(InfeasibleSystem, match="unbounded dual step"):
+            least_distance(strip, [0.5, 2.0], warm_start=warm_start)
+
+
+def test_a_warm_start_on_dependent_rows_restarts_cold():
+    # three warm rows in the plane: lstsq gives them minimum-norm multipliers,
+    # and the next primal-dual step finds neither a full step nor a blocker
+    # (a case of a seeded fuzz of feasible systems h = G x_s + U(0, 1))
+    system = _system(
+        [[-0.26745221291422216, 0.08619851007298729], [-0.81282692818437, 0.4999061768171808],
+         [-0.6277487420361615, 0.18939863693126158], [-0.0687759069720211, -1.8078891229296246],
+         [1.4028687379379123, 1.6139178111029446], [-0.9515059443232764, 1.3939894623630342]],
+        [0.11016553794478845, -0.8689536205244288, -0.28178331407460955, 0.12800552643592375,
+         1.551417588976766, -0.7798624725155399])
+    x0 = [-3.2088221108273816, 3.0589808968949006]
+    cold = least_distance(system, x0)
+    warm = least_distance(system, x0, warm_start=[0, 5, 4])
+    assert warm.point.tobytes() == cold.point.tobytes()
+    assert warm.active_set == cold.active_set
+    # the pivots run on across the restart, so the guard bounds the total
+    assert warm.iterations > cold.iterations
+    assert warm.kkt_residual <= 1e-12
 
 
 def test_inconsistent_equalities_raise():
@@ -239,6 +265,66 @@ def test_pivot_guard_raises(monkeypatch):
     for warm_start in ([0, 1], [2]):
         with pytest.raises(MaxPivots):
             least_distance(tri, [2.0, 2.0], warm_start=warm_start)
+
+
+def test_a_one_row_tight_solve_is_lstsq_bit_for_bit(monkeypatch):
+    lstsq = np.linalg.lstsq
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    rng = np.random.default_rng(31)
+    for k in range(3000):
+        n = int(rng.integers(1, 6))
+        row = rng.normal(size=n)
+        row /= np.linalg.norm(row)
+        # a unit row has a Gram entry within a few ulps of 1; others spread
+        # over [1e-2, 1e2]
+        if k % 2:
+            row *= 10.0 ** rng.uniform(-1.0, 1.0)
+        # at w0 = 0 the right-hand side is -d exactly
+        rhs = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-20.0, 20.0)
+        w, lam = qp._tight_solve(row[None], np.array([-rhs]), np.zeros(n), [0])
+        ref, _, _, _ = lstsq(np.array([[row @ row]]), np.array([rhs]), rcond=None)
+        assert np.array(lam).tobytes() == ref.tobytes()
+        assert w.tobytes() == (np.zeros(n) - row[:, None] @ ref).tobytes()
+    assert not calls
+    # outside dgelsd's unscaled range, and at 0, lstsq itself runs: at 1e-300
+    # its scaling gives 9.999999999999999e-301, where rhs * (1.0 / 1.0) is 1e-300
+    for rhs in (1e-300, 0.0):
+        w, lam = qp._tight_solve(np.array([[1.0, 0.0]]), np.array([-rhs]), np.zeros(2), [0])
+        ref, _, _, _ = lstsq(np.array([[1.0]]), np.array([rhs]), rcond=None)
+        assert np.array(lam).tobytes() == ref.tobytes()
+    assert len(calls) == 2
+
+
+def test_the_entering_row_is_the_first_largest_inactive_slack():
+    # against masking the active rows every time: the same row whenever its
+    # slack is over TOL, and a row at most TOL whenever no inactive one is over
+    rng = np.random.default_rng(32)
+    tol = qp.TOL
+    levels = np.array([-1.0, 0.0, 0.5 * tol, tol, 2.0 * tol, 1e-3, 1.0])
+    for _ in range(4000):
+        m = int(rng.integers(1, 8))
+        # few distinct values, so that ties are common
+        slack = rng.choice(levels, size=m)
+        active = [int(i) for i in rng.permutation(m)[:int(rng.integers(0, m + 1))]]
+        if active and rng.random() < 0.5:
+            slack[active[0]] = slack.max() + 1.0  # the largest slack on an active row
+        full = slack.copy()
+        full[active] = -np.inf
+        ref = int(full.argmax())
+        # the loop reads the slack it passed, masked in place
+        tested = slack.copy()
+        worst, masked = qp._entering_row(tested, active)
+        assert (tested[worst] > tol) == (full[ref] > tol)
+        if full[ref] > tol:
+            assert worst == ref
+        assert masked == (int(slack.argmax()) in active and slack.max() > tol)
+    assert qp._entering_row(np.zeros(0), []) == (-1, False)
 
 
 def test_nearly_parallel_rows_stay_feasible():

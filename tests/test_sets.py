@@ -51,6 +51,19 @@ def test_as_point_returns_a_float64_vector_itself_and_still_checks_it():
             as_point(bad)
     with pytest.raises(ValueError, match="length 3"):
         as_point(np.array([1.0, 2.0]), 3)
+    # a vector of up to 32 entries is tested by its float sum, a longer one
+    # entrywise: a non-finite entry anywhere is refused on both sides
+    for size in (1, 2, 5, 32, 33):
+        for position in range(size):
+            for value in (np.inf, -np.inf, np.nan):
+                bad = np.ones(size)
+                bad[position] = value
+                with pytest.raises(ValueError, match="finite"):
+                    as_point(bad)
+    # finite entries whose sum overflows are accepted, the array as itself
+    for big in (np.array([1e308, 1e308]), np.array([-1e308, -1e308, 1e308])):
+        assert as_point(big) is big
+        np.testing.assert_array_equal(as_point(big.tolist()), big)
 
 
 def test_as_point_converts_every_other_input_as_before():
@@ -514,6 +527,69 @@ def test_one_store_call_writes_the_rows_of_add_then_with_cut(C):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _unit_rows_by_linalg_norm(normals, points):
+    """The reference for ``_unit_rows``: ``np.linalg.norm``, and the scaled
+    retry after any over- or underflow."""
+    try:
+        with np.errstate(over="raise", under="raise"):
+            norms = np.linalg.norm(normals, axis=1)
+    except FloatingPointError:
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(normals, axis=1)
+            scale = np.abs(normals).max(axis=1)
+            scaled = ((norms == 0.0) | (norms == np.inf)) & (scale > 0.0)
+            normals = normals / np.where(scaled, scale, 1.0)[:, None]
+            norms = np.where(scaled, np.linalg.norm(normals, axis=1), norms)
+    keep = norms > 0.0
+    rows = normals[keep] / norms[keep, None]
+    return rows, np.einsum("ij,ij->i", rows, points[keep]), keep
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_the_stores_unchecked_entry_and_its_norms_are_bitwise_the_checked_ones(n):
+    # seeded two-row batches, with normals whose sum of squares overflows,
+    # underflows to 0 or loses an entry to underflow, and zero normals
+    rng = np.random.default_rng(41)
+    checked = ConstraintStore(Box(-np.ones(n), np.ones(n)))
+    unchecked = ConstraintStore(Box(-np.ones(n), np.ones(n)))
+    x0 = rng.normal(size=n)
+    warm = 0
+    for k in range(120):
+        normals = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 1))
+        points = rng.normal(size=(2, n))
+        row = k % 2
+        case = k // 2 % 5
+        if case == 1:
+            normals[row] *= 1e200
+        elif case == 2:
+            normals[row] = 0.0
+            normals[row, k % n] = 1e-170
+        elif case == 3:
+            normals[row, k % n] = 1e-170
+        elif case == 4:
+            normals[row] = 0.0
+        # every cut keeps the origin, so that each system can be solved
+        points[np.einsum("ij,ij->i", normals, points) < 0.0] *= -1.0
+        rows, rhs, keep = sets._unit_rows(normals, points)
+        ref = _unit_rows_by_linalg_norm(normals, points)
+        assert keep.tolist() == ref[2].tolist()
+        assert rows.tobytes() == ref[0].tobytes() and rhs.tobytes() == ref[1].tobytes()
+        with np.errstate(over="ignore", under="ignore"):
+            assert sets._norms(normals).tobytes() == np.linalg.norm(normals, axis=1).tobytes()
+        systems = [checked.add_with_slab(normals[0], points[0], normals[1], points[1]),
+                   unchecked._add(normals[0], points[0], normals[1], points[1])]
+        assert checked.warm_start == unchecked.warm_start and checked.rows == unchecked.rows
+        warm += bool(checked.warm_start)
+        forms = [sets._reduced_form(system) for system in systems]
+        for name in ("G", "h"):
+            assert getattr(systems[0], name).tobytes() == getattr(systems[1], name).tobytes()
+        for name in ("rows", "rhs", "norms"):
+            assert getattr(forms[0], name).tobytes() == getattr(forms[1], name).tobytes()
+        for store, system in zip((checked, unchecked), systems):
+            least_distance(system, x0, warm_start=store.warm_start)
+    assert warm > 0
+
+
 def test_a_sets_rows_are_built_once_and_shared_read_only():
     # the solver projects onto C two or three times per iteration; C's rows
     # must come from one system per set, which no caller can alter
@@ -550,6 +626,12 @@ def test_extension_still_rejects_non_finite_new_rows():
     store = ConstraintStore(box)
     with pytest.raises(ValueError, match="finite"):
         store.add_with_slab(*huge, np.zeros(2), huge[1])
+    # the unchecked entry still refuses a normal that is not finite, which a
+    # NaN norm would otherwise drop as a zero normal
+    for normal in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            with np.errstate(invalid="ignore"):
+                store._add(np.zeros(2), np.zeros(2), np.array(normal), np.zeros(2))
     assert store.rows == 4
 
 

@@ -1,0 +1,119 @@
+"""A/B timing of two vifd source trees in one process, interleaved solve by solve.
+
+Usage, from the repository root::
+
+    git worktree add ../vifd-parent HEAD
+    python3 tools/ab_solves.py ../vifd-parent --workload ray-short --seed 7 --rounds 20
+
+The positional argument is another checkout of this repository, the parent.
+Its ``src/vifd`` is loaded under the package name ``vifd_parent`` beside this
+checkout's ``vifd``, the candidate; every import inside vifd is relative, so
+the two packages share no module.  One workload's solves are drawn from
+``perfbench/workloads.py`` with the candidate, and each config is rebuilt for
+the parent from its ``to_dict`` entry, which carries the same floats.
+
+Correctness comes first: every solve runs once on each side, and each start's
+iteration count and terminal-point bytes (or the exception raised) must agree.
+On the first solve that differs the script names it and exits 1.
+
+Then each round runs every solve on both sides back to back, the candidate
+first on even solves of even rounds and odd solves of odd rounds, and sums
+each side's times.  The script prints the median, quartiles, min and max over
+the rounds of the candidate/parent ratio of those sums.  Pass times on a
+shared host can swing 1.5 to 2 times from one run to the next (see
+``perfbench/run.py``), so a ratio taken in one process, alternating solve by
+solve, resolves effects of a few percent that separate runs do not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import sys
+import time
+
+# one BLAS thread, as in the benchmark, set before numpy is first imported
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import vifd  # noqa: E402
+import workloads  # noqa: E402
+
+PARENT_NAME = "vifd_parent"
+
+
+def load_parent(checkout: str):
+    """The checkout's ``src/vifd`` imported as the package ``vifd_parent``."""
+    package = os.path.join(os.path.abspath(checkout), "src", "vifd")
+    spec = importlib.util.spec_from_file_location(
+        PARENT_NAME, os.path.join(package, "__init__.py"),
+        submodule_search_locations=[package])
+    if spec is None:
+        sys.exit(f"error: no vifd sources under {package}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[PARENT_NAME] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(package, config):
+    """``(seconds, outcome)`` of one ``run_experiment`` call: per start, the
+    iteration count and terminal-point bytes, or the exception's name."""
+    failures = (package.qp.MaxPivots, package.qp.InfeasibleSystem,
+                package.operators.DomainError)
+    started = time.perf_counter()
+    try:
+        rows = package.bench.run_experiment(config)
+    except failures as exc:
+        return time.perf_counter() - started, type(exc).__name__
+    seconds = time.perf_counter() - started
+    return seconds, [(row.iterations, row.terminal_point.tobytes()) for row in rows]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="directory of the parent checkout")
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1, help="workload seed")
+    parser.add_argument("--rounds", type=int, default=10, help="timed rounds")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    parent = load_parent(args.parent)
+
+    solves = workloads.build(args.workload, args.seed)
+    sides = (
+        (vifd, [solve.config for solve in solves]),
+        (parent, [parent.bench.ExperimentConfig.from_dict(solve.config.to_dict())
+                  for solve in solves]),
+    )
+    for i, solve in enumerate(solves):
+        (_, candidate), (_, reference) = (run(package, configs[i]) for package, configs in sides)
+        if candidate != reference:
+            print(f"solve {i} ({solve.cell}) differs: candidate {candidate!r:.200} "
+                  f"against parent {reference!r:.200}")
+            return 1
+    print(f"solves {len(solves)} agree: iteration counts and terminal-point bytes")
+
+    ratios = []
+    for r in range(args.rounds):
+        totals = [0.0, 0.0]
+        for i in range(len(solves)):
+            order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
+            for side in order:
+                package, configs = sides[side]
+                totals[side] += run(package, configs[i])[0]
+        ratios.append(totals[0] / totals[1])
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    print(f"ratio candidate/parent over {args.rounds} rounds: median {median:.4f} "
+          f"quartiles {q1:.4f}-{q3:.4f} min {min(ratios):.4f} max {max(ratios):.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
