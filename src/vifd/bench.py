@@ -35,7 +35,7 @@ _SOLVER_KEYS = tuple(f.name for f in fields(SolverParams))
 _ENTRY_KEYS = {"problem", "starts", "a", "seed", "label", *_SOLVER_KEYS}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One batch of solves: a problem, a list of starts, and shared parameters.
 
@@ -46,6 +46,11 @@ class ExperimentConfig:
     or a string; numbers follow the rule of ``vifd.sets``. Numbers are stored
     as plain ``float`` and ``int``, so a config built from numpy scalars
     serializes as json; a bad value raises a ``ValueError`` naming its key.
+    The problem is built here too, so an unknown problem or a start of the
+    wrong dimension fails at once, and kept: ``build_problem`` returns it.
+    The config is frozen (assigning a field raises
+    ``dataclasses.FrozenInstanceError``), so the kept problem always matches
+    the fields.
     """
 
     problem: str
@@ -66,24 +71,28 @@ class ExperimentConfig:
             vector = isinstance(s, (list, tuple)) or isinstance(s, np.ndarray) and s.ndim == 1
             if not vector or not len(s):
                 raise ValueError(f"'starts' entries must be non-empty vectors, not {s!r}")
-        self.starts = [_point("starts", s) for s in self.starts]
-        dims = {s.size for s in self.starts}
-        if len(dims) != 1:
+        starts = [_point("starts", s) for s in self.starts]
+        if len({s.size for s in starts}) != 1:
             raise ValueError("all start points must share one dimension")
-        if self.a is not None:
-            self.a = _real("a", self.a)
-        self.seed = _integer("seed", self.seed, 0)
+        a = None if self.a is None else _real("a", self.a)
+        seed = _integer("seed", self.seed, 0)
         if not (self.label is None or isinstance(self.label, str)):
             raise ValueError(f"'label' must be a string or None, not {self.label!r}")
-        # fail fast on unknown problems / dimension mismatches
-        self.build_problem()
+        problem = make_problem(self.problem, dim=starts[0].size, a=a, seed=seed)
+        for name, value in (("starts", starts), ("a", a), ("seed", seed), ("_problem", problem)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.starts[0].size
 
     def build_problem(self) -> ProblemInstance:
-        return make_problem(self.problem, dim=self.dim, a=self.a, seed=self.seed)
+        """The config's problem, built once by the constructor: the same object
+        on every call, so every run of the config shares its feasible set's
+        rows (``Box.constraints`` and ``SimplexSlice.constraints`` are built
+        on first use and kept).  A ``ProblemInstance`` is immutable and its
+        operator keeps no state, so sharing it is safe."""
+        return self._problem
 
     def to_dict(self) -> dict:
         """This config as one flat config-file entry, which :meth:`from_dict` reads back."""
@@ -144,7 +153,8 @@ class ResultRow:
 
 
 def run_reports(config: ExperimentConfig) -> list[RunReport]:
-    """Solve every start of the experiment with the config's solver parameters."""
+    """Solve every start of the experiment with the config's solver parameters,
+    on the problem the config built and keeps (``build_problem``)."""
     problem = config.build_problem()
     return [solve(problem, start, config.params) for start in config.starts]
 

@@ -10,7 +10,11 @@ slab is the last row and is never stored.  ``add_with_slab`` checks its four
 vectors and hands them to ``_add``, which the solver's ``step`` calls directly
 with vectors that are finite already; ``_unit_rows`` still refuses a row that
 is not.  Row norms are ``np.linalg.norm``'s own expression for real rows,
-``sqrt(add.reduce(x * x, axis=1))``, without its wrapper."""
+``sqrt(add.reduce(x * x, axis=1))``, without its wrapper; for rows of at most
+``_SHORT`` (7) entries the store computes them on Python floats (``_unit``),
+where they are bitwise the same, and appends each cut and slab in one pass.
+A box's and a slice's rows are built once per set, from bounds the set
+checked itself, around read-only arrays (``_system``)."""
 
 from __future__ import annotations
 
@@ -152,15 +156,15 @@ class Box:
 
     @cached_property
     def constraints(self) -> LinearConstraintSystem:
-        """``+e_i`` rows for the finite uppers, then ``-e_i`` rows for the finite lowers."""
+        """``+e_i`` rows for the finite uppers, then ``-e_i`` rows for the finite
+        lowers, and no equality: a system around new read-only arrays, built
+        once per box without ``LinearConstraintSystem``'s checks, since the
+        bounds were checked when the box was built."""
         eye = np.eye(self.dim)
         upper, lower = np.isfinite(self.upper), np.isfinite(self.lower)
-        return LinearConstraintSystem(
-            np.vstack([eye[upper], -eye[lower]]),
-            np.concatenate([self.upper[upper], -self.lower[lower]]),
-            np.zeros((0, self.dim)),
-            np.zeros(0),
-        )
+        return _system(np.vstack([eye[upper], -eye[lower]]),
+                       np.concatenate([self.upper[upper], -self.lower[lower]]),
+                       np.zeros((0, self.dim)), np.zeros(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +184,12 @@ class SimplexSlice:
 
     @cached_property
     def constraints(self) -> LinearConstraintSystem:
-        """Nonnegativity rows ``-e_i`` and one all-ones equality."""
+        """Nonnegativity rows ``-e_i`` and one all-ones equality: a system around
+        new read-only arrays, built once per slice without
+        ``LinearConstraintSystem``'s checks, since ``a`` and ``dim`` were
+        checked when the slice was built."""
         n = self.dim
-        return LinearConstraintSystem(-np.eye(n), np.zeros(n), np.ones((1, n)), np.array([self.a]))
+        return _system(-np.eye(n), np.zeros(n), np.ones((1, n)), np.array([self.a]))
 
 
 def _validate_rows(G, h, A, b):
@@ -246,8 +253,9 @@ FeasibleSet = Union[Box, SimplexSlice, LinearConstraintSystem]
 
 
 def _system(G: np.ndarray, h: np.ndarray, A: np.ndarray, b: np.ndarray, **attached):
-    """A system around checked rows, frozen in place without a copy, with ``attached`` set."""
-    G.flags.writeable = h.flags.writeable = False
+    """A system around checked float64 rows of the shapes ``LinearConstraintSystem``
+    makes, each array frozen in place without a copy, with ``attached`` set."""
+    G.flags.writeable = h.flags.writeable = A.flags.writeable = b.flags.writeable = False
     system = object.__new__(LinearConstraintSystem)
     vars(system).update(G=G, h=h, A=A, b=b, **attached)
     return system
@@ -297,18 +305,28 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
-def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
-    """The reduced form of the rows ``G y <= h`` on ``{y_part + Z w}`` (the whole
-    space when ``Z`` is None), one row per row of ``G``; ``InfeasibleSystem`` if
-    a row is constant and violated.
+# The longest row that the store normalises on Python floats.  Up to 7
+# entries NumPy's add.reduce sums a row left to right, as _unit does; from 8
+# on it sums pairwise and the last bits can differ.
+_SHORT = 7
 
-    The norms are ``_norms``, bitwise ``np.linalg.norm(M, axis=1)``.
-    A row's result depends on that row alone, except that the BLAS may make
-    the last bits of ``G @ Z`` and ``G @ y_part`` depend on how many rows share
-    the product: with OpenBLAS at n = 5 two or more rows give each row the
-    bits of the whole system's product and one row does not, and at n >= 20
-    two-row products can differ from the whole system's in the last bits.
-    """
+
+def _unit(row: list):
+    """``(row / norm, norm)`` on Python floats for a row of at most ``_SHORT``
+    entries, bitwise ``_norms`` and NumPy's division (``sqrt`` and ``/`` are
+    correctly rounded in both); ``None`` when the sum of squares is 0, not
+    finite or NaN, which the NumPy path handles."""
+    total = 0.0
+    for v in row:  # not sum(), which is compensated from Python 3.12
+        total += v * v
+    if not 0.0 < total < math.inf:
+        return None
+    norm = math.sqrt(total)
+    return [v / norm for v in row], norm
+
+
+def _reduced_rows(G: np.ndarray, h: np.ndarray, y_part, Z):
+    """The rows, right-hand sides and norms of ``_reduce``, still writeable."""
     if Z is not None:
         M = G @ Z
         d = h - G @ y_part
@@ -322,10 +340,49 @@ def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
         if (d[vanish] < -TOL).any():
             raise InfeasibleSystem("a constraint is constant and violated on the affine subspace")
         norms[vanish] = np.inf
-    rows, rhs = M / norms[:, None], d / norms
-    for arr in (rows, rhs, norms):
+    return M / norms[:, None], d / norms, norms
+
+
+def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
+    """The reduced form of the rows ``G y <= h`` on ``{y_part + Z w}`` (the whole
+    space when ``Z`` is None), one row per row of ``G``; ``InfeasibleSystem`` if
+    a row is constant and violated.
+
+    The norms are ``_norms``, bitwise ``np.linalg.norm(M, axis=1)``.
+    A row's result depends on that row alone, except that the BLAS may make
+    the last bits of ``G @ Z`` and ``G @ y_part`` depend on how many rows share
+    the product: with OpenBLAS at n = 5 two or more rows give each row the
+    bits of the whole system's product and one row does not, and at n >= 20
+    two-row products can differ from the whole system's in the last bits.
+    """
+    arrays = _reduced_rows(G, h, y_part, Z)
+    for arr in arrays:
         arr.flags.writeable = False
-    return _ReducedForm(y_part, Z, rows, rhs, norms)
+    return _ReducedForm(y_part, Z, *arrays)
+
+
+def _short_reduced_rows(units: list, G: np.ndarray, h: np.ndarray, y_part, Z):
+    """``_reduced_rows`` of the new rows ``G``, ``h`` (``units`` is ``G`` as
+    lists), with the norms and divisions of ``_unit``; ``None`` when a row
+    vanishes on the reduced space or a right-hand side overflows, which
+    ``_reduced_rows`` handles.  ``G @ Z`` and ``G @ y_part`` stay in the BLAS."""
+    if Z is None:
+        M, d = units, h.tolist()
+    else:
+        M, d = (G @ Z).tolist(), (h - G @ y_part).tolist()
+    rows, rhs, norms = [], [], []
+    for row, value in zip(M, d):
+        unit = _unit(row)
+        if unit is None or unit[1] <= 1e-13:  # a vanishing row, which _reduced_rows screens
+            return None
+        row, norm = unit
+        value /= norm
+        if not math.isfinite(value):  # an overflow, which NumPy reports
+            return None
+        rows.append(row)
+        rhs.append(value)
+        norms.append(norm)
+    return rows, rhs, norms
 
 
 class _Link:
@@ -354,7 +411,10 @@ def _unit_rows(normals: np.ndarray, points: np.ndarray):
     """One unit-normal row per finite pair with a nonzero normal, which keeps an
     accumulated system uniformly conditioned, and the mask of the pairs kept; a
     non-finite row raises ``ValueError``.  A nonzero normal whose norm over- or
-    underflows to inf or 0 is divided by its largest entry first."""
+    underflows to inf or 0 is divided by its largest entry first.  ``assemble``
+    and the store's first call use it; later store calls use it only for a
+    row longer than ``_SHORT`` entries or a norm that ``_unit`` leaves to it,
+    and the one-pass append is tested against it."""
     with np.errstate(over="ignore", under="ignore"):
         norms = _norms(normals)
         extreme = (norms == 0.0) | (norms == np.inf)
@@ -371,11 +431,16 @@ def _unit_rows(normals: np.ndarray, points: np.ndarray):
         rows, points = normals[keep] / norms[keep, None], points[keep]
     else:
         raise ValueError("constraint data must be finite")
-    # a right-hand side is finite only if its row's entries are
+    return rows, _rhs(rows, points), keep
+
+
+def _rhs(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Each row's ``<row, point>``; ``ValueError`` unless all are finite, which
+    they are only if the rows' and the points' entries are."""
     rhs = np.einsum("ij,ij->i", rows, points)
     if not np.isfinite(rhs).all():
         raise ValueError("constraint data must be finite")
-    return rows, rhs, keep
+    return rhs
 
 
 def _base_system(C: FeasibleSet) -> LinearConstraintSystem:
@@ -455,7 +520,10 @@ class ConstraintStore:
         solve is carried when it dropped none of them.  The first call reduces
         C's rows with the first cut and slab in one ``_reduce`` batch (reduced
         alone, a one-row product may round differently); each later call
-        reduces only its new rows and extends the previous reduced rows.
+        reduces only its new rows and extends the previous reduced rows, in
+        one pass on Python floats when the rows have at most ``_SHORT``
+        entries (see ``_add``), with the same bits.  The first call takes C's
+        equality basis from C's own reduced form.
         Each argument is checked by ``as_point``; ``_add`` is the rest of
         this method, for a caller whose four vectors are checked already.
         """
@@ -464,22 +532,50 @@ class ConstraintStore:
                          as_point(slab_normal, n), as_point(slab_point, n))
 
     def _add(self, normal, point, slab_normal, slab_point) -> LinearConstraintSystem:
-        """``add_with_slab`` on finite float vectors of the set's dimension."""
+        """``add_with_slab`` on finite float vectors of the set's dimension.
+
+        From the second call on, a cut and a slab of at most ``_SHORT``
+        entries are appended in one pass: their norms, unit rows and (without
+        equalities) reduced rows on Python floats, by ``_unit`` and
+        ``_short_reduced_rows``, bitwise what ``_unit_rows`` and
+        ``_reduced_rows`` give.  A zero, infinite or NaN norm, a row that
+        vanishes on the reduced space, the first call and longer rows take
+        those two functions.
+        """
         base, previous, stored = self._base, self._last, self.rows
         last = None if previous is None else previous._link.last
         self.warm_start = None if last is None else [i for i in last.active if i < stored]
-        rows, rhs, kept = _unit_rows(np.array((normal, slab_normal)),
-                                     np.array((point, slab_point)))
+        points = np.array((point, slab_point))
+        units = None
+        if previous is not None and normal.size <= _SHORT:
+            pair = (_unit(normal.tolist()), _unit(slab_normal.tolist()))
+            if None not in pair:
+                units = [unit for unit, _ in pair]
+        if units is None:
+            rows, rhs, kept = _unit_rows(np.array((normal, slab_normal)), points)
+        else:
+            rows, kept = np.array(units), (True, True)
+            rhs = _rhs(rows, points)
         source = base if previous is None else previous
         G = np.concatenate([source.G[:stored], rows])
         h = np.concatenate([source.h[:stored], rhs])
         if previous is None:
-            form = _reduce(G, h, *_affine_basis(base.A, base.b))
+            y_part = Z = None
+            if base.b.size:
+                # C's equality basis, from C's reduced form: a plain
+                # projection onto C builds it before the first cut
+                reduced = _reduced_form(base)
+                y_part, Z = reduced.y_part, reduced.Z
+            form = _reduce(G, h, y_part, Z)
         else:
             done = previous._reduced_form
-            new = _reduce(G[stored:], h[stored:], done.y_part, done.Z)
-            arrays = [np.concatenate([getattr(done, name)[:stored], getattr(new, name)])
-                      for name in ("rows", "rhs", "norms")]
+            new = None
+            if units is not None:
+                new = _short_reduced_rows(units, G[stored:], h[stored:], done.y_part, done.Z)
+            if new is None:
+                new = _reduced_rows(G[stored:], h[stored:], done.y_part, done.Z)
+            arrays = [np.concatenate([old[:stored], add])
+                      for old, add in zip((done.rows, done.rhs, done.norms), new)]
             for arr in arrays:
                 arr.flags.writeable = False
             form = _ReducedForm(done.y_part, done.Z, *arrays)

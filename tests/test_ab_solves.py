@@ -1,9 +1,14 @@
 """``tools/ab_solves.py``: the correctness gate, then the interleaved timing."""
 
+import importlib.util
 import os
 import shutil
+import statistics
 import subprocess
 import sys
+import types
+
+import vifd
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "ab_solves.py")
@@ -22,6 +27,41 @@ def test_the_repository_against_itself_agrees_and_prints_the_ratio():
     lines = out.stdout.splitlines()
     assert lines[0] == "solves 48 agree: iteration counts and terminal-point bytes"
     assert lines[1].startswith("ratio candidate/parent over 1 rounds: median ")
+    assert lines[2].startswith("solve_s_p50 over 1 rounds: candidate ")
+    assert " ms parent " in lines[2] and " ms ratio " in lines[2]
+
+
+def _load_tool(monkeypatch):
+    # the tool puts src/ and perfbench/ on sys.path and pins the BLAS threads
+    # when imported; both are undone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    spec = importlib.util.spec_from_file_location("ab_solves", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_a_solve_that_raises_is_an_outcome_named_by_its_exception(monkeypatch):
+    tool = _load_tool(monkeypatch)
+    for exc in (FloatingPointError("numeric breakdown at iteration 3"),
+                ValueError("a mid-run ValueError"), vifd.operators.DomainError("outside"),
+                vifd.qp.MaxPivots("too many pivots")):
+        def run_experiment(config, exc=exc):
+            raise exc
+        package = types.SimpleNamespace(qp=vifd.qp,
+                                        bench=types.SimpleNamespace(run_experiment=run_experiment))
+        seconds, outcome = tool.run(package, None)
+        assert seconds >= 0.0 and outcome == type(exc).__name__
+
+
+def test_a_solves_typical_time_is_perfbenchs(monkeypatch):
+    tool = _load_tool(monkeypatch)
+    # one round: the one time; more: the 0.8 quantile of perfbench/run.py
+    assert tool.typical([0.25]) == 0.25
+    times = [0.5, 0.1, 0.4, 0.2, 0.3]
+    assert tool.typical(times) == statistics.quantiles(times, n=5, method="inclusive")[-1]
+    assert abs(tool.typical(times) - 0.42) < 1e-15
 
 
 def test_a_parent_whose_results_differ_is_named_and_exits_1(tmp_path):

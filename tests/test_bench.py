@@ -1,5 +1,6 @@
 """Experiment configs, result emission, presets, and exit codes."""
 
+import dataclasses
 import json
 import math
 import re
@@ -129,6 +130,19 @@ class TestRunning:
         config = _hs_config(starts=[[0.0, 0.0]])
         run_reports(config)
         assert config.params == SolverParams()
+
+    def test_a_config_is_frozen_and_keeps_its_problem(self):
+        config = _hs_config(starts=[[0.0, 1.0], [0.2, 0.7]])
+        for name, value in (("seed", 1), ("a", 2.0), ("starts", [[0.5, 0.5]]), ("_problem", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, name, value)
+        problem = config.build_problem()
+        assert config.build_problem() is problem
+        first, second = run_reports(config), run_reports(config)
+        assert config.build_problem() is problem
+        for a, b in zip(first, second):
+            assert (a.stop_reason, a.counters) == (b.stop_reason, b.counters)
+            assert a.terminal_point.tobytes() == b.terminal_point.tobytes()
 
     def test_counters_and_terminals_are_deterministic(self):
         config = _hs_config(starts=[[0.0, 1.0], [0.2, 0.7]])

@@ -590,6 +590,133 @@ def test_the_stores_unchecked_entry_and_its_norms_are_bitwise_the_checked_ones(n
     assert warm > 0
 
 
+def _tight(solve):
+    return None if solve is None else (solve.active, solve.w0, solve.w.tobytes(), solve.lam)
+
+
+def _general_add(store, *args):
+    """``store._add`` with every row taking the general path, ``_unit_rows``
+    and ``_reduced_rows``: the reference for the one-pass append."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sets, "_SHORT", 0)
+        return store._add(*args)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8])
+@pytest.mark.parametrize("kind", ["box", "slice"])
+def test_the_one_pass_append_is_bitwise_the_general_path(kind, n, monkeypatch):
+    # two stores fed the same cuts and slabs, one through the one-pass append
+    # and one through _unit_rows and _reduced_rows, through zero normals,
+    # normals whose squares overflow or underflow to 0 or lose an entry to
+    # underflow, and (on the slice) a cut that vanishes on its plane; every
+    # row keeps the point c of C, so that every system can be solved
+    C = Box(-np.ones(n), np.ones(n)) if kind == "box" else SimplexSlice(3.0, n)
+    c = np.zeros(n) if kind == "box" else np.full(n, 3.0 / n)
+    fast, general = ConstraintStore(C), ConstraintStore(C)
+    general_calls = []  # one entry per _unit_rows call
+    unit_rows = sets._unit_rows
+    monkeypatch.setattr(sets, "_unit_rows", lambda *a: general_calls.append(1) or unit_rows(*a))
+    declined = []  # the one-pass reductions that left a row to _reduced_rows
+    short = sets._short_reduced_rows
+    monkeypatch.setattr(sets, "_short_reduced_rows",
+                        lambda *a: (lambda out: declined.append(out is None) or out)(short(*a)))
+    rng = np.random.default_rng(51 + n)
+    x0 = c + rng.normal(size=n)
+    special = fast_calls = 0
+    for k in range(60):
+        normals = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 1))
+        row, case = k % 2, k // 2 % 7
+        if case == 1:
+            normals[row] *= 1e200
+        elif case == 2:
+            normals[row] = 0.0
+            normals[row, k % n] = 1e-170
+        elif case == 3:
+            normals[row, k % n] = 1e-170
+        elif case == 4:
+            normals[row] = 0.0
+        elif case == 5 and kind == "slice":
+            normals[row] = 1.0
+        with np.errstate(over="ignore", under="ignore"):
+            norms = sets._norms(normals)
+        special += k == 0 or not ((0.0 < norms) & (norms < np.inf)).all()
+        offsets = rng.normal(size=(2, n))
+        offsets[np.einsum("ij,ij->i", normals, offsets) < 0.0] *= -1.0
+        args = (normals[0], c + offsets[0], normals[1], c + offsets[1])
+        before = len(general_calls)
+        systems = [fast._add(*args)]
+        fast_calls += len(general_calls) - before
+        systems.append(_general_add(general, *args))
+        assert fast.rows == general.rows and fast.warm_start == general.warm_start
+        forms = [sets._reduced_form(system) for system in systems]
+        for got, want in [(fast.system, general.system), *zip(systems[:1], systems[1:]),
+                          *zip(forms[:1], forms[1:])]:
+            for name, arr in vars(want).items():
+                if isinstance(arr, np.ndarray):
+                    other = getattr(got, name)
+                    assert other.shape == arr.shape and other.tobytes() == arr.tobytes(), name
+                    assert not other.flags.writeable, name
+        assert forms[0].y_part is forms[1].y_part and forms[0].Z is forms[1].Z
+        assert _tight(systems[0]._link.carried) == _tight(systems[1]._link.carried)
+        for store, system in zip((fast, general), systems):
+            least_distance(system, x0, warm_start=store.warm_start)
+    # the fast store normalises by _unit_rows on the first call and where a
+    # norm is 0 or inf only, and on every call when rows are longer than 7
+    assert fast_calls == (60 if n > 7 else special)
+    # on the slice the all-ones cut vanishes on its plane (at n = 1 every row does)
+    assert sum(declined) == (0 if kind == "box" or n > 7 else 60 - special if n == 1 else 8)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_python_float_norm_is_bitwise_norms(n):
+    # _unit's loop sums a row left to right, as NumPy's add.reduce does for
+    # rows of at most 7 entries; sqrt and / are correctly rounded in both
+    rng = np.random.default_rng(61 + n)
+    rows = rng.normal(size=(4000, n)) * 10.0 ** rng.uniform(-150.0, 150.0, size=(4000, 1))
+    for batch in (rows, rows.reshape(-1, 2, n)):
+        batch = batch.reshape(-1, 2, n) if batch.ndim == 3 else batch[None]
+        for normals in batch:
+            norms = sets._norms(normals)
+            units = normals / norms[:, None]
+            for row, norm, unit in zip(normals.tolist(), norms.tolist(), units):
+                got_unit, got_norm = sets._unit(row)
+                assert got_norm.hex() == norm.hex()
+                assert np.array(got_unit).tobytes() == unit.tobytes()
+    # a sum of squares that is 0, overflows or is NaN is left to NumPy
+    for row in ([0.0] * n, [1e-170] * n, [1e200] + [0.0] * (n - 1),
+                [np.inf] + [1.0] * (n - 1), [np.nan] * n):
+        assert sets._unit(row) is None
+
+
+def test_a_sets_constraints_are_the_checked_system_built_unchecked(monkeypatch):
+    # a box's and a slice's rows are built from bounds they checked
+    # themselves, without LinearConstraintSystem's checks, and come out as
+    # the checked construction would make them, every array read-only
+    checks = []
+    validate = sets._validate_rows
+    monkeypatch.setattr(sets, "_validate_rows", lambda *a: checks.append(1) or validate(*a))
+    for C in (Box([0.0, -np.inf, -1.0], [1.0, 2.0, np.inf]), Box([-np.inf] * 2, [np.inf] * 2),
+              Box([-0.0], [0.0]), Box(-np.ones(4), np.ones(4)), SimplexSlice(5.0, 3),
+              SimplexSlice(0.5, 1)):
+        system = C.constraints
+        assert not checks
+        if isinstance(C, Box):
+            eye = np.eye(C.dim)
+            up, low = np.isfinite(C.upper), np.isfinite(C.lower)
+            args = (np.vstack([eye[up], -eye[low]]),
+                    np.concatenate([C.upper[up], -C.lower[low]]),
+                    np.zeros((0, C.dim)), np.zeros(0))
+        else:
+            args = (-np.eye(C.dim), np.zeros(C.dim), np.ones((1, C.dim)), [C.a])
+        checked = LinearConstraintSystem(*args)
+        checks.clear()
+        for name in "GhAb":
+            got, want = getattr(system, name), getattr(checked, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert got.flags.c_contiguous and not got.flags.writeable, name
+
+
 def test_a_sets_rows_are_built_once_and_shared_read_only():
     # the solver projects onto C two or three times per iteration; C's rows
     # must come from one system per set, which no caller can alter

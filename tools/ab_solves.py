@@ -17,12 +17,21 @@ iteration count and terminal-point bytes (or the exception raised) must agree.
 On the first solve that differs the script names it and exits 1.
 
 Then each round runs every solve on both sides back to back, the candidate
-first on even solves of even rounds and odd solves of odd rounds, and sums
-each side's times.  The script prints the median, quartiles, min and max over
-the rounds of the candidate/parent ratio of those sums.  Pass times on a
-shared host can swing 1.5 to 2 times from one run to the next (see
-``perfbench/run.py``), so a ratio taken in one process, alternating solve by
-solve, resolves effects of a few percent that separate runs do not.
+first on even solves of even rounds and odd solves of odd rounds.  The script
+prints two lines:
+
+* the median, quartiles, min and max over the rounds of the candidate/parent
+  ratio of each side's summed times;
+* ``solve_s_p50`` as ``perfbench/run.py`` computes it, per side: each solve's
+  0.8 quantile over the rounds (its one time after a single round), then the
+  median over the solves, and the candidate/parent ratio of the two.
+
+Pass times on a shared host can swing 1.5 to 2 times from one run to the next
+(see ``perfbench/run.py``), so a ratio taken in one process, alternating
+solve by solve, resolves effects of a few percent that separate runs do not.
+A solve that raises a QP failure, a numeric breakdown or any other
+``ValueError`` (``DomainError`` among them) counts as an outcome, named by
+the exception, as in ``tools/trajectory_digest.py``.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import os
+import statistics
 import sys
 import time
 
@@ -64,8 +74,7 @@ def load_parent(checkout: str):
 def run(package, config):
     """``(seconds, outcome)`` of one ``run_experiment`` call: per start, the
     iteration count and terminal-point bytes, or the exception's name."""
-    failures = (package.qp.MaxPivots, package.qp.InfeasibleSystem,
-                package.operators.DomainError)
+    failures = (package.qp.MaxPivots, package.qp.InfeasibleSystem, FloatingPointError, ValueError)
     started = time.perf_counter()
     try:
         rows = package.bench.run_experiment(config)
@@ -73,6 +82,14 @@ def run(package, config):
         return time.perf_counter() - started, type(exc).__name__
     seconds = time.perf_counter() - started
     return seconds, [(row.iterations, row.terminal_point.tobytes()) for row in rows]
+
+
+def typical(times: list) -> float:
+    """A solve's time as ``perfbench/run.py`` takes it for ``solve_s_p50``: the
+    0.8 quantile of its times over the rounds, or its one time."""
+    if len(times) == 1:
+        return times[0]
+    return statistics.quantiles(times, n=5, method="inclusive")[-1]
 
 
 def main(argv=None) -> int:
@@ -100,18 +117,23 @@ def main(argv=None) -> int:
             return 1
     print(f"solves {len(solves)} agree: iteration counts and terminal-point bytes")
 
-    ratios = []
+    # times[side][solve] holds that solve's seconds, one per round
+    times = [[[] for _ in solves] for _ in sides]
     for r in range(args.rounds):
-        totals = [0.0, 0.0]
         for i in range(len(solves)):
             order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
             for side in order:
                 package, configs = sides[side]
-                totals[side] += run(package, configs[i])[0]
-        ratios.append(totals[0] / totals[1])
+                times[side][i].append(run(package, configs[i])[0])
+    candidate, parent = ([sum(solve[r] for solve in side) for r in range(args.rounds)]
+                         for side in times)
+    ratios = [c / p for c, p in zip(candidate, parent)]
     q1, median, q3 = np.percentile(ratios, [25, 50, 75])
     print(f"ratio candidate/parent over {args.rounds} rounds: median {median:.4f} "
           f"quartiles {q1:.4f}-{q3:.4f} min {min(ratios):.4f} max {max(ratios):.4f}")
+    p50 = [statistics.median(typical(solve) for solve in side) for side in times]
+    print(f"solve_s_p50 over {args.rounds} rounds: candidate {p50[0] * 1e3:.4f} ms "
+          f"parent {p50[1] * 1e3:.4f} ms ratio {p50[0] / p50[1]:.4f}")
     return 0
 
 
