@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .operators import ProblemInstance, make_problem
-from .sets import _integer, _point, _real
+from .sets import _frozen, _integer, _point, _real
 from .solver import RunReport, SolverParams, StopCertificate, StopReason, solve
 
 __all__ = [
@@ -45,7 +45,9 @@ class ExperimentConfig:
     finite real number, ``seed`` an integer of at least 0 and ``label`` None
     or a string; numbers follow the rule of ``vifd.sets``. Numbers are stored
     as plain ``float`` and ``int``, so a config built from numpy scalars
-    serializes as json; a bad value raises a ``ValueError`` naming its key.
+    serializes as json, and ``starts`` as a tuple of read-only float64 copies,
+    so a later write to the caller's arrays leaves the config as it was; a bad
+    value raises a ``ValueError`` naming its key.
     The problem is built here too, so an unknown problem or a start of the
     wrong dimension fails at once, and kept: ``build_problem`` returns it.
     The config is frozen (assigning a field raises
@@ -54,7 +56,7 @@ class ExperimentConfig:
     """
 
     problem: str
-    starts: list[np.ndarray]
+    starts: tuple[np.ndarray, ...]
     params: SolverParams = field(default_factory=SolverParams)
     a: float | None = None
     seed: int = 0
@@ -71,7 +73,7 @@ class ExperimentConfig:
             vector = isinstance(s, (list, tuple)) or isinstance(s, np.ndarray) and s.ndim == 1
             if not vector or not len(s):
                 raise ValueError(f"'starts' entries must be non-empty vectors, not {s!r}")
-        starts = [_point("starts", s) for s in self.starts]
+        starts = tuple(_frozen(_point("starts", s)) for s in self.starts)
         if len({s.size for s in starts}) != 1:
             raise ValueError("all start points must share one dimension")
         a = None if self.a is None else _real("a", self.a)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import Box, FeasibleSet, SimplexSlice, _integer, _real, as_point
+from .sets import Box, FeasibleSet, LinearConstraintSystem, SimplexSlice, _integer, _real, as_point
 
 __all__ = [
     "DomainError",
@@ -256,6 +256,8 @@ class ProblemInstance:
 
     ``known_dual_solutions`` lists points of the dual (Minty) solution set,
     which every separating halfspace generated by the solver must retain.
+    An operator and a feasible set of different dimensions raise a
+    ``ValueError`` naming both.
     """
 
     name: str
@@ -264,6 +266,11 @@ class ProblemInstance:
     known_dual_solutions: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
+        feasible = self.feasible
+        dim = feasible.n if isinstance(feasible, LinearConstraintSystem) else feasible.dim
+        if dim != self.operator.dim:
+            raise ValueError(f"the operator has dimension {self.operator.dim} "
+                             f"but the feasible set has dimension {dim}")
         frozen = []
         for s in self.known_dual_solutions:
             arr = np.array(as_point(s, self.operator.dim))

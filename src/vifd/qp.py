@@ -17,10 +17,10 @@ common case on the anchored systems, takes ``dgelsd``'s own closed form.
 Constraint systems are immutable, so what depends on the system alone (the
 equality basis and the normalised reduced rows, one per system row, with the
 rows constant on the affine subspace screened and made inert:
-``vifd.sets._reduce``) is computed once and kept on the system object; a system
-from ``ConstraintStore.add_with_slab`` comes with it.  The active-set iteration
-works in the system's own row numbering.  A KKT residual is computed when
-first read.  Every solve uses the same feasibility and KKT tolerance, ``TOL``.
+``vifd.sets._reduced_rows``) is computed once and kept on the system object; a
+system from ``ConstraintStore.add_with_slab`` comes with it.  The active-set
+iteration works in the system's own row numbering.  A KKT residual is computed
+when first read.  Every solve uses the same feasibility and KKT tolerance, ``TOL``.
 
 Consecutive anchored systems share every stored row bit for bit, so a solve on
 a system from ``add_with_slab`` records its last tight solve in the system's

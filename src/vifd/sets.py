@@ -1,20 +1,21 @@
 """Feasible sets, linear constraint systems, the store of a run's cuts, and the
 one rule for what counts as a number (``as_point``, ``_real``, ``_integer``).
 A cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``.
-A projection works on a system's reduced form (``_reduce``), built once per
-system and numbered as the system's rows.  The ``ConstraintStore`` keeps only
-C's system and the last anchored system; its one writer, ``add_with_slab``,
-extends that system's stored rows, raw and reduced, by a cut and a slab row,
-links the new system to the last (``_Link``), and alone knows the layout: the
-slab is the last row and is never stored.  ``add_with_slab`` checks its four
-vectors and hands them to ``_add``, which the solver's ``step`` calls directly
-with vectors that are finite already; ``_unit_rows`` still refuses a row that
-is not.  Row norms are ``np.linalg.norm``'s own expression for real rows,
+A projection works on a system's reduced form, built once per system by
+``_reduced_rows``, the one function that reduces rows, and numbered as the
+system's rows.  The ``ConstraintStore`` keeps only C's system and the last
+anchored system; its one writer, ``add_with_slab``, extends that system's
+stored rows, raw and reduced, by a cut and a slab row, links the new system
+to the last (``_Link``), and alone knows the layout: the slab is the last row
+and is never stored.  ``add_with_slab`` checks its four vectors and hands
+them to ``_add``, which the solver's ``step`` calls directly with vectors
+that are finite already; ``_unit_rows`` still refuses a row that is not.
+Row norms are ``np.linalg.norm``'s own expression for real rows,
 ``sqrt(add.reduce(x * x, axis=1))``, without its wrapper; for rows of at most
 ``_SHORT`` (7) entries the store computes them on Python floats (``_unit``),
-where they are bitwise the same, and appends each cut and slab in one pass.
-A box's and a slice's rows are built once per set, from bounds the set
-checked itself, around read-only arrays (``_system``)."""
+where they are bitwise the same.  A box's and a slice's rows are built once
+per set, from bounds the set checked itself, around read-only arrays
+(``_system``)."""
 
 from __future__ import annotations
 
@@ -326,7 +327,10 @@ def _unit(row: list):
 
 
 def _reduced_rows(G: np.ndarray, h: np.ndarray, y_part, Z):
-    """The rows, right-hand sides and norms of ``_reduce``, still writeable."""
+    """The reduced rows of ``G y <= h`` on ``{y_part + Z w}`` (the whole space
+    when ``Z`` is None), one row per row of ``G``, with their right-hand sides
+    and norms, still writeable; ``InfeasibleSystem`` if a row is constant and
+    violated.  The norms are ``_norms``, bitwise ``np.linalg.norm(M, axis=1)``."""
     if Z is not None:
         M = G @ Z
         d = h - G @ y_part
@@ -343,46 +347,11 @@ def _reduced_rows(G: np.ndarray, h: np.ndarray, y_part, Z):
     return M / norms[:, None], d / norms, norms
 
 
-def _reduce(G: np.ndarray, h: np.ndarray, y_part, Z) -> _ReducedForm:
-    """The reduced form of the rows ``G y <= h`` on ``{y_part + Z w}`` (the whole
-    space when ``Z`` is None), one row per row of ``G``; ``InfeasibleSystem`` if
-    a row is constant and violated.
-
-    The norms are ``_norms``, bitwise ``np.linalg.norm(M, axis=1)``.
-    A row's result depends on that row alone, except that the BLAS may make
-    the last bits of ``G @ Z`` and ``G @ y_part`` depend on how many rows share
-    the product: with OpenBLAS at n = 5 two or more rows give each row the
-    bits of the whole system's product and one row does not, and at n >= 20
-    two-row products can differ from the whole system's in the last bits.
-    """
-    arrays = _reduced_rows(G, h, y_part, Z)
-    for arr in arrays:
-        arr.flags.writeable = False
-    return _ReducedForm(y_part, Z, *arrays)
-
-
-def _short_reduced_rows(units: list, G: np.ndarray, h: np.ndarray, y_part, Z):
-    """``_reduced_rows`` of the new rows ``G``, ``h`` (``units`` is ``G`` as
-    lists), with the norms and divisions of ``_unit``; ``None`` when a row
-    vanishes on the reduced space or a right-hand side overflows, which
-    ``_reduced_rows`` handles.  ``G @ Z`` and ``G @ y_part`` stay in the BLAS."""
-    if Z is None:
-        M, d = units, h.tolist()
-    else:
-        M, d = (G @ Z).tolist(), (h - G @ y_part).tolist()
-    rows, rhs, norms = [], [], []
-    for row, value in zip(M, d):
-        unit = _unit(row)
-        if unit is None or unit[1] <= 1e-13:  # a vanishing row, which _reduced_rows screens
-            return None
-        row, norm = unit
-        value /= norm
-        if not math.isfinite(value):  # an overflow, which NumPy reports
-            return None
-        rows.append(row)
-        rhs.append(value)
-        norms.append(norm)
-    return rows, rhs, norms
+def _frozen_form(y_part, Z, rows, rhs, norms) -> _ReducedForm:
+    """A ``_ReducedForm`` around ``rows``, ``rhs`` and ``norms``, each frozen in
+    place without a copy."""
+    rows.flags.writeable = rhs.flags.writeable = norms.flags.writeable = False
+    return _ReducedForm(y_part, Z, rows, rhs, norms)
 
 
 class _Link:
@@ -402,7 +371,8 @@ def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
     """The reduced form, built on first use and kept on the immutable system."""
     form = system.__dict__.get("_reduced_form")
     if form is None:
-        form = _reduce(system.G, system.h, *_affine_basis(system.A, system.b))
+        y_part, Z = _affine_basis(system.A, system.b)
+        form = _frozen_form(y_part, Z, *_reduced_rows(system.G, system.h, y_part, Z))
         object.__setattr__(system, "_reduced_form", form)
     return form
 
@@ -412,9 +382,9 @@ def _unit_rows(normals: np.ndarray, points: np.ndarray):
     accumulated system uniformly conditioned, and the mask of the pairs kept; a
     non-finite row raises ``ValueError``.  A nonzero normal whose norm over- or
     underflows to inf or 0 is divided by its largest entry first.  ``assemble``
-    and the store's first call use it; later store calls use it only for a
-    row longer than ``_SHORT`` entries or a norm that ``_unit`` leaves to it,
-    and the one-pass append is tested against it."""
+    uses it; the store uses it only for a row longer than ``_SHORT`` entries
+    or a norm that ``_unit`` leaves to it, and its one-pass normalisation is
+    tested against it."""
     with np.errstate(over="ignore", under="ignore"):
         norms = _norms(normals)
         extreme = (norms == 0.0) | (norms == np.inf)
@@ -518,12 +488,11 @@ class ConstraintStore:
         previous system the active rows below that system's slab keep their
         index: they become ``warm_start`` (None without a last solve), and the
         solve is carried when it dropped none of them.  The first call reduces
-        C's rows with the first cut and slab in one ``_reduce`` batch (reduced
-        alone, a one-row product may round differently); each later call
-        reduces only its new rows and extends the previous reduced rows, in
-        one pass on Python floats when the rows have at most ``_SHORT``
-        entries (see ``_add``), with the same bits.  The first call takes C's
-        equality basis from C's own reduced form.
+        C's rows with the first cut and slab in one ``_reduced_rows`` batch
+        (reduced alone, a one-row product may round differently), with C's
+        equality basis from C's own reduced form; each later call reduces only
+        its new rows, by ``_reduced_rows``, and extends the previous reduced
+        rows.
         Each argument is checked by ``as_point``; ``_add`` is the rest of
         this method, for a caller whose four vectors are checked already.
         """
@@ -534,20 +503,17 @@ class ConstraintStore:
     def _add(self, normal, point, slab_normal, slab_point) -> LinearConstraintSystem:
         """``add_with_slab`` on finite float vectors of the set's dimension.
 
-        From the second call on, a cut and a slab of at most ``_SHORT``
-        entries are appended in one pass: their norms, unit rows and (without
-        equalities) reduced rows on Python floats, by ``_unit`` and
-        ``_short_reduced_rows``, bitwise what ``_unit_rows`` and
-        ``_reduced_rows`` give.  A zero, infinite or NaN norm, a row that
-        vanishes on the reduced space, the first call and longer rows take
-        those two functions.
+        A cut and a slab of at most ``_SHORT`` entries whose norms are finite
+        and nonzero are normalised on Python floats by ``_unit``, bitwise what
+        ``_unit_rows`` gives; a zero, infinite or NaN norm and longer rows
+        take ``_unit_rows``.
         """
         base, previous, stored = self._base, self._last, self.rows
         last = None if previous is None else previous._link.last
         self.warm_start = None if last is None else [i for i in last.active if i < stored]
         points = np.array((point, slab_point))
         units = None
-        if previous is not None and normal.size <= _SHORT:
+        if normal.size <= _SHORT:
             pair = (_unit(normal.tolist()), _unit(slab_normal.tolist()))
             if None not in pair:
                 units = [unit for unit, _ in pair]
@@ -566,19 +532,17 @@ class ConstraintStore:
                 # projection onto C builds it before the first cut
                 reduced = _reduced_form(base)
                 y_part, Z = reduced.y_part, reduced.Z
-            form = _reduce(G, h, y_part, Z)
+            # C's rows with the first cut and slab in one batch: the BLAS may
+            # round G @ Z and G @ y_part differently when fewer rows share the
+            # product (with OpenBLAS at n = 5 a one-row product can differ
+            # from the batch's in the last bits)
+            form = _frozen_form(y_part, Z, *_reduced_rows(G, h, y_part, Z))
         else:
             done = previous._reduced_form
-            new = None
-            if units is not None:
-                new = _short_reduced_rows(units, G[stored:], h[stored:], done.y_part, done.Z)
-            if new is None:
-                new = _reduced_rows(G[stored:], h[stored:], done.y_part, done.Z)
-            arrays = [np.concatenate([old[:stored], add])
-                      for old, add in zip((done.rows, done.rhs, done.norms), new)]
-            for arr in arrays:
-                arr.flags.writeable = False
-            form = _ReducedForm(done.y_part, done.Z, *arrays)
+            new = _reduced_rows(G[stored:], h[stored:], done.y_part, done.Z)
+            form = _frozen_form(done.y_part, done.Z, *[
+                np.concatenate([old[:stored], add])
+                for old, add in zip((done.rows, done.rhs, done.norms), new)])
         kept_all = last is not None and len(self.warm_start) == len(last.active)
         self.rows += int(kept[0])
         self._last = _system(G, h, base.A, base.b, _reduced_form=form,

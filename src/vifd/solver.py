@@ -60,7 +60,7 @@ class LinesearchFailure(RuntimeError):
         self.probes = probes
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
     """The method's parameters and the iteration budget.
 
@@ -70,7 +70,9 @@ class SolverParams:
     and the linesearch are the module constants ``TOL_STEP4`` and
     ``MAX_LINESEARCH_HALVINGS``. Numbers are stored as plain ``float`` and
     ``int`` (numpy scalars are converted); a value of the wrong type or out of
-    range raises a ``ValueError`` naming its field.
+    range raises a ``ValueError`` naming its field.  The parameters are frozen,
+    so no value skips these checks; ``dataclasses.replace`` makes a checked
+    copy with new values.
     """
 
     delta: float = 0.01
@@ -82,8 +84,9 @@ class SolverParams:
     def __post_init__(self):
         for key, high in (("delta", 1.0), ("theta", 1.0), ("beta", math.inf),
                           ("tol_residual", math.inf)):
-            setattr(self, key, _real(key, getattr(self, key), 0.0, high))
-        self.max_outer_iterations = _integer("max_outer_iterations", self.max_outer_iterations, 1)
+            object.__setattr__(self, key, _real(key, getattr(self, key), 0.0, high))
+        object.__setattr__(self, "max_outer_iterations",
+                           _integer("max_outer_iterations", self.max_outer_iterations, 1))
 
 
 @dataclass

@@ -132,10 +132,22 @@ class TestRunning:
         assert config.params == SolverParams()
 
     def test_a_config_is_frozen_and_keeps_its_problem(self):
-        config = _hs_config(starts=[[0.0, 1.0], [0.2, 0.7]])
-        for name, value in (("seed", 1), ("a", 2.0), ("starts", [[0.5, 0.5]]), ("_problem", None)):
+        start = np.array([0.0, 1.0])
+        config = _hs_config(starts=[start, [0.2, 0.7]])
+        for target, name, value in ((config, "seed", 1), (config, "a", 2.0),
+                                    (config, "starts", [[0.5, 0.5]]), (config, "_problem", None),
+                                    (config.params, "delta", 5.0),
+                                    (config.params, "max_outer_iterations", -3)):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(config, name, value)
+                setattr(target, name, value)
+        # the starts are read-only copies: a later write to the caller's
+        # array leaves the config as it was, and a start cannot be written
+        assert isinstance(config.starts, tuple)
+        start[0] = 5.0
+        assert config.starts[0].tolist() == [0.0, 1.0]
+        for s in config.starts:
+            with pytest.raises(ValueError):
+                s[0] = 5.0
         problem = config.build_problem()
         assert config.build_problem() is problem
         first, second = run_reports(config), run_reports(config)

@@ -1,4 +1,5 @@
-"""``tools/trajectory_digest.py``: a solve that raises is counted, not fatal."""
+"""``tools/trajectory_digest.py``: a solve that raises is counted, not fatal,
+and each group of solves has its own digest line."""
 
 import importlib.util
 import os
@@ -35,15 +36,28 @@ def test_solves_that_raise_are_counted_and_hashed(monkeypatch, capsys):
             raise failures[id(config)]
         return run_reports(config)
 
-    monkeypatch.setattr(tool, "configs", lambda seed: iter([solved, breakdown, invalid]))
+    groups = [("table1", solved), ("ray-short", breakdown), ("ray-short", invalid)]
+    monkeypatch.setattr(tool, "configs", lambda seed: iter(groups))
     monkeypatch.setattr(tool, "run_reports", reports)
     assert tool.main(["--seed", "1"]) == 0
     first = capsys.readouterr().out.splitlines()
     assert first[:2] == ["solves 6", "raised 4"]
-    # the exception's name enters the digest
+    # one line per group after the three totals, in the order of the solves
+    assert [line.rsplit(" ", 1)[0] for line in first[2:]] == [
+        "sha256", "sha256 table1", "sha256 ray-short"]
+    # the exception's name enters the digest and its group's, and no other
     failures[id(invalid)] = ValueError("a plain ValueError")
     assert tool.main(["--seed", "1"]) == 0
     second = capsys.readouterr().out.splitlines()
     assert second[:2] == first[:2]
     assert second[2] != first[2]
+    assert second[3] == first[3]
+    assert second[4] != first[4]
+
+
+def test_the_groups_are_the_presets_then_the_workloads(monkeypatch):
+    tool = _load_tool(monkeypatch)
+    groups = [group for group, _ in tool.configs(1)]
+    assert list(dict.fromkeys(groups)) == [
+        "table1", "table2", "table3", "table4", "anchored-long", "box-wide", "ray-short"]
 

@@ -17,7 +17,7 @@ from vifd.operators import (
     UnknownProblem,
     make_problem,
 )
-from vifd.sets import Box
+from vifd.sets import Box, LinearConstraintSystem, SimplexSlice
 
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -364,6 +364,16 @@ class TestRegistry:
                 feasible=Box(np.zeros(2), np.ones(2)),
                 known_dual_solutions=(np.array([2.0, 2.0]),),
             )
+
+    def test_operator_and_feasible_set_must_share_a_dimension(self):
+        for operator, feasible, dims in (
+                (RhoOperator(2), Box(-np.ones(3), np.ones(3)), (2, 3)),
+                (HsQuasimonotone(), SimplexSlice(1.0, 5), (2, 5)),
+                (RhoOperator(4), LinearConstraintSystem(np.eye(3), np.ones(3),
+                                                        np.zeros((0, 3)), np.zeros(0)), (4, 3))):
+            message = f"operator has dimension {dims[0]} but the feasible set has dimension {dims[1]}"
+            with pytest.raises(ValueError, match=message):
+                ProblemInstance("mismatch", operator, feasible)
 
     def test_dual_solutions_are_read_only(self):
         p = make_problem("hs-quasimonotone")

@@ -446,13 +446,13 @@ def test_kkt_residual_from_null_basis_matches_lstsq_reference():
 
 def test_a_reduced_form_is_built_once_per_system(monkeypatch):
     built = []
-    reduce = sets._reduce
+    reduced_rows = sets._reduced_rows
 
-    def counting_reduce(G, h, y_part, Z):
+    def counting_reduced_rows(G, h, y_part, Z):
         built.append(G)
-        return reduce(G, h, y_part, Z)
+        return reduced_rows(G, h, y_part, Z)
 
-    monkeypatch.setattr(sets, "_reduce", counting_reduce)
+    monkeypatch.setattr(sets, "_reduced_rows", counting_reduced_rows)
     system = _slice_with_cuts(15)
     x0 = [4.0, -1.0, 0.5, 3.0, 0.0]
     first = least_distance(system, x0)

@@ -448,7 +448,8 @@ def test_the_store_reduces_its_rows_as_reduce_does(C):
         assert system.G.shape[0] == store.rows + (k > 0)
         np.testing.assert_array_equal(system.G[:store.rows], store.system.G)
         form = sets._reduced_form(system)
-        ref = sets._reduce(system.G, system.h, *sets._affine_basis(system.A, system.b))
+        basis = sets._affine_basis(system.A, system.b)
+        ref = sets._frozen_form(*basis, *sets._reduced_rows(system.G, system.h, *basis))
         # one reduced row per system row, in the system's order
         assert form.rows.shape[0] == form.rhs.size == form.norms.size == system.G.shape[0]
         inert = form.norms == np.inf
@@ -486,7 +487,7 @@ def _add_then_with_cut(base, reference, normal, point, slab_normal, slab_point):
     row, rhs, _ = sets._unit_rows(as_point(slab_normal, n)[None], as_point(slab_point, n)[None])
     G, h = np.concatenate([stored[0], row]), np.concatenate([stored[1], rhs])
     basis = sets._affine_basis(base.A, base.b) if form is None else (form.y_part, form.Z)
-    new = sets._reduce(G[start:], h[start:], *basis)
+    new = sets._frozen_form(*basis, *sets._reduced_rows(G[start:], h[start:], *basis))
     reduced = [np.concatenate([getattr(form, name)[:start], getattr(new, name)])
                if start else getattr(new, name) for name in ("rows", "rhs", "norms")]
     return (G, h), reduced, (stored, sets._ReducedForm(*basis, *reduced), stored[1].size)
@@ -603,23 +604,23 @@ def _general_add(store, *args):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 7, 8])
-@pytest.mark.parametrize("kind", ["box", "slice"])
+@pytest.mark.parametrize("kind", ["box", "slice", "unbounded"])
 def test_the_one_pass_append_is_bitwise_the_general_path(kind, n, monkeypatch):
     # two stores fed the same cuts and slabs, one through the one-pass append
     # and one through _unit_rows and _reduced_rows, through zero normals,
     # normals whose squares overflow or underflow to 0 or lose an entry to
     # underflow, and (on the slice) a cut that vanishes on its plane; every
-    # row keeps the point c of C, so that every system can be solved
-    C = Box(-np.ones(n), np.ones(n)) if kind == "box" else SimplexSlice(3.0, n)
-    c = np.zeros(n) if kind == "box" else np.full(n, 3.0 / n)
+    # row keeps the point c of C, so that every system can be solved.  The
+    # unbounded box has no row, so its first call, whose slab is nonzero
+    # here, appends to 0 stored rows
+    C = {"box": Box(-np.ones(n), np.ones(n)), "slice": SimplexSlice(3.0, n),
+         "unbounded": Box(np.full(n, -np.inf), np.full(n, np.inf))}[kind]
+    c = np.full(n, 3.0 / n) if kind == "slice" else np.zeros(n)
     fast, general = ConstraintStore(C), ConstraintStore(C)
+    assert kind != "unbounded" or fast.rows == 0
     general_calls = []  # one entry per _unit_rows call
     unit_rows = sets._unit_rows
     monkeypatch.setattr(sets, "_unit_rows", lambda *a: general_calls.append(1) or unit_rows(*a))
-    declined = []  # the one-pass reductions that left a row to _reduced_rows
-    short = sets._short_reduced_rows
-    monkeypatch.setattr(sets, "_short_reduced_rows",
-                        lambda *a: (lambda out: declined.append(out is None) or out)(short(*a)))
     rng = np.random.default_rng(51 + n)
     x0 = c + rng.normal(size=n)
     special = fast_calls = 0
@@ -637,11 +638,11 @@ def test_the_one_pass_append_is_bitwise_the_general_path(kind, n, monkeypatch):
             normals[row] = 0.0
         elif case == 5 and kind == "slice":
             normals[row] = 1.0
-        with np.errstate(over="ignore", under="ignore"):
-            norms = sets._norms(normals)
-        special += k == 0 or not ((0.0 < norms) & (norms < np.inf)).all()
         offsets = rng.normal(size=(2, n))
         offsets[np.einsum("ij,ij->i", normals, offsets) < 0.0] *= -1.0
+        with np.errstate(over="ignore", under="ignore"):
+            norms = sets._norms(normals)
+        special += not ((0.0 < norms) & (norms < np.inf)).all()
         args = (normals[0], c + offsets[0], normals[1], c + offsets[1])
         before = len(general_calls)
         systems = [fast._add(*args)]
@@ -660,11 +661,9 @@ def test_the_one_pass_append_is_bitwise_the_general_path(kind, n, monkeypatch):
         assert _tight(systems[0]._link.carried) == _tight(systems[1]._link.carried)
         for store, system in zip((fast, general), systems):
             least_distance(system, x0, warm_start=store.warm_start)
-    # the fast store normalises by _unit_rows on the first call and where a
-    # norm is 0 or inf only, and on every call when rows are longer than 7
+    # the fast store normalises by _unit_rows exactly where a norm is 0 or
+    # inf, and on every call when rows are longer than 7
     assert fast_calls == (60 if n > 7 else special)
-    # on the slice the all-ones cut vanishes on its plane (at n = 1 every row does)
-    assert sum(declined) == (0 if kind == "box" or n > 7 else 60 - special if n == 1 else 8)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -1,7 +1,7 @@
 """Outer loop, linesearch, stop tests, and run-level geometric invariants."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
 import pytest
@@ -185,12 +185,22 @@ class TestSolverParams:
             {"theta": np.array(True)},
             {"delta": np.array([0.5])},
             {"max_outer_iterations": np.array(5.0)},
+            {"delta": 5.0},
+            {"max_outer_iterations": -3},
         ],
     )
     def test_rejects(self, kwargs):
         (key,) = kwargs
         with pytest.raises(ValueError, match=repr(key)):
             SolverParams(**kwargs)
+        # nor can a value skip the checks later: the parameters are frozen,
+        # and replace checks its values as the constructor does
+        params = SolverParams()
+        with pytest.raises(FrozenInstanceError):
+            setattr(params, key, kwargs[key])
+        with pytest.raises(ValueError, match=repr(key)):
+            replace(params, **kwargs)
+        assert params == SolverParams()
 
     def test_stores_plain_numbers(self):
         # numpy scalars and integers become plain floats and ints
@@ -562,7 +572,7 @@ class TestSolve:
     def test_a_long_run_reduces_each_row_once_and_computes_no_certificate(self, monkeypatch):
         # counts, not times, so that this guard runs on any machine
         reduced_rows, certificates = [], []
-        reduce, kkt_residual = sets._reduce, qp._kkt_residual
+        reduce, kkt_residual = sets._reduced_rows, qp._kkt_residual
 
         def counted_reduce(G, *args):
             reduced_rows.append(G.shape[0])
@@ -572,7 +582,7 @@ class TestSolve:
             certificates.append(args)
             return kkt_residual(*args)
 
-        monkeypatch.setattr(sets, "_reduce", counted_reduce)
+        monkeypatch.setattr(sets, "_reduced_rows", counted_reduce)
         monkeypatch.setattr(qp, "_kkt_residual", counted_kkt_residual)
         config = preset_configs("table3")[-1]
         assert config.params.delta == 0.99

@@ -9,7 +9,10 @@ Solves every start of presets table1 to table4, then every solve of the
 drawn from ``--seed``, in that order.  Each solve contributes its stop
 reason, outer iterations, operator evaluations, QP solves and the bytes of
 its terminal point.  The script prints the number of solves, the number of
-those that raised, and the digest.
+those that raised, and the digest, then one digest per group, over that
+group's solves in the same order: ``sha256 <group> <hex>`` for each of
+table1 to table4, anchored-long, box-wide and ray-short.  A group's line
+tells which solves moved a digest.
 
 Two commits that print the same digest at the same seed give bitwise the same
 trajectories on all of these solves, so a refactor meant to change no result
@@ -41,12 +44,13 @@ PRESETS = ("table1", "table2", "table3", "table4")
 
 
 def configs(seed: int):
-    """Every single-run config, presets first, in a fixed order."""
+    """Every single-run config with its group, presets first, in a fixed order."""
     for name in PRESETS:
-        yield from preset_configs(name)
+        for config in preset_configs(name):
+            yield name, config
     for name in sorted(workloads.WORKLOADS):
         for solve in workloads.build(name, seed):
-            yield solve.config
+            yield name, solve.config
 
 
 def main(argv=None) -> int:
@@ -54,26 +58,29 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
+    groups = {}
     solves = raised = 0
-    for config in configs(args.seed):
+    for group, config in configs(args.seed):
         try:
             reports = run_reports(config)
         except (MaxPivots, InfeasibleSystem, FloatingPointError, ValueError) as exc:
-            digest.update(f"{type(exc).__name__}\n".encode())
+            data = f"{type(exc).__name__}\n".encode()
             solves += len(config.starts)
             raised += len(config.starts)
-            continue
-        for report in reports:
-            c = report.counters
-            digest.update(
-                f"{report.stop_reason.value}|{c.outer_iters}|{c.operator_evals}|"
-                f"{c.qp_solves}|".encode()
+        else:
+            data = b"".join(
+                f"{r.stop_reason.value}|{r.counters.outer_iters}|{r.counters.operator_evals}|"
+                f"{r.counters.qp_solves}|".encode() + r.terminal_point.tobytes()
+                for r in reports
             )
-            digest.update(report.terminal_point.tobytes())
-            solves += 1
+            solves += len(reports)
+        digest.update(data)
+        groups.setdefault(group, hashlib.sha256()).update(data)
     print(f"solves {solves}")
     print(f"raised {raised}")
     print(f"sha256 {digest.hexdigest()}")
+    for group, group_digest in groups.items():
+        print(f"sha256 {group} {group_digest.hexdigest()}")
     return 0
 
 
