@@ -45,9 +45,6 @@ __all__ = [
     "solve",
 ]
 
-_EXIT_SLACK = 1e-12
-#: Step 4 stops once consecutive anchored projections are this close.
-TOL_STEP4 = 1e-12
 #: The linesearch gives up after this many halvings of alpha.
 MAX_LINESEARCH_HALVINGS = 200
 
@@ -66,8 +63,9 @@ class SolverParams:
 
     ``beta`` is the trial step length in ``z = P_C(x - beta u)``.
     ``tol_residual`` applies to the squared residuals ||x - z||^2 and
-    ||z - P_C(z - v)||^2 of the two early stop checks. The guards around Step 4
-    and the linesearch are the module constants ``TOL_STEP4`` and
+    ||z - P_C(z - v)||^2 of the two early stop checks. Step 4 and the
+    linesearch acceptance are the paper's exact tests (see ``step`` and
+    ``linesearch_f``); the linesearch's guard is the module constant
     ``MAX_LINESEARCH_HALVINGS``. Numbers are stored as plain ``float`` and
     ``int`` (numpy scalars are converted); a value of the wrong type or out of
     range raises a ``ValueError`` naming its field.  The parameters are frozen,
@@ -188,10 +186,12 @@ def linesearch_f(
     """Backtrack alpha over {1, theta, theta^2, ...} until the support test passes.
 
     At each trial the support of T at ``alpha z + (1 - alpha) x`` along
-    ``x - z`` is compared against ``delta <u, x - z>``; the first alpha whose
-    support reaches the threshold is returned together with a witness element
-    achieving it and the number of probes spent; a witness that is not a
-    finite vector of the iterate's length raises ``ValueError``.
+    ``x - z`` is compared against ``delta <u, x - z>`` with no slack; the first
+    alpha whose support is at least that threshold is returned together with a
+    witness element achieving it (the support's maximizer, or
+    ``witness_above`` of an unattained supremum) and the number of probes
+    spent; a witness that is not a finite vector of the iterate's length
+    raises ``ValueError``.
 
     Raises :class:`LinesearchFailure` after ``MAX_LINESEARCH_HALVINGS + 1``
     probes without success.
@@ -210,7 +210,7 @@ def linesearch_f(
         if counters is not None:
             counters.operator_evals += 1
             counters.linesearch_probes += 1
-        if result.value >= threshold - _EXIT_SLACK:
+        if result.value >= threshold:
             if result.maximizer is not None:
                 ubar = np.array(result.maximizer)
             else:
@@ -270,10 +270,13 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     The separating halfspace found this iteration is added to the constraint
     store ``state.cuts`` as one row (all cuts are kept).  The slab anchored at
     the current iterate is never stored: the next iterate projects the start
-    point onto the system ``state.cuts.add_with_slab`` makes of the rows and
-    slab in the same call that stores the cut, warm started at the store's
-    ``warm_start``.  Every stop, a linesearch breakdown included, returns its
-    report; the QP's ``MaxPivots`` and ``InfeasibleSystem`` still raise.
+    point onto the system that ``state.cuts._add`` (``add_with_slab`` without
+    its input checks) makes of the rows and slab in the same call that stores
+    the cut, warm started at the store's ``warm_start``.  Step 4 stops when
+    that projection equals the iterate entrywise, with the certificate
+    ``("step_norm_step4", 0.0, 0.0)``.  Every stop, a linesearch breakdown
+    included, returns its report; the QP's ``MaxPivots`` and
+    ``InfeasibleSystem`` still raise.
     """
     C, T = problem.feasible, problem.operator
     counters = state.counters
@@ -312,12 +315,11 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     counters.qp_pivots += solution.iterations
     x_next = solution.point
 
-    moved = x_next - state.x
-    step_norm = math.sqrt(moved @ moved)
+    fixed = (x_next == state.x).all()
     state.x = x_next
     counters.outer_iters += 1
-    if step_norm <= TOL_STEP4:
-        certificate = StopCertificate("step_norm_step4", step_norm, TOL_STEP4)
+    if fixed:
+        certificate = StopCertificate("step_norm_step4", 0.0, 0.0)
         return state, _report(state, StopReason.FIXED_POINT_STEP4, x_next, certificate)
     return state, None
 

@@ -3,7 +3,6 @@
 import importlib.util
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 import types
@@ -27,8 +26,8 @@ def test_the_repository_against_itself_agrees_and_prints_the_ratio():
     lines = out.stdout.splitlines()
     assert lines[0] == "solves 48 agree: iteration counts and terminal-point bytes"
     assert lines[1].startswith("ratio candidate/parent over 1 rounds: median ")
-    assert lines[2].startswith("solve_s_p50 over 1 rounds: candidate ")
-    assert " ms parent " in lines[2] and " ms ratio " in lines[2]
+    assert lines[2].startswith("solve_s_p50 ratio candidate/parent over 1 rounds: median ")
+    assert len(lines) == 3
 
 
 def _load_tool(monkeypatch):
@@ -55,23 +54,15 @@ def test_a_solve_that_raises_is_an_outcome_named_by_its_exception(monkeypatch):
         assert seconds >= 0.0 and outcome == type(exc).__name__
 
 
-def test_a_solves_typical_time_is_perfbenchs(monkeypatch):
-    tool = _load_tool(monkeypatch)
-    # one round: the one time; more: the 0.8 quantile of perfbench/run.py
-    assert tool.typical([0.25]) == 0.25
-    times = [0.5, 0.1, 0.4, 0.2, 0.3]
-    assert tool.typical(times) == statistics.quantiles(times, n=5, method="inclusive")[-1]
-    assert abs(tool.typical(times) - 0.42) < 1e-15
-
-
 def test_a_parent_whose_results_differ_is_named_and_exits_1(tmp_path):
-    # a copy whose Step 4 tolerance stops the box solves at other iterates
+    # a copy whose QP pivot guard allows no pivot, so the first solve whose
+    # anchored projection needs one raises MaxPivots
     shutil.copytree(os.path.join(ROOT, "src", "vifd"), tmp_path / "src" / "vifd",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    solver = tmp_path / "src" / "vifd" / "solver.py"
-    source = solver.read_text()
-    assert "TOL_STEP4 = 1e-12" in source
-    solver.write_text(source.replace("TOL_STEP4 = 1e-12", "TOL_STEP4 = 1e-1"))
+    qp = tmp_path / "src" / "vifd" / "qp.py"
+    source = qp.read_text()
+    assert "PIVOTS_PER_ROW = 50" in source
+    qp.write_text(source.replace("PIVOTS_PER_ROW = 50", "PIVOTS_PER_ROW = 0"))
     out = _run(tmp_path)
     assert out.returncode == 1, out.stderr
     assert out.stdout.startswith("solve ") and " differs: " in out.stdout

@@ -4,6 +4,7 @@ and each group of solves has its own digest line."""
 import importlib.util
 import os
 import sys
+from dataclasses import replace
 
 from vifd.bench import ExperimentConfig, run_reports
 from vifd.operators import DomainError
@@ -59,5 +60,12 @@ def test_the_groups_are_the_presets_then_the_workloads(monkeypatch):
     tool = _load_tool(monkeypatch)
     groups = [group for group, _ in tool.configs(1)]
     assert list(dict.fromkeys(groups)) == [
-        "table1", "table2", "table3", "table4", "anchored-long", "box-wide", "ray-short"]
+        "table1", "table2", "table3", "table4", "table4-beta0.25",
+        "anchored-long", "box-wide", "ray-short"]
+    # the Step 4 group is table4's config with only beta changed, to 0.25
+    configs = list(tool.configs(1))
+    (table4,), (quarter,) = ([c for g, c in configs if g == group]
+                             for group in ("table4", "table4-beta0.25"))
+    assert quarter.params == replace(table4.params, beta=0.25)
+    assert replace(quarter, params=table4.params).to_dict() == table4.to_dict()
 

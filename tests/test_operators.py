@@ -249,7 +249,7 @@ def test_support_oracle_consistency_across_operators():
             cases += 1
             continue
         assert result.maximizer is not None
-        assert abs(float(result.maximizer @ d) - result.value) <= 1e-12
+        assert float(result.maximizer @ d) == result.value
         if op.singleton:
             np.testing.assert_array_equal(result.maximizer, op.select(x))
         else:
@@ -283,8 +283,9 @@ def test_ray_witness_consistency_random():
             level = float(rng.uniform(-5.0, 50.0))
             w = op.witness_above(x, d, level)
             assert op.member(x, w, tol=1e-9)
-            assert float(w @ d) >= level - 1e-12
+            assert float(w @ d) >= level
         else:
+            assert float(result.maximizer @ d) == result.value
             w = op.witness_above(x, d, result.value - 1e-9)
             assert op.member(x, w, tol=1e-9)
 

@@ -152,7 +152,6 @@ class TestSolverParams:
         assert params.beta == 1.0
         assert params.tol_residual == 1e-8
         assert params.max_outer_iterations == 10_000
-        assert vifd.solver.TOL_STEP4 == 1e-12
         assert vifd.solver.MAX_LINESEARCH_HALVINGS == 200
 
     @pytest.mark.parametrize(
@@ -297,6 +296,13 @@ class TestLinesearch:
         assert alpha == pytest.approx(0.0625)
         assert probes == 5
         np.testing.assert_allclose(ubar, [1.0])
+        # the test is the paper's inequality with no slack: at alpha = 1 a
+        # support exactly at the threshold 0.5 passes and one 1e-13 below it
+        # does not, so the second probe (support 1) is taken
+        for low, accepted, spent in ((0.5, 1.0, 1), (0.5 - 1e-13, 0.5, 2)):
+            T = StepFunctionOperator(cut=0.25, low=low, high=1.0)
+            alpha, ubar, probes = linesearch_f(T, [1.0], [0.0], [1.0], params)
+            assert (alpha, probes) == (accepted, spent)
 
     def test_exhausted_budget_raises(self, monkeypatch):
         monkeypatch.setattr(vifd.solver, "MAX_LINESEARCH_HALVINGS", 10)
@@ -335,7 +341,7 @@ class TestLinesearch:
                 continue
             alpha, ubar, _ = linesearch_f(problem.operator, x, z, u, params)
             d = x - z
-            assert float(ubar @ d) >= params.delta * float(u @ d) - 1e-12
+            assert float(ubar @ d) >= params.delta * float(u @ d)
 
 
 class TestStep2:
@@ -619,14 +625,19 @@ class TestSolve:
         assert report.terminal_certificate.value == 9.0
         assert report.terminal_certificate.tolerance == 8.0
 
-    def test_loose_step4_tolerance_stops_on_fixed_point(self, monkeypatch):
-        monkeypatch.setattr(vifd.solver, "TOL_STEP4", 10.0)
-        problem = make_problem("hs-quasimonotone")
-        report = solve(problem, [0.0, 0.0], SolverParams())
+    def test_step4_stops_where_the_anchored_projection_repeats_the_iterate(self):
+        # table4's start (1, pi/2) at beta = 0.5: the ninth anchored
+        # projection returns the eighth iterate entrywise
+        config = preset_configs("table4")[0]
+        params = replace(config.params, beta=0.5)
+        report, iterations = run_iterations(config.build_problem(), [1.0, math.pi / 2], params)
         assert report.stop_reason is StopReason.FIXED_POINT_STEP4
-        assert report.terminal_certificate.test == "step_norm_step4"
-        assert report.terminal_certificate.tolerance == 10.0
-        assert report.counters.outer_iters == 1
+        assert report.counters.outer_iters == 9
+        assert report.terminal_certificate == vifd.solver.StopCertificate(
+            "step_norm_step4", 0.0, 0.0)
+        last = iterations[-1]
+        np.testing.assert_array_equal(last.x_next, last.x)
+        assert all((it.x_next != it.x).any() for it in iterations[:-1])
 
     def test_max_iterations_reached(self):
         problem = make_problem("rho-squared")
@@ -722,8 +733,8 @@ def test_run_invariants(name, kwargs, x0, params):
             continue
         assert C.contains(rec.xbar, 1e-8)
         d = rec.x - rec.z
-        # the linesearch exit inequality, and its consequence at xbar
-        assert float(rec.ubar @ d) >= params.delta * float(rec.u @ d) - 1e-12
+        # the linesearch exit inequality, exact, and its consequence at xbar
+        assert float(rec.ubar @ d) >= params.delta * float(rec.u @ d)
         assert (
             float(rec.ubar @ (rec.x - rec.xbar))
             >= (rec.alpha / beta_hat) * params.delta * float(np.sum(d**2)) - 1e-10

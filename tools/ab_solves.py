@@ -18,13 +18,11 @@ On the first solve that differs the script names it and exits 1.
 
 Then each round runs every solve on both sides back to back, the candidate
 first on even solves of even rounds and odd solves of odd rounds.  The script
-prints two lines:
+prints two lines, each the median, quartiles, min and max over the rounds of
+a candidate/parent ratio taken within one round:
 
-* the median, quartiles, min and max over the rounds of the candidate/parent
-  ratio of each side's summed times;
-* ``solve_s_p50`` as ``perfbench/run.py`` computes it, per side: each solve's
-  0.8 quantile over the rounds (its one time after a single round), then the
-  median over the solves, and the candidate/parent ratio of the two.
+* of each side's summed times;
+* ``solve_s_p50``: of each side's median solve time.
 
 Pass times on a shared host can swing 1.5 to 2 times from one run to the next
 (see ``perfbench/run.py``), so a ratio taken in one process, alternating
@@ -84,14 +82,6 @@ def run(package, config):
     return seconds, [(row.iterations, row.terminal_point.tobytes()) for row in rows]
 
 
-def typical(times: list) -> float:
-    """A solve's time as ``perfbench/run.py`` takes it for ``solve_s_p50``: the
-    0.8 quantile of its times over the rounds, or its one time."""
-    if len(times) == 1:
-        return times[0]
-    return statistics.quantiles(times, n=5, method="inclusive")[-1]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="directory of the parent checkout")
@@ -117,23 +107,20 @@ def main(argv=None) -> int:
             return 1
     print(f"solves {len(solves)} agree: iteration counts and terminal-point bytes")
 
-    # times[side][solve] holds that solve's seconds, one per round
-    times = [[[] for _ in solves] for _ in sides]
+    # times[side][round] holds every solve's seconds in that round
+    times = [[[] for _ in range(args.rounds)] for _ in sides]
     for r in range(args.rounds):
         for i in range(len(solves)):
             order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
             for side in order:
                 package, configs = sides[side]
-                times[side][i].append(run(package, configs[i])[0])
-    candidate, parent = ([sum(solve[r] for solve in side) for r in range(args.rounds)]
-                         for side in times)
-    ratios = [c / p for c, p in zip(candidate, parent)]
-    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
-    print(f"ratio candidate/parent over {args.rounds} rounds: median {median:.4f} "
-          f"quartiles {q1:.4f}-{q3:.4f} min {min(ratios):.4f} max {max(ratios):.4f}")
-    p50 = [statistics.median(typical(solve) for solve in side) for side in times]
-    print(f"solve_s_p50 over {args.rounds} rounds: candidate {p50[0] * 1e3:.4f} ms "
-          f"parent {p50[1] * 1e3:.4f} ms ratio {p50[0] / p50[1]:.4f}")
+                times[side][r].append(run(package, configs[i])[0])
+    for label, statistic in (("ratio candidate/parent", sum),
+                             ("solve_s_p50 ratio candidate/parent", statistics.median)):
+        ratios = [statistic(c) / statistic(p) for c, p in zip(*times)]
+        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+        print(f"{label} over {args.rounds} rounds: median {median:.4f} "
+              f"quartiles {q1:.4f}-{q3:.4f} min {min(ratios):.4f} max {max(ratios):.4f}")
     return 0
 
 

@@ -4,15 +4,17 @@ Usage, from the repository root::
 
     python3 tools/trajectory_digest.py --seed 1
 
-Solves every start of presets table1 to table4, then every solve of the
+Solves every start of presets table1 to table4, then table4's starts again
+at ``beta = 0.25`` (group ``table4-beta0.25``: six of its nine starts stop at
+Step 4, which no other solve here reaches), then every solve of the
 ``perfbench/workloads.py`` workloads (anchored-long, box-wide, ray-short)
 drawn from ``--seed``, in that order.  Each solve contributes its stop
 reason, outer iterations, operator evaluations, QP solves and the bytes of
 its terminal point.  The script prints the number of solves, the number of
 those that raised, and the digest, then one digest per group, over that
 group's solves in the same order: ``sha256 <group> <hex>`` for each of
-table1 to table4, anchored-long, box-wide and ray-short.  A group's line
-tells which solves moved a digest.
+table1 to table4, table4-beta0.25, anchored-long, box-wide and ray-short.  A
+group's line tells which solves moved a digest.
 
 Two commits that print the same digest at the same seed give bitwise the same
 trajectories on all of these solves, so a refactor meant to change no result
@@ -25,6 +27,7 @@ solve of its config, and those solves count as raised.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -48,6 +51,9 @@ def configs(seed: int):
     for name in PRESETS:
         for config in preset_configs(name):
             yield name, config
+    for config in preset_configs("table4"):
+        params = dataclasses.replace(config.params, beta=0.25)
+        yield "table4-beta0.25", dataclasses.replace(config, params=params)
     for name in sorted(workloads.WORKLOADS):
         for solve in workloads.build(name, seed):
             yield name, solve.config
