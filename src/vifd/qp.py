@@ -22,12 +22,14 @@ system from ``ConstraintStore.add_with_slab`` comes with it.  The active-set
 iteration works in the system's own row numbering.  A KKT residual is computed
 when first read.  Every solve uses the same feasibility and KKT tolerance, ``TOL``.
 
-Consecutive anchored systems share every stored row bit for bit, so a solve on
-a system from ``add_with_slab`` records its last tight solve in the system's
-link, and the store carries it into the next system.  There, a warm start
-whose rows and ``w0`` are bitwise the carried solve's takes the carried point
-and multipliers in place of its first tight solve, which would compute the
-same bits.
+Consecutive anchored systems share every stored row bit for bit, but for at
+most one right-hand side, which a twin cut (one whose unit normal is bitwise a
+stored cut's) lowered, so a solve on a system from ``add_with_slab`` records
+its last tight solve in the system's link, and the store carries it into the
+next system unless that solve held the lowered row or the slab.  There, a
+warm start whose rows and ``w0`` are bitwise the carried solve's takes the
+carried point and multipliers in place of its first tight solve, which would
+compute the same bits.
 """
 
 from __future__ import annotations
@@ -253,7 +255,7 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     and the normalised reduced rows, numbered as the system's rows) is done on
     the first call for a system, stored on the system object, and reused by
     later calls; a system from ``ConstraintStore.add_with_slab`` has it
-    already, and carries the previous system's last tight solve, which a
+    already, and may carry the previous system's last tight solve, which a
     ``warm_start`` equal to its rows at bitwise the same ``x0`` reuses.
     A warm start whose solve leaves one of its own rows violated, or whose
     rows are linearly dependent so that a primal-dual step has nowhere to go,

@@ -7,9 +7,14 @@ system's rows.  The ``ConstraintStore`` keeps only C's system and the last
 anchored system; its one writer, ``add_with_slab``, extends that system's
 stored rows, raw and reduced, by a cut and a slab row, links the new system
 to the last (``_Link``), and alone knows the layout: the slab is the last row
-and is never stored.  ``add_with_slab`` checks its four vectors and hands
-them to ``_add``, which the solver's ``step`` calls directly with vectors
-that are finite already; ``_unit_rows`` still refuses a row that is not.
+and is never stored.  A cut whose unit normal is bitwise a stored cut's (a
+twin) is a parallel halfspace, so it adds no row: the twin's row keeps the
+smaller right-hand side, and the feasible set is the same.  Consecutive
+anchored systems thus share every stored row bit for bit, but for at most one
+right-hand side, which a twin lowered.  ``add_with_slab`` checks its four
+vectors and hands them to ``_add``, which the solver's ``step`` calls directly
+with vectors that are finite already; ``_unit_rows`` still refuses a row that
+is not.
 Row norms are ``np.linalg.norm``'s own expression for real rows,
 ``sqrt(add.reduce(x * x, axis=1))``, without its wrapper; for rows of at most
 ``_SHORT`` (7) entries the store computes them on Python floats (``_unit``),
@@ -290,8 +295,9 @@ class _ReducedForm:
     pin a single point, ``Z`` has no columns and every row is inert.  Every
     array is read-only.  A system from ``ConstraintStore.add_with_slab``
     carries a ``_Link`` beside its form: the reduced rows it shares with the
-    system before it are bitwise the same, so that system's last tight solve
-    can stand in for the first one on this system.
+    system before it are bitwise the same, but for at most one right-hand
+    side that a twin cut lowered, so that system's last tight solve can stand
+    in for the first one on this system when it does not hold that row.
     """
 
     y_part: np.ndarray | None
@@ -357,9 +363,10 @@ def _frozen_form(y_part, Z, rows, rhs, norms) -> _ReducedForm:
 class _Link:
     """What ``ConstraintStore.add_with_slab`` carries from one system to the
     next: ``carried``, the last tight solve on the previous system when none of
-    its active rows was that system's slab, and ``last``, the last tight solve
-    on this one, which ``vifd.qp.least_distance`` writes (a
-    ``vifd.qp._TightSolve``, O(|A| + n) values)."""
+    its active rows was that system's slab or a row whose right-hand side a
+    twin cut lowered, and ``last``, the last tight solve on this one, which
+    ``vifd.qp.least_distance`` writes (a ``vifd.qp._TightSolve``, O(|A| + n)
+    values)."""
 
     __slots__ = ("carried", "last")
 
@@ -456,11 +463,18 @@ class ConstraintStore:
     one owner of the anchored systems' layout.
 
     The store keeps no buffer: its state is C's system, the last anchored
-    system it returned, the count ``rows`` of stored rows and ``warm_start``,
-    and ``add_with_slab`` (through ``_add``) is its one writer.  ``system``
-    is C's own system before the first call, then a read-only view of the
-    last system's first ``rows`` rows with C's equalities, which later calls
-    never change.
+    system it returned, the count ``rows`` of stored rows, ``warm_start``,
+    and a dict from each stored cut's unit-normal bytes to its row (C's own
+    rows are not in it), and ``add_with_slab`` (through ``_add``) is its one
+    writer.  A cut whose unit normal is bitwise a stored cut's, found by one
+    dict access, is that cut's twin: the two are parallel halfspaces, whose
+    intersection is the tighter one, so the store appends no row for it and
+    keeps the smaller right-hand side in the stored row.  The feasible set
+    is the paper's C ∩ H_0 ∩ … ∩ H_k exactly, and ``rows`` counts the
+    distinct cut normals.  ``system`` is C's own system before the first
+    call, then a read-only view of the last system's first ``rows`` rows with
+    C's equalities, which later calls never change: a lowered right-hand side
+    is written into the new system's own copy.
     """
 
     def __init__(self, C: FeasibleSet):
@@ -468,6 +482,7 @@ class ConstraintStore:
         self.rows = self._base.h.size
         self.warm_start = None
         self._last = None
+        self._twins = {}  # a stored cut's unit-normal bytes -> its row
 
     @property
     def system(self) -> LinearConstraintSystem:
@@ -480,19 +495,25 @@ class ConstraintStore:
         """Store the cut ``(normal, point)`` and return the stored rows and the
         row of the slab ``(slab_normal, slab_point)``, normalised as one two-row
         batch, as a new system with its reduced form and a ``_Link`` attached;
-        a zero normal adds no row, and the slab is not stored.
+        a zero normal adds no row, and the slab is not stored.  A cut whose
+        unit normal is bitwise a stored cut's adds no row either: when it is
+        the tighter, it lowers that row's right-hand side, raw and reduced.
 
         The system is one ``np.concatenate`` of the last system's stored rows
-        (C's before the first call) with the new rows, so it owns its arrays.
+        (C's before the first call) with the new rows, so it owns its arrays,
+        and a lowered right-hand side is written into that copy.
         The slab is always its last row, so of the last tight solve on the
         previous system the active rows below that system's slab keep their
         index: they become ``warm_start`` (None without a last solve), and the
-        solve is carried when it dropped none of them.  The first call reduces
-        C's rows with the first cut and slab in one ``_reduced_rows`` batch
-        (reduced alone, a one-row product may round differently), with C's
-        equality basis from C's own reduced form; each later call reduces only
-        its new rows, by ``_reduced_rows``, and extends the previous reduced
-        rows.
+        solve is carried when it dropped none of them and none of them is the
+        lowered row, whose solve was for its old right-hand side.  The first
+        call reduces C's rows with the first cut and slab in one
+        ``_reduced_rows`` batch (reduced alone, a one-row product may round
+        differently), with C's equality basis from C's own reduced form; each
+        later call reduces only its cut and slab, by ``_reduced_rows`` as one
+        batch even when the cut is a twin (whose reduced right-hand side,
+        screened as any new row's, is the one written when it is lowered), and
+        extends the previous reduced rows.
         Each argument is checked by ``as_point``; ``_add`` is the rest of
         this method, for a caller whose four vectors are checked already.
         """
@@ -506,7 +527,8 @@ class ConstraintStore:
         A cut and a slab of at most ``_SHORT`` entries whose norms are finite
         and nonzero are normalised on Python floats by ``_unit``, bitwise what
         ``_unit_rows`` gives; a zero, infinite or NaN norm and longer rows
-        take ``_unit_rows``.
+        take ``_unit_rows``.  A twin takes the same path: the rows appended
+        are the slab's alone, and at most one stored right-hand side changes.
         """
         base, previous, stored = self._base, self._last, self.rows
         last = None if previous is None else previous._link.last
@@ -522,9 +544,17 @@ class ConstraintStore:
         else:
             rows, kept = np.array(units), (True, True)
             rhs = _rhs(rows, points)
+        # a cut whose unit normal is a stored cut's appends no row; the twin's
+        # row keeps the smaller right-hand side
+        key = rows[0].tobytes() if kept[0] else None
+        twin = self._twins.get(key)
+        first = 0 if twin is None else 1  # a twin appends the slab alone
         source = base if previous is None else previous
-        G = np.concatenate([source.G[:stored], rows])
-        h = np.concatenate([source.h[:stored], rhs])
+        G = np.concatenate([source.G[:stored], rows[first:]])
+        h = np.concatenate([source.h[:stored], rhs[first:]])
+        lowered = twin is not None and rhs[0] < h[twin]
+        if lowered:
+            h[twin] = rhs[0]
         if previous is None:
             y_part = Z = None
             if base.b.size:
@@ -538,13 +568,22 @@ class ConstraintStore:
             # from the batch's in the last bits)
             form = _frozen_form(y_part, Z, *_reduced_rows(G, h, y_part, Z))
         else:
+            # the cut and the slab are reduced as one batch whether or not
+            # the cut is a twin, so the slab's bits do not depend on it
             done = previous._reduced_form
-            new = _reduced_rows(G[stored:], h[stored:], done.y_part, done.Z)
-            form = _frozen_form(done.y_part, done.Z, *[
-                np.concatenate([old[:stored], add])
-                for old, add in zip((done.rows, done.rhs, done.norms), new)])
-        kept_all = last is not None and len(self.warm_start) == len(last.active)
-        self.rows += int(kept[0])
+            added = _reduced_rows(rows, rhs, done.y_part, done.Z)
+            reduced = [np.concatenate([old[:stored], add[first:]])
+                       for old, add in zip((done.rows, done.rhs, done.norms), added)]
+            if lowered:
+                reduced[1][twin] = added[1][0]
+            form = _frozen_form(done.y_part, done.Z, *reduced)
+        if twin is None and key is not None:
+            self._twins[key] = stored
+            self.rows += 1
+        # the last solve is carried when it kept every active row and none of
+        # them had its right-hand side lowered
+        carry = (last is not None and len(self.warm_start) == len(last.active)
+                 and not (lowered and twin in self.warm_start))
         self._last = _system(G, h, base.A, base.b, _reduced_form=form,
-                             _link=_Link(last if kept_all else None))
+                             _link=_Link(last if carry else None))
         return self._last

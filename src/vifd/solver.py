@@ -268,7 +268,9 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     """Run one outer iteration; return ``(state, report_or_None)``.
 
     The separating halfspace found this iteration is added to the constraint
-    store ``state.cuts`` as one row (all cuts are kept).  The slab anchored at
+    store ``state.cuts`` as one row, or, when its unit normal is a stored
+    cut's, lowers that row to the tighter of the two (the same feasible set,
+    since the halfspaces are parallel).  The slab anchored at
     the current iterate is never stored: the next iterate projects the start
     point onto the system that ``state.cuts._add`` (``add_with_slab`` without
     its input checks) makes of the rows and slab in the same call that stores

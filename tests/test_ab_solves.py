@@ -25,9 +25,28 @@ def test_the_repository_against_itself_agrees_and_prints_the_ratio():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "solves 48 agree: iteration counts and terminal-point bytes"
-    assert lines[1].startswith("ratio candidate/parent over 1 rounds: median ")
-    assert lines[2].startswith("solve_s_p50 ratio candidate/parent over 1 rounds: median ")
-    assert len(lines) == 3
+    assert len(lines) == 5
+    # candidate/parent, then the parent's second copy against the parent
+    for line, pair in zip(lines[1:], ["candidate/parent"] * 2 + ["parent/parent"] * 2):
+        label = "ratio" if line.startswith("ratio") else "solve_s_p50 ratio"
+        assert line.startswith(f"{label} {pair} over 1 rounds: median ") and " quartiles " in line
+    assert [line.split()[0] for line in lines[1:]] == ["ratio", "solve_s_p50"] * 2
+
+
+def test_the_floor_copy_is_a_package_of_its_own(monkeypatch):
+    tool = _load_tool(monkeypatch)
+    for name in (tool.PARENT_NAME, tool.FLOOR_NAME):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    parent, floor = tool.load_parent(ROOT), tool.load_parent(ROOT, tool.FLOOR_NAME)
+    try:
+        assert (parent.__name__, floor.__name__) == ("vifd_parent", "vifd_floor")
+        # every module of the copy is its own, not the parent's or vifd's
+        assert floor.sets is not parent.sets and floor.sets is not vifd.sets
+        assert floor.sets.ConstraintStore is not parent.sets.ConstraintStore
+    finally:
+        copies = (tool.PARENT_NAME, tool.FLOOR_NAME)
+        for name in [name for name in sys.modules if name.split(".")[0] in copies]:
+            del sys.modules[name]
 
 
 def _load_tool(monkeypatch):

@@ -509,10 +509,11 @@ def test_a_carried_solve_gives_the_cold_solution(monkeypatch, tight_solves, name
     # every anchored projection of a run, against the same solve on an equal
     # system that carries nothing: bitwise the same result, one tight solve
     # fewer exactly when the last solve on the previous system held rows
-    # tight and no slab row among them, and no harm from a caller that
+    # tight and no slab row among them, and no warm row is a twin whose
+    # right-hand side the new cut lowered; and no harm from a caller that
     # writes into the point
     problem = make_problem(name, a=5.0) if name == "fractional-simplex" else make_problem(name)
-    previous = None  # the previous anchored system's slab row and active set
+    previous = None  # the previous anchored system's slab row, stored h and active set
     outcomes = []
 
     def checked(system, x0, **kwargs):
@@ -527,14 +528,18 @@ def test_a_carried_solve_gives_the_cold_solution(monkeypatch, tight_solves, name
         assert sol.point.tobytes() == cold.point.tobytes()
         assert (sol.active_set, sol.iterations) == (cold.active_set, cold.iterations)
         if previous is not None:
-            slab, active = previous
+            slab, stored, active = previous
             held_slab = slab in active
-            outcomes.append(held_slab)
-            assert saved == (0 if held_slab or not active else 1)
+            lowered = np.flatnonzero(system.h[:stored.size] != stored)
+            assert lowered.size <= 1 and (system.h[lowered] < stored[lowered]).all()
+            lowered_warm = bool(set(lowered.tolist()) & set(kwargs["warm_start"]))
+            outcomes.append((held_slab, lowered_warm))
+            assert saved == (0 if held_slab or lowered_warm or not active else 1)
         else:
             assert saved == 0
         # the first anchored system of a run has no slab row (x = x0)
-        previous = (system.G.shape[0] - 1 if previous is not None else None, sol.active_set)
+        slab = system.G.shape[0] - 1 if previous is not None else None
+        previous = (slab, system.h[:slab].copy(), sol.active_set)
         out = qp.QpSolution(sol.point.copy(), list(sol.active_set), sol.iterations,
                             sol._certificate)
         sol.point[:] = np.nan
@@ -544,7 +549,9 @@ def test_a_carried_solve_gives_the_cold_solution(monkeypatch, tight_solves, name
     for x0 in starts:
         previous = None
         solve(problem, x0, params)
-    assert outcomes.count(False) >= 5
+    assert outcomes.count((False, False)) >= 5
+    # the ray operator's cuts of one solve share their unit normal
+    assert (name == "ray-setvalued") == ((False, True) in outcomes)
 
 
 @pytest.mark.parametrize("name, starts, params", CARRY_RUNS, ids=[r[0] for r in CARRY_RUNS])
@@ -553,17 +560,18 @@ def test_each_anchored_qp_is_warm_started_at_the_last_active_rows_below_the_slab
     # the store's warm start against the rule it replaces: the active set of
     # the previous anchored QP without its slab row, the one row at or past
     # the stored rows; the previous solve is carried exactly when that rule
-    # drops no row
+    # drops no row and no kept row is a twin whose right-hand side the new
+    # cut lowered
     problem = make_problem(name, a=5.0) if name == "fractional-simplex" else make_problem(name)
     step = vifd.solver.step
-    anchored = []  # (warm start received, carried solve, solution) per anchored QP
+    anchored = []  # (system, warm start received, carried solve, solution) per anchored QP
     previous = None  # the previous anchored QP's active set and the rows stored then
     outcomes = []
 
     def watched_qp(system, x0, **kwargs):
         solution = least_distance(system, x0, **kwargs)
         if "warm_start" in kwargs:
-            anchored.append((kwargs["warm_start"], system._link.carried, solution))
+            anchored.append((system, kwargs["warm_start"], system._link.carried, solution))
         return solution
 
     def watched_step(state, problem, params):
@@ -571,17 +579,19 @@ def test_each_anchored_qp_is_warm_started_at_the_last_active_rows_below_the_slab
         count = len(anchored)
         state, report = step(state, problem, params)
         if len(anchored) > count:
-            received, carried, solution = anchored[-1]
+            system, received, carried, solution = anchored[-1]
             if previous is None:
                 assert received is None and carried is None
             else:
-                active, rows = previous
-                kept = [i for i in active if i < rows]
+                active, stored = previous
+                kept = [i for i in active if i < stored.size]
+                lowered = np.flatnonzero(system.h[:stored.size] != stored).tolist()
                 assert list(received or ()) == kept
-                assert (carried is not None) == (bool(active) and kept == active)
+                carry = bool(active) and kept == active and not set(lowered) & set(kept)
+                assert (carried is not None) == carry
                 if active:
-                    outcomes.append(kept == active)
-            previous = (list(solution.active_set), state.cuts.rows)
+                    outcomes.append(carry)
+            previous = (list(solution.active_set), state.cuts.system.h.copy())
         return state, report
 
     monkeypatch.setattr(vifd.solver, "least_distance", watched_qp)
@@ -598,12 +608,13 @@ def test_the_store_system_is_the_stored_rows_of_the_last_anchored_system(
     # after every iteration the store's system is, bit for bit, the first
     # ``rows`` rows of the anchored system that the iteration projected onto,
     # with C's equalities; that system starts with C's rows and every earlier
-    # stored row, and past them holds at most one row, the slab
+    # stored row, bit for bit but for at most one right-hand side, which a
+    # twin cut lowered, and past them holds at most one row, the slab
     problem = make_problem(name, a=5.0) if name == "fractional-simplex" else make_problem(name)
     base = assemble(problem.feasible, [])
     step = vifd.solver.step
     anchored = []
-    checked = 0
+    checked = lowered = 0
 
     def watched_qp(system, x0, **kwargs):
         if "warm_start" in kwargs:
@@ -611,19 +622,24 @@ def test_the_store_system_is_the_stored_rows_of_the_last_anchored_system(
         return least_distance(system, x0, **kwargs)
 
     def watched_step(state, problem, params):
-        nonlocal previous, checked
+        nonlocal previous, checked, lowered
         count = len(anchored)
         state, report = step(state, problem, params)
         if len(anchored) > count:
             system, rows, stored = anchored[-1], state.cuts.rows, state.cuts.system
             assert system.G.shape[0] - rows in (0, 1)
             for got, want in ((stored.G, system.G[:rows]), (stored.h, system.h[:rows]),
-                              (system.G[:previous[0].shape[0]], previous[0]),
-                              (system.h[:previous[1].size], previous[1])):
+                              (system.G[:previous[0].shape[0]], previous[0])):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            h = system.h[:previous[1].size].copy()
+            changed = np.flatnonzero(h != previous[1])
+            assert changed.size <= 1 and (h[changed] < previous[1][changed]).all()
+            h[changed] = previous[1][changed]
+            assert h.tobytes() == previous[1].tobytes()
             assert stored.A is system.A is base.A and stored.b is system.b is base.b
             previous = stored.G.copy(), stored.h.copy()
             checked += 1
+            lowered += changed.size
         return state, report
 
     monkeypatch.setattr(vifd.solver, "least_distance", watched_qp)
@@ -632,6 +648,7 @@ def test_the_store_system_is_the_stored_rows_of_the_last_anchored_system(
         previous = base.G, base.h
         solve(problem, x0, params)
     assert checked >= 5
+    assert (lowered > 0) == (name == "ray-setvalued")
 
 
 def test_the_store_drops_the_slab_from_its_warm_start_and_then_carries_nothing():

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vifd import sets
 from vifd.sets import (
@@ -664,6 +666,152 @@ def test_the_one_pass_append_is_bitwise_the_general_path(kind, n, monkeypatch):
     # the fast store normalises by _unit_rows exactly where a norm is 0 or
     # inf, and on every call when rows are longer than 7
     assert fast_calls == (60 if n > 7 else special)
+
+
+# a set of each kind, with a point c of it that every cut and slab below keeps
+TWIN_SETS = [
+    (Box(-np.ones(3), np.ones(3)), np.zeros(3)),
+    (SimplexSlice(3.0, 3), np.ones(3)),
+    (LinearConstraintSystem(G=[[1.0, 2.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+                            h=[4.0, 1.0, 1.0], A=np.zeros((0, 3)), b=np.zeros(0)),
+     np.zeros(3)),
+]
+
+
+def _kept_cut(normal, c, offset):
+    """A cut with ``normal`` whose row holds ``c`` with slack ``offset * |normal|``."""
+    return normal, c + offset * normal
+
+
+@pytest.mark.parametrize("C, c", TWIN_SETS, ids=["box", "slice", "general"])
+def test_a_twin_cut_appends_no_row_and_keeps_the_smaller_right_hand_side(C, c):
+    # a cut whose unit normal is bitwise a stored cut's (a scaling by a power
+    # of 2 keeps it) appends no row: the twin's row keeps the smaller
+    # right-hand side, raw and reduced, written into the new system's own
+    # arrays, and every row and reduced row stays bit for bit.  Each system
+    # projects x0 as the one assembled from every cut and its slab does.
+    store = ConstraintStore(C)
+    m = store.rows
+    a, b = np.array([1.0, -1.0, 0.5]), np.array([0.0, 1.0, 1.0])
+    x0 = c + np.array([3.0, -2.0, 1.0])
+    slab = np.array([0.5, 0.25, -1.0])
+    steps = [  # (cut, the stored row it lands on, whether that row's rhs changes)
+        (_kept_cut(a, c, 1.0), m, True),
+        (_kept_cut(b, c, 2.0), m + 1, True),
+        (_kept_cut(2.0 * a, c, 0.25), m, True),  # tighter: lowers row m
+        (_kept_cut(a, c, 1.5), m, False),  # looser: leaves it
+        (_kept_cut(np.zeros(3), c, 0.0), None, False),  # a zero normal: no row
+        (_kept_cut(0.5 * b, c, 2.0), m + 1, True),  # tighter: lowers row m + 1
+        (_kept_cut(b, c, 4.0), m + 1, False),
+    ]
+    cuts, taken = [], []
+    previous = store.system, None
+    for k, (cut, row, changes) in enumerate(steps):
+        slab_normal = np.zeros(3) if k == 0 else slab * (k + 1)
+        system = store.add_with_slab(*cut, slab_normal, c + slab_normal)
+        cuts.append(cut)
+        rows = store.rows
+        assert rows == m + min(k + 1, 2) and system.G.shape[0] == rows + (k > 0)
+        before, before_form = previous
+        stored = before.h.size
+        assert system.G[:stored].tobytes() == before.G.tobytes()
+        changed = np.flatnonzero(system.h[:stored] != before.h)
+        if row is not None and row < stored:
+            assert changed.tolist() == ([row] if changes else [])
+            # the kept right-hand side is the one the cut's own row has
+            own = assemble(_space(3), [cut]).h[0]
+            assert system.h[row] == min(own, before.h[row])
+        else:
+            assert changed.size == 0
+        form = sets._reduced_form(system)
+        if before_form is not None:
+            for name in ("rows", "norms"):
+                got, want = getattr(form, name)[:stored], getattr(before_form, name)[:stored]
+                assert got.tobytes() == want.tobytes(), name
+            reduced = np.flatnonzero(form.rhs[:stored] != before_form.rhs[:stored])
+            assert reduced.tolist() == changed.tolist()
+        basis = sets._affine_basis(system.A, system.b)
+        reference = sets._reduced_rows(system.G, system.h, *basis)[1]
+        np.testing.assert_allclose(form.rhs, reference, rtol=0.0, atol=1e-15)
+        solution = least_distance(system, x0, warm_start=store.warm_start)
+        assembled = assemble(C, cuts + [(slab_normal, c + slab_normal)])
+        np.testing.assert_allclose(solution.point, least_distance(assembled, x0).point,
+                                   rtol=0.0, atol=1e-10)
+        taken.append((system, form, system.h.copy(), form.rhs.copy()))
+        previous = store.system, form
+    # an earlier system keeps its right-hand sides through the later merges
+    for system, form, h, rhs in taken:
+        assert system.h.tobytes() == h.tobytes() and form.rhs.tobytes() == rhs.tobytes()
+
+
+def test_a_twin_whose_reduced_row_is_inert_and_violated_raises_as_an_appended_row_does():
+    # on the plane sum(y) = 3 the row of the normal (1, 1, 1) is constant at
+    # sqrt(3): the first cut keeps the plane, and a tighter twin empties it
+    C = SimplexSlice(3.0, 3)
+    ones, slab = np.ones(3), np.array([1.0, -1.0, 0.0])
+    wide, tight = (ones, np.full(3, 2.0)), (2.0 * ones, np.full(3, 0.5))
+    store = ConstraintStore(C)
+    store.add_with_slab(*wide, np.zeros(3), ones)
+    rows, last = store.rows, store.system
+    with pytest.raises(InfeasibleSystem) as merged:
+        store.add_with_slab(*tight, slab, ones + slab)
+    assert store.rows == rows and store.system.h.tobytes() == last.h.tobytes()
+    # the same cut appended, as a store without the wide cut does
+    appending = ConstraintStore(C)
+    appending.add_with_slab([1.0, 0.0, 0.0], [2.0, 0.0, 0.0], np.zeros(3), ones)
+    with pytest.raises(InfeasibleSystem) as appended:
+        appending.add_with_slab(*tight, slab, ones + slab)
+    assert str(merged.value) == str(appended.value)
+    with pytest.raises(InfeasibleSystem):
+        least_distance(assemble(C, [wide, tight]), ones)
+
+
+_TWIN_KINDS = {
+    "box": lambda n: (Box(-np.ones(n), np.ones(n)), np.zeros(n)),
+    "slice": lambda n: (SimplexSlice(float(n), n), np.ones(n)),
+    "general": lambda n: (LinearConstraintSystem(
+        G=np.vstack([np.ones(n), -np.eye(n)[0]]), h=[float(n), 1.0],
+        A=np.eye(n)[-1:], b=[0.0]), np.zeros(n)),
+}
+
+
+@st.composite
+def _repeating_cuts(draw):
+    """A set, a point c of it, a start x0 and a sequence of (cut, slab) pairs,
+    each keeping c, whose cut normals are drawn from a pool of at most three,
+    scaled by powers of 2, so that twins are common."""
+    kind = draw(st.sampled_from(sorted(_TWIN_KINDS)))
+    n = draw(st.integers(2, 4))
+    C, c = _TWIN_KINDS[kind](n)
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(np.array)
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    x0 = c + draw(vector)
+    steps = []
+    for _ in range(draw(st.integers(1, 10))):
+        normal = pool[draw(st.integers(0, len(pool) - 1))] * draw(st.sampled_from([0.5, 1, 4]))
+        slab = draw(vector) * 1.0
+        offset, slab_offset = draw(st.integers(0, 4)) / 2, draw(st.integers(0, 4)) / 2
+        steps.append(((normal, c + offset * normal), (slab, c + slab_offset * slab)))
+    return C, x0, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_repeating_cuts())
+def test_a_store_with_twins_projects_as_the_assembled_system(case):
+    # every anchored projection of a store fed cuts with repeated normals is
+    # the projection onto C, every cut so far and the slab, assembled, and
+    # the store holds C's rows plus one per distinct unit normal
+    C, x0, steps = case
+    store, cuts = ConstraintStore(C), []
+    m = store.rows
+    for cut, slab in steps:
+        system = store.add_with_slab(*cut, *slab)
+        cuts.append(cut)
+        got = least_distance(system, x0, warm_start=store.warm_start).point
+        want = least_distance(assemble(C, cuts + [slab]), x0).point
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        distinct = {row.tobytes() for row in assemble(C, cuts).G[m:]}
+        assert store.rows == m + len(distinct)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

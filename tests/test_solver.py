@@ -470,6 +470,25 @@ class TestStep:
         assert report.terminal_certificate.test == "max_outer_iterations"
         assert report.counters.outer_iters == 2
 
+    def test_a_ray_solve_keeps_one_row_per_repeated_cut_normal(self, monkeypatch):
+        # every cut of a ray-operator solve has the same unit normal, so each
+        # anchored system holds C's rows, one cut row and the slab, however
+        # long the solve runs (the store appends no row for a twin cut)
+        config = preset_configs("table4")[0]
+        problem = config.build_problem()
+        rows = []
+
+        def spy(system, x0, **kwargs):
+            if "warm_start" in kwargs:
+                rows.append(system.G.shape[0])
+            return least_distance(system, x0, **kwargs)
+
+        monkeypatch.setattr(vifd.solver, "least_distance", spy)
+        report = solve(problem, [1000.0, math.pi / 2 - 0.02], config.params)
+        assert report.stop_reason in SOLUTION_STOPS
+        assert report.counters.outer_iters > 50 and len(rows) == report.counters.outer_iters
+        assert max(rows) <= assemble(problem.feasible, []).G.shape[0] + 2
+
 
 class TestSolve:
     def test_immediate_stop_at_solution_costs_two_evaluations(self):

@@ -16,10 +16,13 @@ Correctness comes first: every solve runs once on each side, and each start's
 iteration count and terminal-point bytes (or the exception raised) must agree.
 On the first solve that differs the script names it and exits 1.
 
-Then each round runs every solve on both sides back to back, the candidate
-first on even solves of even rounds and odd solves of odd rounds.  The script
-prints two lines, each the median, quartiles, min and max over the rounds of
-a candidate/parent ratio taken within one round:
+The parent is also loaded a second time, as the package ``vifd_floor``, and
+checked against the parent like the candidate.  Then each round runs every
+solve on the three sides back to back, the sides taking turns to go first,
+solve by solve and round by round.  The script prints four lines, each the
+median, quartiles, min and max over the rounds of a ratio taken within one
+round, first candidate/parent and then parent/parent (the second copy over
+the first: the noise floor that a candidate's ratio must clear):
 
 * of each side's summed times;
 * ``solve_s_p50``: of each side's median solve time.
@@ -53,18 +56,19 @@ import vifd  # noqa: E402
 import workloads  # noqa: E402
 
 PARENT_NAME = "vifd_parent"
+FLOOR_NAME = "vifd_floor"
 
 
-def load_parent(checkout: str):
-    """The checkout's ``src/vifd`` imported as the package ``vifd_parent``."""
+def load_parent(checkout: str, name: str = PARENT_NAME):
+    """The checkout's ``src/vifd`` imported as the package ``name``."""
     package = os.path.join(os.path.abspath(checkout), "src", "vifd")
     spec = importlib.util.spec_from_file_location(
-        PARENT_NAME, os.path.join(package, "__init__.py"),
+        name, os.path.join(package, "__init__.py"),
         submodule_search_locations=[package])
     if spec is None:
         sys.exit(f"error: no vifd sources under {package}")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[PARENT_NAME] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -91,36 +95,38 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    parent = load_parent(args.parent)
+    copies = [load_parent(args.parent), load_parent(args.parent, FLOOR_NAME)]
 
     solves = workloads.build(args.workload, args.seed)
-    sides = (
-        (vifd, [solve.config for solve in solves]),
-        (parent, [parent.bench.ExperimentConfig.from_dict(solve.config.to_dict())
-                  for solve in solves]),
-    )
+    # sides: the candidate, the parent and the parent's copy
+    sides = [(vifd, [solve.config for solve in solves])] + [
+        (copy, [copy.bench.ExperimentConfig.from_dict(solve.config.to_dict())
+                for solve in solves]) for copy in copies]
+    names = ("candidate", "parent", "parent copy")
     for i, solve in enumerate(solves):
-        (_, candidate), (_, reference) = (run(package, configs[i]) for package, configs in sides)
-        if candidate != reference:
-            print(f"solve {i} ({solve.cell}) differs: candidate {candidate!r:.200} "
-                  f"against parent {reference!r:.200}")
-            return 1
+        outcomes = [run(package, configs[i])[1] for package, configs in sides]
+        for side, outcome in enumerate(outcomes):
+            if outcome != outcomes[1]:
+                print(f"solve {i} ({solve.cell}) differs: {names[side]} {outcome!r:.200} "
+                      f"against parent {outcomes[1]!r:.200}")
+                return 1
     print(f"solves {len(solves)} agree: iteration counts and terminal-point bytes")
 
     # times[side][round] holds every solve's seconds in that round
     times = [[[] for _ in range(args.rounds)] for _ in sides]
     for r in range(args.rounds):
         for i in range(len(solves)):
-            order = (0, 1) if (i + r) % 2 == 0 else (1, 0)
-            for side in order:
+            for k in range(len(sides)):
+                side = (i + r + k) % len(sides)
                 package, configs = sides[side]
                 times[side][r].append(run(package, configs[i])[0])
-    for label, statistic in (("ratio candidate/parent", sum),
-                             ("solve_s_p50 ratio candidate/parent", statistics.median)):
-        ratios = [statistic(c) / statistic(p) for c, p in zip(*times)]
-        q1, median, q3 = np.percentile(ratios, [25, 50, 75])
-        print(f"{label} over {args.rounds} rounds: median {median:.4f} "
-              f"quartiles {q1:.4f}-{q3:.4f} min {min(ratios):.4f} max {max(ratios):.4f}")
+    # the parent/parent lines time the parent's copy against the parent
+    for pair, side in (("candidate/parent", 0), ("parent/parent", 2)):
+        for label, statistic in (("ratio", sum), ("solve_s_p50 ratio", statistics.median)):
+            ratios = [statistic(c) / statistic(p) for c, p in zip(times[side], times[1])]
+            q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+            print(f"{label} {pair} over {args.rounds} rounds: median {median:.4f} "
+                  f"quartiles {q1:.4f}-{q3:.4f} min {min(ratios):.4f} max {max(ratios):.4f}")
     return 0
 
 
