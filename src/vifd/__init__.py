@@ -8,7 +8,6 @@ halfspace found so far.
 
 from .sets import (
     Box,
-    ConstraintStore,
     FeasibleSet,
     LinearConstraintSystem,
     SimplexSlice,

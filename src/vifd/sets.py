@@ -1,26 +1,25 @@
-"""Feasible sets, linear constraint systems, the store of a run's cuts, and the
-one rule for what counts as a number (``as_point``, ``_real``, ``_integer``).
-A cut ``(normal, point)`` is the halfspace ``{y : <normal, y - point> <= 0}``.
+"""Feasible sets, linear constraint systems, the solver's store of a run's
+cuts, and the one rule for what counts as a number (``as_point``, ``_real``,
+``_integer``).  A cut ``(normal, point)`` is the halfspace
+``{y : <normal, y - point> <= 0}``.
 A projection works on a system's reduced form, built once per system by
 ``_reduced_rows``, the one function that reduces rows, and numbered as the
 system's rows.  The ``ConstraintStore`` keeps only C's system and the last
-anchored system; its one writer, ``add_with_slab``, extends that system's
-stored rows, raw and reduced, by a cut and a slab row, links the new system
-to the last (``_Link``), and alone knows the layout: the slab is the last row
-and is never stored.  A cut whose unit normal is bitwise a stored cut's (a
-twin) is a parallel halfspace, so it adds no row: the twin's row keeps the
-smaller right-hand side, and the feasible set is the same.  Consecutive
-anchored systems thus share every stored row bit for bit, but for at most one
-right-hand side, which a twin lowered.  ``add_with_slab`` checks its four
-vectors and hands them to ``_add``, which the solver's ``step`` calls directly
-with vectors that are finite already; ``_unit_rows`` still refuses a row that
-is not.
-Row norms are ``np.linalg.norm``'s own expression for real rows,
+anchored system; its one writer, ``add_with_slab``, which ``step`` calls,
+extends that system's stored rows, raw and reduced, by a cut and a slab row,
+links the new system to the last (``_Link``), and alone knows the layout: the
+slab is the last row and is never stored.  A cut whose unit normal is bitwise
+a stored cut's (a twin) is a parallel halfspace, so it adds no row: the
+twin's row keeps the smaller right-hand side, and the feasible set is the
+same.  Consecutive anchored systems thus share every stored row bit for bit,
+but for at most one right-hand side, which a twin lowered.
+``_unit_rows`` is the one function that turns cut normals into unit rows,
+for the store and ``assemble``, and refuses a row that is not finite.  Row
+norms are ``np.linalg.norm``'s own expression for real rows,
 ``sqrt(add.reduce(x * x, axis=1))``, without its wrapper; for rows of at most
-``_SHORT`` (7) entries the store computes them on Python floats (``_unit``),
-where they are bitwise the same.  A box's and a slice's rows are built once
-per set, from bounds the set checked itself, around read-only arrays
-(``_system``)."""
+``_SHORT`` (7) entries they are computed on Python floats (``_unit``), where
+they are bitwise the same.  A box's and a slice's rows are built once per set,
+from bounds the set checked itself, around read-only arrays (``_system``)."""
 
 from __future__ import annotations
 
@@ -37,7 +36,6 @@ __all__ = [
     "SimplexSlice",
     "FeasibleSet",
     "LinearConstraintSystem",
-    "ConstraintStore",
     "as_point",
     "assemble",
 ]
@@ -252,7 +250,7 @@ class LinearConstraintSystem:
     def contains(self, y, tol: float = 0.0) -> bool:
         return self.max_violation(y) <= _real("tol", tol)
 
-    _link = None  # a system from ConstraintStore.add_with_slab has its own
+    _link = None  # a system from the store's add_with_slab has its own
 
 
 FeasibleSet = Union[Box, SimplexSlice, LinearConstraintSystem]
@@ -312,24 +310,24 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
-# The longest row that the store normalises on Python floats.  Up to 7
+# The longest row that _unit_rows normalises on Python floats.  Up to 7
 # entries NumPy's add.reduce sums a row left to right, as _unit does; from 8
 # on it sums pairwise and the last bits can differ.
 _SHORT = 7
 
 
-def _unit(row: list):
-    """``(row / norm, norm)`` on Python floats for a row of at most ``_SHORT``
-    entries, bitwise ``_norms`` and NumPy's division (``sqrt`` and ``/`` are
-    correctly rounded in both); ``None`` when the sum of squares is 0, not
-    finite or NaN, which the NumPy path handles."""
+def _unit(row: list) -> list | None:
+    """``row / norm`` on Python floats for a row of at most ``_SHORT`` entries,
+    bitwise ``_norms`` and NumPy's division (``sqrt`` and ``/`` are correctly
+    rounded in both); ``None`` when the sum of squares is 0, not finite or
+    NaN, which the NumPy path handles."""
     total = 0.0
     for v in row:  # not sum(), which is compensated from Python 3.12
         total += v * v
     if not 0.0 < total < math.inf:
         return None
     norm = math.sqrt(total)
-    return [v / norm for v in row], norm
+    return [v / norm for v in row]
 
 
 def _reduced_rows(G: np.ndarray, h: np.ndarray, y_part, Z):
@@ -384,14 +382,20 @@ def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
     return form
 
 
-def _unit_rows(normals: np.ndarray, points: np.ndarray):
+def _unit_rows(normals, points: np.ndarray):
     """One unit-normal row per finite pair with a nonzero normal, which keeps an
-    accumulated system uniformly conditioned, and the mask of the pairs kept; a
-    non-finite row raises ``ValueError``.  A nonzero normal whose norm over- or
-    underflows to inf or 0 is divided by its largest entry first.  ``assemble``
-    uses it; the store uses it only for a row longer than ``_SHORT`` entries
-    or a norm that ``_unit`` leaves to it, and its one-pass normalisation is
-    tested against it."""
+    accumulated system uniformly conditioned, their right-hand sides and the
+    mask of the pairs kept; a non-finite row raises ``ValueError``.  The
+    normals are 1-D arrays of one length.  Up to ``_SHORT`` entries ``_unit``
+    normalises them, bitwise the NumPy branch, which takes the rest: a
+    nonzero normal whose norm over- or underflows to inf or 0 is divided by
+    its largest entry first."""
+    if len(normals[0]) <= _SHORT:
+        units = [_unit(normal.tolist()) for normal in normals]
+        if None not in units:
+            rows = np.array(units)
+            return rows, _rhs(rows, points), (True,) * len(units)
+    normals = np.asarray(normals)
     with np.errstate(over="ignore", under="ignore"):
         norms = _norms(normals)
         extreme = (norms == 0.0) | (norms == np.inf)
@@ -451,7 +455,7 @@ def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
     cuts = [(as_point(normal, base.n), as_point(point, base.n)) for normal, point in cuts]
     if not cuts:
         return base
-    rows, rhs, _ = _unit_rows(np.array([normal for normal, _ in cuts]),
+    rows, rhs, _ = _unit_rows([normal for normal, _ in cuts],
                               np.array([point for _, point in cuts]))
     if not rhs.size:
         return base
@@ -460,21 +464,21 @@ def assemble(C: FeasibleSet, cuts=()) -> LinearConstraintSystem:
 
 class ConstraintStore:
     """The rows of a feasible set C followed by every cut stored so far, and the
-    one owner of the anchored systems' layout.
+    one owner of the anchored systems' layout: the solver's own object, kept
+    as ``SolverState.cuts``.
 
     The store keeps no buffer: its state is C's system, the last anchored
     system it returned, the count ``rows`` of stored rows, ``warm_start``,
     and a dict from each stored cut's unit-normal bytes to its row (C's own
-    rows are not in it), and ``add_with_slab`` (through ``_add``) is its one
-    writer.  A cut whose unit normal is bitwise a stored cut's, found by one
-    dict access, is that cut's twin: the two are parallel halfspaces, whose
-    intersection is the tighter one, so the store appends no row for it and
-    keeps the smaller right-hand side in the stored row.  The feasible set
-    is the paper's C ∩ H_0 ∩ … ∩ H_k exactly, and ``rows`` counts the
-    distinct cut normals.  ``system`` is C's own system before the first
-    call, then a read-only view of the last system's first ``rows`` rows with
-    C's equalities, which later calls never change: a lowered right-hand side
-    is written into the new system's own copy.
+    rows are not in it), and ``add_with_slab`` is its one writer.  A cut
+    whose unit normal is bitwise a stored cut's, found by one dict access,
+    is that cut's twin: the two are parallel halfspaces, whose intersection
+    is the tighter one, so the store appends no row for it and keeps the
+    smaller right-hand side in the stored row.  The feasible set is the
+    paper's C ∩ H_0 ∩ … ∩ H_k exactly, and ``rows`` counts the distinct cut
+    normals.  ``system`` is C's own system before the first call, then a
+    read-only view of the last system's first ``rows`` rows with C's
+    equalities, which later calls never change.
     """
 
     def __init__(self, C: FeasibleSet):
@@ -498,6 +502,8 @@ class ConstraintStore:
         a zero normal adds no row, and the slab is not stored.  A cut whose
         unit normal is bitwise a stored cut's adds no row either: when it is
         the tighter, it lowers that row's right-hand side, raw and reduced.
+        The vectors are finite float64 vectors of C's dimension, checked by
+        ``step``; ``_unit_rows`` still refuses a non-finite row.
 
         The system is one ``np.concatenate`` of the last system's stored rows
         (C's before the first call) with the new rows, so it owns its arrays,
@@ -514,36 +520,11 @@ class ConstraintStore:
         batch even when the cut is a twin (whose reduced right-hand side,
         screened as any new row's, is the one written when it is lowered), and
         extends the previous reduced rows.
-        Each argument is checked by ``as_point``; ``_add`` is the rest of
-        this method, for a caller whose four vectors are checked already.
-        """
-        n = self._base.n
-        return self._add(as_point(normal, n), as_point(point, n),
-                         as_point(slab_normal, n), as_point(slab_point, n))
-
-    def _add(self, normal, point, slab_normal, slab_point) -> LinearConstraintSystem:
-        """``add_with_slab`` on finite float vectors of the set's dimension.
-
-        A cut and a slab of at most ``_SHORT`` entries whose norms are finite
-        and nonzero are normalised on Python floats by ``_unit``, bitwise what
-        ``_unit_rows`` gives; a zero, infinite or NaN norm and longer rows
-        take ``_unit_rows``.  A twin takes the same path: the rows appended
-        are the slab's alone, and at most one stored right-hand side changes.
         """
         base, previous, stored = self._base, self._last, self.rows
         last = None if previous is None else previous._link.last
         self.warm_start = None if last is None else [i for i in last.active if i < stored]
-        points = np.array((point, slab_point))
-        units = None
-        if normal.size <= _SHORT:
-            pair = (_unit(normal.tolist()), _unit(slab_normal.tolist()))
-            if None not in pair:
-                units = [unit for unit, _ in pair]
-        if units is None:
-            rows, rhs, kept = _unit_rows(np.array((normal, slab_normal)), points)
-        else:
-            rows, kept = np.array(units), (True, True)
-            rhs = _rhs(rows, points)
+        rows, rhs, kept = _unit_rows((normal, slab_normal), np.array((point, slab_point)))
         # a cut whose unit normal is a stored cut's appends no row; the twin's
         # row keeps the smaller right-hand side
         key = rows[0].tobytes() if kept[0] else None

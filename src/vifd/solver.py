@@ -270,15 +270,14 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     The separating halfspace found this iteration is added to the constraint
     store ``state.cuts`` as one row, or, when its unit normal is a stored
     cut's, lowers that row to the tighter of the two (the same feasible set,
-    since the halfspaces are parallel).  The slab anchored at
-    the current iterate is never stored: the next iterate projects the start
-    point onto the system that ``state.cuts._add`` (``add_with_slab`` without
-    its input checks) makes of the rows and slab in the same call that stores
-    the cut, warm started at the store's ``warm_start``.  Step 4 stops when
-    that projection equals the iterate entrywise, with the certificate
-    ``("step_norm_step4", 0.0, 0.0)``.  Every stop, a linesearch breakdown
-    included, returns its report; the QP's ``MaxPivots`` and
-    ``InfeasibleSystem`` still raise.
+    since the halfspaces are parallel).  The slab anchored at the current
+    iterate is never stored: the next iterate projects the start point onto
+    the system that ``state.cuts.add_with_slab`` makes of the rows and slab
+    in the same call that stores the cut, warm started at the store's
+    ``warm_start``.  Step 4 stops when that projection equals the iterate
+    entrywise, with the certificate ``("step_norm_step4", 0.0, 0.0)``.  Every
+    stop, a linesearch breakdown included, returns its report; the QP's
+    ``MaxPivots`` and ``InfeasibleSystem`` still raise.
     """
     C, T = problem.feasible, problem.operator
     counters = state.counters
@@ -308,10 +307,10 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     # the store normalises the normal again; scaling it first keeps the row
     # bitwise the one every recorded trajectory was computed with.  ubar, z
     # and x were checked by linesearch_f, and the store refuses a row that is
-    # not finite, so the vectors skip add_with_slab's as_point checks.
+    # not finite.
     norm = math.sqrt(ubar @ ubar)
-    system = state.cuts._add(ubar / norm if norm > 0.0 else ubar, xbar,
-                             state.x0 - state.x, state.x)
+    system = state.cuts.add_with_slab(ubar / norm if norm > 0.0 else ubar, xbar,
+                                      state.x0 - state.x, state.x)
     solution = least_distance(system, state.x0, warm_start=state.cuts.warm_start)
     counters.qp_solves += 1
     counters.qp_pivots += solution.iterations

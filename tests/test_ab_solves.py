@@ -1,11 +1,14 @@
 """``tools/ab_solves.py``: the correctness gate, then the interleaved timing."""
 
+import dataclasses
 import importlib.util
 import os
 import shutil
 import subprocess
 import sys
 import types
+
+import pytest
 
 import vifd
 
@@ -24,7 +27,7 @@ def test_the_repository_against_itself_agrees_and_prints_the_ratio():
     out = _run(ROOT)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "solves 48 agree: iteration counts and terminal-point bytes"
+    assert lines[0] == "solves 48 agree: digest records, solve by solve"
     assert len(lines) == 5
     # candidate/parent, then the parent's second copy against the parent
     for line, pair in zip(lines[1:], ["candidate/parent"] * 2 + ["parent/parent"] * 2):
@@ -65,10 +68,10 @@ def test_a_solve_that_raises_is_an_outcome_named_by_its_exception(monkeypatch):
     for exc in (FloatingPointError("numeric breakdown at iteration 3"),
                 ValueError("a mid-run ValueError"), vifd.operators.DomainError("outside"),
                 vifd.qp.MaxPivots("too many pivots")):
-        def run_experiment(config, exc=exc):
+        def run_reports(config, exc=exc):
             raise exc
         package = types.SimpleNamespace(qp=vifd.qp,
-                                        bench=types.SimpleNamespace(run_experiment=run_experiment))
+                                        bench=types.SimpleNamespace(run_reports=run_reports))
         seconds, outcome = tool.run(package, None)
         assert seconds >= 0.0 and outcome == type(exc).__name__
 
@@ -86,3 +89,29 @@ def test_a_parent_whose_results_differ_is_named_and_exits_1(tmp_path):
     assert out.returncode == 1, out.stderr
     assert out.stdout.startswith("solve ") and " differs: " in out.stdout
     assert "ratio" not in out.stdout
+
+
+@pytest.mark.parametrize("field", ["qp_solves", "stop_reason"])
+def test_outcomes_that_differ_only_in_one_digest_field_differ(monkeypatch, capsys, field):
+    # a parent whose first report differs from the candidate's only in its QP
+    # solve count or only in its stop reason: the digest would differ, so the
+    # tool names that solve and exits 1
+    tool = _load_tool(monkeypatch)
+
+    def run_reports(config):
+        first, *rest = vifd.bench.run_reports(config)
+        if field == "qp_solves":
+            counters = dataclasses.replace(first.counters, qp_solves=first.counters.qp_solves + 1)
+            first = dataclasses.replace(first, counters=counters)
+        else:
+            other = next(reason for reason in vifd.StopReason if reason is not first.stop_reason)
+            first = dataclasses.replace(first, stop_reason=other)
+        return [first, *rest]
+
+    bench = types.SimpleNamespace(run_reports=run_reports,
+                                  ExperimentConfig=vifd.bench.ExperimentConfig)
+    parent = types.SimpleNamespace(qp=vifd.qp, bench=bench)
+    monkeypatch.setattr(tool, "load_parent", lambda checkout, name=None: parent)
+    assert tool.main([ROOT, "--workload", "box-wide", "--seed", "1", "--rounds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("solve 0 (") and " differs: " in out and "ratio" not in out

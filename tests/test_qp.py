@@ -656,20 +656,20 @@ def test_the_store_drops_the_slab_from_its_warm_start_and_then_carries_nothing()
     x0 = np.zeros(2)
     store = ConstraintStore(C)
     # iteration 0: no last solve; the cut y1 + y2 <= -2 (row 4) is tight
-    system = store.add_with_slab([1.0, 1.0], [-1.0, -1.0], x0 - x0, x0)
+    system = store.add_with_slab(np.ones(2), -np.ones(2), x0 - x0, x0)
     assert store.warm_start is None and system._link.carried is None
     first = least_distance(system, x0, warm_start=store.warm_start)
     assert first.active_set == [4]
     # row 4 is stored, so it keeps its index and the solve is carried
     x1 = first.point
-    system = store.add_with_slab([1.0, -0.5], [-2.0, 0.0], x0 - x1, x1)
+    system = store.add_with_slab(np.array([1.0, -0.5]), np.array([-2.0, 0.0]), x0 - x1, x1)
     assert store.warm_start == [4] and system._link.carried.active == (4,)
     # a last solve that holds the slab row (6) tight: that row is the next
     # system's new cut, so it is dropped and nothing is carried
     slab_solve = least_distance(system, x0, warm_start=[6])
     assert 6 in slab_solve.active_set
     x2 = slab_solve.point
-    following = store.add_with_slab([1.0, 1.0], [-1.0, -1.0], x0 - x2, x2)
+    following = store.add_with_slab(np.ones(2), -np.ones(2), x0 - x2, x2)
     assert store.warm_start == [i for i in slab_solve.active_set if i != 6]
     assert following._link.carried is None
 
@@ -693,10 +693,10 @@ def test_a_carried_solve_needs_its_rows_its_w0_and_a_derived_system(tight_solves
         return sol
 
     # iteration 0: x = x0, so no slab row; the cut y1 + y2 <= -2 is tight
-    first = least_distance(store.add_with_slab([1.0, 1.0], [-1.0, -1.0], x0 - x0, x0), x0)
+    first = least_distance(store.add_with_slab(np.ones(2), -np.ones(2), x0 - x0, x0), x0)
     assert first.active_set == [4]
     x1 = first.point
-    system = store.add_with_slab([1.0, -0.5], [-2.0, 0.0], x0 - x1, x1)
+    system = store.add_with_slab(np.array([1.0, -0.5]), np.array([-2.0, 0.0]), x0 - x1, x1)
     # another x0, or x0 written in place after a solve, is a miss
     check(system, np.array([0.0, 1e-300]), [4], 0)
     moved = x0.copy()
@@ -714,7 +714,7 @@ def test_a_carried_solve_needs_its_rows_its_w0_and_a_derived_system(tight_solves
     slab_solve = check(system, x0, [6], 0)
     assert 6 in slab_solve.active_set
     x2 = slab_solve.point
-    following = store.add_with_slab([1.0, 1.0], [-1.0, -1.0], x0 - x2, x2)
+    following = store.add_with_slab(np.ones(2), -np.ones(2), x0 - x2, x2)
     check(following, x0, slab_solve.active_set, 0)
 
 

@@ -103,13 +103,13 @@ def test_halfspace_zero_normal_is_whole_space():
     space = _space(2)
     assert assemble(space, [([0.0, 0.0], [1.0, 1.0])]) is space
     store = ConstraintStore(space)
-    store.add_with_slab([0.0, 0.0], [1.0, 1.0], np.zeros(2), [1.0, 1.0])
+    store.add_with_slab(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
     assert store.rows == 0 and store.system.G.shape == (0, 2) and store.system.A is space.A
 
 
 def test_halfspace_arrays_are_read_only():
     store = ConstraintStore(_space(2))
-    store.add_with_slab([1.0, 1.0], [0.0, 0.0], np.zeros(2), [0.0, 0.0])
+    store.add_with_slab(np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2))
     for system in (assemble(_space(2), [([1.0, 1.0], [0.0, 0.0])]), store.system):
         for name in ("G", "h"):
             with pytest.raises(ValueError):
@@ -180,8 +180,6 @@ def test_pair_and_slab_halfspaces_check_their_inputs():
         for pair in ((good, bad), (bad, good)):
             with pytest.raises(ValueError):
                 assemble(_space(2), [pair])
-            with pytest.raises(ValueError):
-                ConstraintStore(_space(2)).add_with_slab(*pair, np.zeros(2), good)
     # a zero normal adds no row, but its point must still be finite
     with pytest.raises(ValueError):
         assemble(_space(2), [(np.zeros(2), np.array([np.inf, 0.0]))])
@@ -330,8 +328,8 @@ def test_assemble_skips_whole_space_and_rejects_dimension_mismatch():
         with pytest.raises(ValueError):
             assemble(box, bad)
     with pytest.raises(ValueError):
-        ConstraintStore(box).add_with_slab([1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
-                                           np.zeros(2), [0.0, 0.0])
+        ConstraintStore(box).add_with_slab(np.array([1.0, 0.0, 0.0]), np.zeros(3),
+                                           np.zeros(2), np.zeros(2))
 
 
 def test_extending_a_stacked_system_one_halfspace_at_a_time_matches_stacking_all():
@@ -408,13 +406,13 @@ def test_a_store_system_keeps_its_rows_when_the_store_grows():
     ([1e-170, 0.0], [1.0, 0.0]),  # the sum of squares underflows to 0
 ], ids=["overflow", "underflow"])
 def test_a_cut_whose_norm_over_or_underflows_keeps_its_row(normal, row):
-    point = [1.0, 0.0]
+    normal, point = np.array(normal), np.array([1.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        system = assemble(_space(2), [(normal, point), ([0.0, 0.0], point)])
+        system = assemble(_space(2), [(normal, point), (np.zeros(2), point)])
         store = ConstraintStore(_space(2))
         store.add_with_slab(normal, point, np.zeros(2), point)
-        store.add_with_slab([0.0, 0.0], point, np.zeros(2), point)
+        store.add_with_slab(np.zeros(2), point, np.zeros(2), point)
     # one row each: the zero normal still adds none
     for s in (system, store.system):
         assert s.G.shape == (1, 2)
@@ -551,10 +549,14 @@ def _unit_rows_by_linalg_norm(normals, points):
 @pytest.mark.parametrize("n", [2, 5, 20])
 def test_the_stores_unchecked_entry_and_its_norms_are_bitwise_the_checked_ones(n):
     # seeded two-row batches, with normals whose sum of squares overflows,
-    # underflows to 0 or loses an entry to underflow, and zero normals
+    # underflows to 0 or loses an entry to underflow, and zero normals: the
+    # normaliser is bitwise np.linalg.norm's, and the store, whose caller
+    # checks its vectors, holds bitwise the rows, raw and reduced, that the
+    # checked assemble makes of the slab and every cut so far, of each set
+    # of twins (cuts of bitwise the same unit normal) the tightest
     rng = np.random.default_rng(41)
-    checked = ConstraintStore(Box(-np.ones(n), np.ones(n)))
-    unchecked = ConstraintStore(Box(-np.ones(n), np.ones(n)))
+    C = Box(-np.ones(n), np.ones(n))
+    store, tightest = ConstraintStore(C), {}  # unit-row bytes -> (cut, rhs)
     x0 = rng.normal(size=n)
     warm = 0
     for k in range(120):
@@ -575,21 +577,27 @@ def test_the_stores_unchecked_entry_and_its_norms_are_bitwise_the_checked_ones(n
         points[np.einsum("ij,ij->i", normals, points) < 0.0] *= -1.0
         rows, rhs, keep = sets._unit_rows(normals, points)
         ref = _unit_rows_by_linalg_norm(normals, points)
-        assert keep.tolist() == ref[2].tolist()
+        assert np.asarray(keep).tolist() == ref[2].tolist()
         assert rows.tobytes() == ref[0].tobytes() and rhs.tobytes() == ref[1].tobytes()
         with np.errstate(over="ignore", under="ignore"):
             assert sets._norms(normals).tobytes() == np.linalg.norm(normals, axis=1).tobytes()
-        systems = [checked.add_with_slab(normals[0], points[0], normals[1], points[1]),
-                   unchecked._add(normals[0], points[0], normals[1], points[1])]
-        assert checked.warm_start == unchecked.warm_start and checked.rows == unchecked.rows
-        warm += bool(checked.warm_start)
+        cut, slab = (normals[0], points[0]), (normals[1], points[1])
+        system = store.add_with_slab(*cut, *slab)
+        own = assemble(_space(n), [cut])
+        if own.h.size:
+            key = own.G[0].tobytes()
+            if key not in tightest or own.h[0] < tightest[key][1]:
+                tightest[key] = cut, own.h[0]
+        cuts = [cut for cut, _ in tightest.values()]
+        systems = [system, assemble(C, cuts + [slab])]
+        assert store.rows == assemble(C, cuts).h.size
+        warm += bool(store.warm_start)
         forms = [sets._reduced_form(system) for system in systems]
         for name in ("G", "h"):
             assert getattr(systems[0], name).tobytes() == getattr(systems[1], name).tobytes()
         for name in ("rows", "rhs", "norms"):
             assert getattr(forms[0], name).tobytes() == getattr(forms[1], name).tobytes()
-        for store, system in zip((checked, unchecked), systems):
-            least_distance(system, x0, warm_start=store.warm_start)
+        least_distance(systems[0], x0, warm_start=store.warm_start)
     assert warm > 0
 
 
@@ -598,18 +606,18 @@ def _tight(solve):
 
 
 def _general_add(store, *args):
-    """``store._add`` with every row taking the general path, ``_unit_rows``
-    and ``_reduced_rows``: the reference for the one-pass append."""
+    """``store.add_with_slab`` with every row taking ``_unit_rows``' NumPy
+    branch: the reference for the one-pass append."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sets, "_SHORT", 0)
-        return store._add(*args)
+        return store.add_with_slab(*args)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 7, 8])
 @pytest.mark.parametrize("kind", ["box", "slice", "unbounded"])
 def test_the_one_pass_append_is_bitwise_the_general_path(kind, n, monkeypatch):
     # two stores fed the same cuts and slabs, one through the one-pass append
-    # and one through _unit_rows and _reduced_rows, through zero normals,
+    # and one through _unit_rows' NumPy branch, through zero normals,
     # normals whose squares overflow or underflow to 0 or lose an entry to
     # underflow, and (on the slice) a cut that vanishes on its plane; every
     # row keeps the point c of C, so that every system can be solved.  The
@@ -620,9 +628,25 @@ def test_the_one_pass_append_is_bitwise_the_general_path(kind, n, monkeypatch):
     c = np.full(n, 3.0 / n) if kind == "slice" else np.zeros(n)
     fast, general = ConstraintStore(C), ConstraintStore(C)
     assert kind != "unbounded" or fast.rows == 0
-    general_calls = []  # one entry per _unit_rows call
-    unit_rows = sets._unit_rows
-    monkeypatch.setattr(sets, "_unit_rows", lambda *a: general_calls.append(1) or unit_rows(*a))
+    # one entry per _unit_rows call, True when it took its NumPy branch, the
+    # one place in it that takes norms
+    numpy_calls, inside = [], [False]
+    unit_rows, plain_norms = sets._unit_rows, sets._norms
+
+    def counted_unit_rows(normals, points):
+        numpy_calls.append(False)
+        inside[0] = True
+        result = unit_rows(normals, points)
+        inside[0] = False
+        return result
+
+    def counted_norms(rows):
+        if inside[0]:
+            numpy_calls[-1] = True
+        return plain_norms(rows)
+
+    monkeypatch.setattr(sets, "_unit_rows", counted_unit_rows)
+    monkeypatch.setattr(sets, "_norms", counted_norms)
     rng = np.random.default_rng(51 + n)
     x0 = c + rng.normal(size=n)
     special = fast_calls = 0
@@ -646,9 +670,9 @@ def test_the_one_pass_append_is_bitwise_the_general_path(kind, n, monkeypatch):
             norms = sets._norms(normals)
         special += not ((0.0 < norms) & (norms < np.inf)).all()
         args = (normals[0], c + offsets[0], normals[1], c + offsets[1])
-        before = len(general_calls)
-        systems = [fast._add(*args)]
-        fast_calls += len(general_calls) - before
+        before = len(numpy_calls)
+        systems = [fast.add_with_slab(*args)]
+        fast_calls += sum(numpy_calls[before:])
         systems.append(_general_add(general, *args))
         assert fast.rows == general.rows and fast.warm_start == general.warm_start
         forms = [sets._reduced_form(system) for system in systems]
@@ -663,8 +687,8 @@ def test_the_one_pass_append_is_bitwise_the_general_path(kind, n, monkeypatch):
         assert _tight(systems[0]._link.carried) == _tight(systems[1]._link.carried)
         for store, system in zip((fast, general), systems):
             least_distance(system, x0, warm_start=store.warm_start)
-    # the fast store normalises by _unit_rows exactly where a norm is 0 or
-    # inf, and on every call when rows are longer than 7
+    # the fast store takes the NumPy branch exactly where a norm is 0 or inf,
+    # and on every call when rows are longer than 7
     assert fast_calls == (60 if n > 7 else special)
 
 
@@ -758,7 +782,7 @@ def test_a_twin_whose_reduced_row_is_inert_and_violated_raises_as_an_appended_ro
     assert store.rows == rows and store.system.h.tobytes() == last.h.tobytes()
     # the same cut appended, as a store without the wide cut does
     appending = ConstraintStore(C)
-    appending.add_with_slab([1.0, 0.0, 0.0], [2.0, 0.0, 0.0], np.zeros(3), ones)
+    appending.add_with_slab(np.eye(3)[0], 2.0 * np.eye(3)[0], np.zeros(3), ones)
     with pytest.raises(InfeasibleSystem) as appended:
         appending.add_with_slab(*tight, slab, ones + slab)
     assert str(merged.value) == str(appended.value)
@@ -783,7 +807,7 @@ def _repeating_cuts(draw):
     kind = draw(st.sampled_from(sorted(_TWIN_KINDS)))
     n = draw(st.integers(2, 4))
     C, c = _TWIN_KINDS[kind](n)
-    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(np.array)
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(lambda v: np.array(v, float))
     pool = draw(st.lists(vector, min_size=1, max_size=3))
     x0 = c + draw(vector)
     steps = []
@@ -825,14 +849,42 @@ def test_the_python_float_norm_is_bitwise_norms(n):
         for normals in batch:
             norms = sets._norms(normals)
             units = normals / norms[:, None]
-            for row, norm, unit in zip(normals.tolist(), norms.tolist(), units):
-                got_unit, got_norm = sets._unit(row)
-                assert got_norm.hex() == norm.hex()
-                assert np.array(got_unit).tobytes() == unit.tobytes()
+            for row, unit in zip(normals.tolist(), units):
+                assert np.array(sets._unit(row)).tobytes() == unit.tobytes()
     # a sum of squares that is 0, overflows or is NaN is left to NumPy
     for row in ([0.0] * n, [1e-170] * n, [1e200] + [0.0] * (n - 1),
                 [np.inf] + [1.0] * (n - 1), [np.nan] * n):
         assert sets._unit(row) is None
+
+
+@st.composite
+def _short_batches(draw):
+    """1 to 3 normals of 1 to 7 entries and as many points: random rows,
+    all-zero rows, and rows whose squares underflow to 0 or overflow."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    entries = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+    scales = st.sampled_from([1.0, 0.0, 1e-170, 1e200])
+    normals = np.array([np.array(draw(entries)) * draw(scales) for _ in range(k)])
+    points = np.array([draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+                       for _ in range(k)])
+    return normals, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=_short_batches())
+def test_the_short_branch_of_the_normaliser_is_bitwise_its_numpy_branch(batch):
+    # _unit_rows normalises rows of at most _SHORT entries on Python floats;
+    # with _SHORT = 0 every row takes the NumPy branch.  The rows are passed
+    # as the store passes them, one array each
+    normals, points = batch
+    short = sets._unit_rows(list(normals), points)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sets, "_SHORT", 0)
+        general = sets._unit_rows(list(normals), points)
+    for got, want in zip(short[:2], general[:2]):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert np.asarray(short[2]).tolist() == np.asarray(general[2]).tolist()
 
 
 def test_a_sets_constraints_are_the_checked_system_built_unchecked(monkeypatch):
@@ -894,18 +946,18 @@ def test_extension_still_rejects_non_finite_new_rows():
     box = Box([0.0, 0.0], [1.0, 1.0])
     system = assemble(box, [])
     # a finite cut whose right-hand side overflows
-    huge = ([1.0, 1.0], [1.7e308, 1.7e308])
+    huge = (np.ones(2), np.full(2, 1.7e308))
     with pytest.raises(ValueError, match="finite"):
         assemble(system, [huge])
     store = ConstraintStore(box)
     with pytest.raises(ValueError, match="finite"):
         store.add_with_slab(*huge, np.zeros(2), huge[1])
-    # the unchecked entry still refuses a normal that is not finite, which a
-    # NaN norm would otherwise drop as a zero normal
+    # the store still refuses a normal that is not finite, which a NaN norm
+    # would otherwise drop as a zero normal
     for normal in ([np.nan, 1.0], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             with np.errstate(invalid="ignore"):
-                store._add(np.zeros(2), np.zeros(2), np.array(normal), np.zeros(2))
+                store.add_with_slab(np.zeros(2), np.zeros(2), np.array(normal), np.zeros(2))
     assert store.rows == 4
 
 

@@ -13,7 +13,9 @@ the two packages share no module.  One workload's solves are drawn from
 the parent from its ``to_dict`` entry, which carries the same floats.
 
 Correctness comes first: every solve runs once on each side, and each start's
-iteration count and terminal-point bytes (or the exception raised) must agree.
+``record`` in ``tools/trajectory_digest.py`` (stop reason, iterations,
+operator evaluations, QP solves and terminal-point bytes), or the exception
+raised, must agree, so sides that agree give the same digest solve by solve.
 On the first solve that differs the script names it and exits 1.
 
 The parent is also loaded a second time, as the package ``vifd_floor``, and
@@ -48,12 +50,13 @@ import time
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = [os.path.join(ROOT, name) for name in ("src", "perfbench", "tools")]
 
 import numpy as np  # noqa: E402
 
 import vifd  # noqa: E402
 import workloads  # noqa: E402
+from trajectory_digest import record  # noqa: E402
 
 PARENT_NAME = "vifd_parent"
 FLOOR_NAME = "vifd_floor"
@@ -74,16 +77,16 @@ def load_parent(checkout: str, name: str = PARENT_NAME):
 
 
 def run(package, config):
-    """``(seconds, outcome)`` of one ``run_experiment`` call: per start, the
-    iteration count and terminal-point bytes, or the exception's name."""
+    """``(seconds, outcome)`` of one ``run_reports`` call: per start, the
+    digest's ``record``, or the exception's name."""
     failures = (package.qp.MaxPivots, package.qp.InfeasibleSystem, FloatingPointError, ValueError)
     started = time.perf_counter()
     try:
-        rows = package.bench.run_experiment(config)
+        reports = package.bench.run_reports(config)
     except failures as exc:
         return time.perf_counter() - started, type(exc).__name__
     seconds = time.perf_counter() - started
-    return seconds, [(row.iterations, row.terminal_point.tobytes()) for row in rows]
+    return seconds, [record(report) for report in reports]
 
 
 def main(argv=None) -> int:
@@ -110,7 +113,7 @@ def main(argv=None) -> int:
                 print(f"solve {i} ({solve.cell}) differs: {names[side]} {outcome!r:.200} "
                       f"against parent {outcomes[1]!r:.200}")
                 return 1
-    print(f"solves {len(solves)} agree: iteration counts and terminal-point bytes")
+    print(f"solves {len(solves)} agree: digest records, solve by solve")
 
     # times[side][round] holds every solve's seconds in that round
     times = [[[] for _ in range(args.rounds)] for _ in sides]

@@ -8,13 +8,13 @@ Solves every start of presets table1 to table4, then table4's starts again
 at ``beta = 0.25`` (group ``table4-beta0.25``: six of its nine starts stop at
 Step 4, which no other solve here reaches), then every solve of the
 ``perfbench/workloads.py`` workloads (anchored-long, box-wide, ray-short)
-drawn from ``--seed``, in that order.  Each solve contributes its stop
-reason, outer iterations, operator evaluations, QP solves and the bytes of
-its terminal point.  The script prints the number of solves, the number of
-those that raised, and the digest, then one digest per group, over that
-group's solves in the same order: ``sha256 <group> <hex>`` for each of
-table1 to table4, table4-beta0.25, anchored-long, box-wide and ray-short.  A
-group's line tells which solves moved a digest.
+drawn from ``--seed``, in that order.  Each solve contributes its
+``record``: its stop reason, outer iterations, operator evaluations, QP
+solves and the bytes of its terminal point.  The script prints the number
+of solves, the number of those that raised, and the digest, then one digest
+per group, over that group's solves in the same order: ``sha256 <group>
+<hex>`` for each of table1 to table4, table4-beta0.25, anchored-long,
+box-wide and ray-short.  A group's line tells which solves moved a digest.
 
 Two commits that print the same digest at the same seed give bitwise the same
 trajectories on all of these solves, so a refactor meant to change no result
@@ -59,6 +59,13 @@ def configs(seed: int):
             yield name, solve.config
 
 
+def record(report) -> bytes:
+    """One solve's part of the digest, read from its ``RunReport``."""
+    counters = report.counters
+    return (f"{report.stop_reason.value}|{counters.outer_iters}|{counters.operator_evals}|"
+            f"{counters.qp_solves}|".encode() + report.terminal_point.tobytes())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
@@ -74,11 +81,7 @@ def main(argv=None) -> int:
             solves += len(config.starts)
             raised += len(config.starts)
         else:
-            data = b"".join(
-                f"{r.stop_reason.value}|{r.counters.outer_iters}|{r.counters.operator_evals}|"
-                f"{r.counters.qp_solves}|".encode() + r.terminal_point.tobytes()
-                for r in reports
-            )
+            data = b"".join(record(report) for report in reports)
             solves += len(reports)
         digest.update(data)
         groups.setdefault(group, hashlib.sha256()).update(data)
