@@ -313,7 +313,7 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
             )
         ]
     if name == "table2":
-        mk = lambda variant, n, start, label: ExperimentConfig(
+        mk = lambda variant, start, label: ExperimentConfig(
             problem=variant,
             starts=[start],
             params=SolverParams(delta=0.01, theta=0.5, tol_residual=1e-8),
@@ -321,12 +321,12 @@ def preset_configs(name: str) -> list[ExperimentConfig]:
             label=label,
         )
         return [
-            mk("rho-squared", 1, [0.1], "rho = |x|^2, n = 1"),
-            mk("rho-squared", 1, [0.5], "rho = |x|^2, n = 1"),
-            mk("rho-squared", 1, [-0.5], "rho = |x|^2, n = 1"),
-            mk("rho-norm", 5, [1e-3] * 5, "rho = |x|, n = 5"),
-            mk("rho-norm", 50, [-0.1] * 50, "rho = |x|, n = 50"),
-            mk("rho-norm", 100, [-0.001] * 100, "rho = |x|, n = 100"),
+            mk("rho-squared", [0.1], "rho = |x|^2, n = 1"),
+            mk("rho-squared", [0.5], "rho = |x|^2, n = 1"),
+            mk("rho-squared", [-0.5], "rho = |x|^2, n = 1"),
+            mk("rho-norm", [1e-3] * 5, "rho = |x|, n = 5"),
+            mk("rho-norm", [-0.1] * 50, "rho = |x|, n = 50"),
+            mk("rho-norm", [-0.001] * 100, "rho = |x|, n = 100"),
         ]
     if name == "table3":
         mk = lambda delta, a, starts: ExperimentConfig(

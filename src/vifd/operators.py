@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import Box, FeasibleSet, LinearConstraintSystem, SimplexSlice, _integer, _real, as_point
+from .sets import (Box, FeasibleSet, LinearConstraintSystem, SimplexSlice, _frozen, _integer,
+                   _real, as_point)
 
 __all__ = [
     "DomainError",
@@ -58,19 +59,16 @@ class SupportResult:
             if self.maximizer is not None:
                 raise ValueError("an unattained supremum cannot carry a maximizer")
         elif self.maximizer is not None:
-            arr = as_point(self.maximizer)
-            arr = np.array(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, "maximizer", arr)
+            object.__setattr__(self, "maximizer", _frozen(as_point(self.maximizer)))
 
 
 class SetValuedOperator(ABC):
     """Point-to-set operator exposed through selection and support oracles.
 
-    Implementations are stateless and deterministic.  ``select(x)`` returns
-    one element of T(x); ``support(x, d)`` returns sup over T(x) of <u, d>.
-    Singleton operators advertise ``singleton = True``, in which case the
-    support value always equals ``<select(x), d>``.
+    Implementations are stateless and deterministic.  ``select(x)`` is one
+    element of T(x), ``support(x, d)`` sup over T(x) of <u, d>, and
+    ``witness_above`` serves an unattained sup.  A singleton operator sets
+    ``singleton = True``; its support is <select(x), d>.
     """
 
     dim: int
@@ -85,19 +83,11 @@ class SetValuedOperator(ABC):
         """Supremum of ``<u, d>`` over ``u in T(x)``."""
 
     def witness_above(self, x, d, level: float) -> np.ndarray:
-        """Some ``u in T(x)`` with ``<u, d> >= level``.
-
-        Callers must first check ``support(x, d).value >= level``.  The default
-        works whenever the supremum is attained; operators with unbounded
-        images override it.
+        """Some ``u in T(x)`` with ``<u, d> >= level`` where ``support(x, d)``
+        is infinite.  Only an operator whose supremum can be unattained
+        overrides this default, which raises ``NotImplementedError``.
         """
-        _real("level", level)
-        result = self.support(x, d)
-        if result.maximizer is None:
-            raise NotImplementedError(
-                "unbounded support requires an operator-specific witness"
-            )
-        return np.array(result.maximizer)
+        raise NotImplementedError(f"{type(self).__name__} has no witness_above")
 
 
 class _SingletonOperator(SetValuedOperator):
@@ -199,9 +189,9 @@ class RayOperator(SetValuedOperator):
     reaching the origin.  The support of the ray along ``d`` is infinite when
     the ray direction points into ``d`` and is otherwise attained at the base,
     whose inner product with ``d`` is the reported value.  ``witness_above``
-    returns an element at or above its level with no slack: on an unbounded
-    support the element at scale ``max(r, level / c)``, doubled while rounding
-    leaves it below the level.
+    serves only the infinite support, with no slack: the element at scale
+    ``max(r, level / c, ulp(0))``, doubled while rounding leaves it below the
+    level.
 
     ``_ALIGN_TOL`` is a modelling constant, not a slack: the support is
     infinite only when the ray direction's inner product with ``d`` exceeds
@@ -215,52 +205,43 @@ class RayOperator(SetValuedOperator):
     _ALIGN_TOL = 1e-12
 
     def _split(self, x):
+        """The ray's base scale r and its unit direction."""
         x = as_point(x, 2)
         if x[0] < -_DOMAIN_TOL or not -_DOMAIN_TOL <= x[1] <= math.pi / 2 + _DOMAIN_TOL:
             raise DomainError(f"point {x} is outside {{r >= 0, 0 <= theta <= pi/2}}")
-        r = max(float(x[0]), 0.0)
         theta = min(max(float(x[1]), 0.0), math.pi / 2)
-        return r, theta
-
-    def _direction(self, theta: float) -> np.ndarray:
-        return np.array([math.cos(theta), math.sin(theta)])
+        return max(float(x[0]), 0.0), np.array([math.cos(theta), math.sin(theta)])
 
     def select(self, x) -> np.ndarray:
-        r, theta = self._split(x)
-        return max(r, 2.0) * self._direction(theta)
+        r, direction = self._split(x)
+        return max(r, 2.0) * direction
 
     def support(self, x, d) -> SupportResult:
-        r, theta = self._split(x)
+        r, direction = self._split(x)
         d = as_point(d, 2)
-        direction = self._direction(theta)
-        c = float(direction @ d)
-        if c > self._ALIGN_TOL:
+        if float(direction @ d) > self._ALIGN_TOL:
             return SupportResult(math.inf)
         base = r * direction
         return SupportResult(float(base @ d), base)
 
     def witness_above(self, x, d, level: float) -> np.ndarray:
-        r, theta = self._split(x)
+        r, direction = self._split(x)
         d, level = as_point(d, 2), _real("level", level)
-        direction = self._direction(theta)
         c = float(direction @ d)
-        if c > self._ALIGN_TOL:
-            element = max(r, level / c) * direction
-            # doubling is exact, so it keeps the element's unit direction, the
-            # only part of it that a cut keeps, bitwise
-            while float(element @ d) < level:
-                element = 2.0 * element
-            return element
-        base = r * direction
-        if float(base @ d) >= level:
-            return base
-        raise ValueError("no ray element attains the requested level")
+        if c <= self._ALIGN_TOL:
+            raise ValueError("the support is attained: its maximizer is the witness")
+        # the floor keeps a zero scale (r = 0 and level / c underflowing) from
+        # doubling forever; doubling is exact, so it keeps the element's unit
+        # direction, the only part of it that a cut keeps, bitwise
+        element = max(r, level / c, math.ulp(0.0)) * direction
+        while float(element @ d) < level:
+            element = 2.0 * element
+        return element
 
     def member(self, x, u, tol: float = 1e-9) -> bool:
         """Whether ``u`` lies on the ray T(x) (up to ``tol``)."""
-        r, theta = self._split(x)
+        r, direction = self._split(x)
         u, tol = as_point(u, 2), _real("tol", tol)
-        direction = self._direction(theta)
         t = float(u @ direction)
         on_line = float(np.linalg.norm(u - t * direction)) <= tol
         return on_line and t >= r - tol
@@ -287,14 +268,10 @@ class ProblemInstance:
         if dim != self.operator.dim:
             raise ValueError(f"the operator has dimension {self.operator.dim} "
                              f"but the feasible set has dimension {dim}")
-        frozen = []
-        for s in self.known_dual_solutions:
-            arr = np.array(as_point(s, self.operator.dim))
-            arr.flags.writeable = False
-            if not self.feasible.contains(arr, 1e-9):
-                raise ValueError("known dual solution lies outside the feasible set")
-            frozen.append(arr)
-        object.__setattr__(self, "known_dual_solutions", tuple(frozen))
+        solutions = tuple(_frozen(as_point(s, dim)) for s in self.known_dual_solutions)
+        if not all(feasible.contains(s, 1e-9) for s in solutions):
+            raise ValueError("known dual solution lies outside the feasible set")
+        object.__setattr__(self, "known_dual_solutions", solutions)
 
     @property
     def dim(self) -> int:
@@ -318,10 +295,10 @@ def make_problem(
 ) -> ProblemInstance:
     """Build a registered benchmark problem.
 
-    ``dim`` is required only where the family is dimension-parametric (the
-    rho operators); ``a`` scales the feasible set where applicable.  For the
-    fractional problem the diagonal curvature h is drawn once, uniformly from
-    [0.1, 1.6], from a generator seeded with ``seed``.  A ``dim`` other than
+    ``dim`` is needed only by the rho operators; another family refuses a
+    ``dim`` other than its own, naming both.  ``a`` scales the feasible set
+    where applicable.  The fractional problem's curvature h is drawn once,
+    uniformly from [0.1, 1.6], seeded with ``seed``.  A ``dim`` other than
     None or an integer >= 1, an ``a`` other than None or a finite real, or a
     ``seed`` other than an integer >= 0 (a bool is neither) raises a
     ``ValueError`` naming its key; any other ``name`` raises
@@ -331,42 +308,40 @@ def make_problem(
     a = None if a is None else _real("a", a)
     seed = _integer("seed", seed, 0)
     if name == "hs-quasimonotone":
-        if dim not in (None, 2):
-            raise ValueError("hs-quasimonotone is two-dimensional")
-        return ProblemInstance(
+        problem = ProblemInstance(
             name=name,
             operator=HsQuasimonotone(),
             feasible=Box(np.zeros(2), np.ones(2)),
             known_dual_solutions=(np.array([1.0, 1.0]),),
         )
-    if name in ("rho-squared", "rho-norm"):
+    elif name in ("rho-squared", "rho-norm"):
         n = 1 if dim is None else dim
         half = 1.0 if a is None else a
         variant = "squared" if name == "rho-squared" else "norm"
-        return ProblemInstance(
+        problem = ProblemInstance(
             name=name,
             operator=RhoOperator(n, half, variant),
             feasible=Box(np.full(n, -half), np.full(n, half)),
             known_dual_solutions=(np.full(n, -half),),
         )
-    if name == "fractional-simplex":
-        if dim not in (None, 5):
-            raise ValueError("fractional-simplex is five-dimensional")
+    elif name == "fractional-simplex":
         scale = 5.0 if a is None else a
         h = float(np.random.default_rng(seed).uniform(0.1, 1.6))
-        return ProblemInstance(
+        problem = ProblemInstance(
             name=name,
             operator=FractionalGradient(scale, h),
             feasible=SimplexSlice(scale, 5),
             known_dual_solutions=(np.full(5, scale / 5.0),),
         )
-    if name == "ray-setvalued":
-        if dim not in (None, 2):
-            raise ValueError("ray-setvalued is two-dimensional")
-        return ProblemInstance(
+    elif name == "ray-setvalued":
+        problem = ProblemInstance(
             name=name,
             operator=RayOperator(),
             feasible=Box(np.zeros(2), np.array([math.inf, math.pi / 2])),
             known_dual_solutions=(np.zeros(2),),
         )
-    raise UnknownProblem(f"'problem' must be one of {', '.join(PROBLEM_NAMES)}, not {name!r}")
+    else:
+        raise UnknownProblem(f"'problem' must be one of {', '.join(PROBLEM_NAMES)}, not {name!r}")
+    if dim not in (None, problem.dim):
+        raise ValueError(f"{name} is {problem.dim}-dimensional")
+    return problem

@@ -1,6 +1,9 @@
 """Benchmark operators: selections, support oracles, and the problem registry."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from vifd.sets import Box, LinearConstraintSystem, SimplexSlice
 
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestHsQuasimonotone:
@@ -172,16 +176,33 @@ class TestRayOperator:
         np.testing.assert_allclose(
             self.op.witness_above([3.0, 0.0], [1.0, 0.0], 1.0), [3.0, 0.0], atol=1e-15
         )
-        np.testing.assert_allclose(
-            self.op.witness_above([1.0, 0.0], [-1.0, 0.0], -1.0), [1.0, 0.0], atol=1e-15
-        )
-        with pytest.raises(ValueError):
-            self.op.witness_above([1.0, 0.0], [-1.0, 0.0], -0.5)
-        # the level is a finite real, for the default witness of a singleton too
-        for op in (self.op, HsQuasimonotone()):
-            for level in ("3", True, None, math.nan, math.inf):
-                with pytest.raises(ValueError, match="'level'"):
-                    op.witness_above([1.0, 0.0], [1.0, 0.0], level)
+        # an attained support has its maximizer as the witness, so a witness
+        # is refused even for a level the maximizer meets
+        for level in (-1.0, -0.5):
+            with pytest.raises(ValueError, match="attained"):
+                self.op.witness_above([1.0, 0.0], [-1.0, 0.0], level)
+        # the level is a finite real
+        for level in ("3", True, None, math.nan, math.inf):
+            with pytest.raises(ValueError, match="'level'"):
+                self.op.witness_above([1.0, 0.0], [1.0, 0.0], level)
+        # a singleton's support is always attained: the default has no witness
+        for level in (-1.0, 0.0, 1.0, "3", math.nan):
+            with pytest.raises(NotImplementedError, match="HsQuasimonotone"):
+                HsQuasimonotone().witness_above([1.0, 0.0], [1.0, 0.0], level)
+
+    def test_witness_above_a_level_whose_scale_underflows_returns(self):
+        # with r = 0 and level / c underflowing to 0 the scale is floored at
+        # the smallest positive float; a zero scale would double forever, so
+        # the call runs in a subprocess that a hang fails instead of stalling
+        code = ("from vifd.operators import RayOperator\n"
+                "for d in ([3.0, 0.0], [1e300, 0.0]):\n"
+                "    w = RayOperator().witness_above([0.0, 0.0], d, 5e-324)\n"
+                "    assert RayOperator().member([0.0, 0.0], w, 0.0), w\n"
+                "    assert float(w @ d) >= 5e-324 and w[1] == 0.0, w\n"
+                "print('ok')\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.returncode == 0 and out.stdout == "ok\n", out.stdout + out.stderr
 
     def test_member(self):
         d = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
@@ -286,8 +307,8 @@ def test_ray_witness_consistency_random():
             assert float(w @ d) >= level
         else:
             assert float(result.maximizer @ d) == result.value
-            w = op.witness_above(x, d, result.value - 1e-9)
-            assert op.member(x, w, tol=1e-9)
+            with pytest.raises(ValueError, match="attained"):
+                op.witness_above(x, d, result.value - 1e-9)
 
 
 class TestRegistry:
@@ -309,8 +330,11 @@ class TestRegistry:
         assert p.dim == 2
         np.testing.assert_array_equal(p.known_dual_solutions[0], [1.0, 1.0])
         assert p.feasible.contains([0.5, 0.5])
-        with pytest.raises(ValueError):
-            make_problem("hs-quasimonotone", dim=3)
+        # a family of one dimension refuses any other, naming both
+        for name, dim, n in (("hs-quasimonotone", 3, 2), ("fractional-simplex", 4, 5),
+                             ("ray-setvalued", 1, 2)):
+            with pytest.raises(ValueError, match=f"^{name} is {n}-dimensional$"):
+                make_problem(name, dim=dim)
 
     def test_refuses_arguments_that_are_not_numbers_of_their_kind(self):
         # each refused before any problem is built, naming its key

@@ -329,6 +329,44 @@ class TestLinesearch:
         with pytest.raises(ValueError):
             linesearch_f(Bad(1.0, 0.0, 1.0), [1.0], [0.0], [1.0], SolverParams())
 
+    def test_an_unattained_supremum_without_a_witness_names_the_operator(self):
+        # the default witness_above serves no operator: one whose support can
+        # be infinite must override it
+        class Unbounded(StepFunctionOperator):
+            def support(self, x, d):
+                return SupportResult(math.inf)
+
+        with pytest.raises(NotImplementedError, match="Unbounded"):
+            linesearch_f(Unbounded(1.0, 0.0, 1.0), [1.0], [0.0], [1.0], SolverParams())
+
+    @pytest.mark.parametrize("preset", ["table1", "table4"])
+    def test_witness_above_serves_only_the_unattained_support_just_probed(self, preset,
+                                                                          monkeypatch):
+        # an attained support's maximizer is the witness, so each witness_above
+        # call follows a support at its point and direction that reported no
+        # maximizer; table1's singleton operator makes no such call
+        config = preset_configs(preset)[0]
+        cls = type(config.build_problem().operator)
+        support, witness_above = cls.support, cls.witness_above
+        calls = []
+
+        def spy_support(self, x, d):
+            result = support(self, x, d)
+            calls.append(("support", x.tobytes(), d.tobytes(), result.maximizer is None))
+            return result
+
+        def spy_witness_above(self, x, d, level):
+            calls.append(("witness_above", x.tobytes(), d.tobytes(), True))
+            return witness_above(self, x, d, level)
+
+        monkeypatch.setattr(cls, "support", spy_support)
+        monkeypatch.setattr(cls, "witness_above", spy_witness_above)
+        run_reports(config)
+        witnesses = [i for i, call in enumerate(calls) if call[0] == "witness_above"]
+        for i in witnesses:
+            assert i > 0 and calls[i - 1] == ("support",) + calls[i][1:]
+        assert len(calls) > 0 and bool(witnesses) == (preset == "table4")
+
     def test_exit_inequality_on_benchmark_runs(self):
         problem = make_problem("hs-quasimonotone")
         params = SolverParams(delta=0.01)
