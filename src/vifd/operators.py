@@ -191,7 +191,8 @@ class RayOperator(SetValuedOperator):
     whose inner product with ``d`` is the reported value.  ``witness_above``
     serves only the infinite support, with no slack: the element at scale
     ``max(r, level / c, ulp(0))``, doubled while rounding leaves it below the
-    level.
+    level; a ``ValueError`` naming the level when that scale, or a doubling,
+    overflows.
 
     ``_ALIGN_TOL`` is a modelling constant, not a slack: the support is
     infinite only when the ray direction's inner product with ``d`` exceeds
@@ -232,10 +233,16 @@ class RayOperator(SetValuedOperator):
             raise ValueError("the support is attained: its maximizer is the witness")
         # the floor keeps a zero scale (r = 0 and level / c underflowing) from
         # doubling forever; doubling is exact, so it keeps the element's unit
-        # direction, the only part of it that a cut keeps, bitwise
-        element = max(r, level / c, math.ulp(0.0)) * direction
-        while float(element @ d) < level:
-            element = 2.0 * element
+        # direction, the only part of it that a cut keeps, bitwise.  The
+        # scale bounds the entries (the direction's are at most 1), so the
+        # element is doubled only while the doubled scale is finite
+        scale = max(r, level / c, math.ulp(0.0))
+        element = scale * direction if scale < math.inf else None
+        while element is not None and float(element @ d) < level:
+            scale *= 2.0
+            element = 2.0 * element if scale < math.inf else None
+        if element is None:
+            raise ValueError(f"the ray's element overflows before it reaches 'level' {level!r}")
         return element
 
     def member(self, x, u, tol: float = 1e-9) -> bool:

@@ -22,14 +22,13 @@ system from ``ConstraintStore.add_with_slab`` comes with it.  The active-set
 iteration works in the system's own row numbering.  A KKT residual is computed
 when first read.  Every solve uses the same feasibility and KKT tolerance, ``TOL``.
 
-Consecutive anchored systems share every stored row bit for bit, but for at
-most one right-hand side, which a twin cut (one whose unit normal is bitwise a
-stored cut's) lowered, so a solve on a system from ``add_with_slab`` records
-its last tight solve in the system's link, and the store carries it into the
-next system unless that solve held the lowered row or the slab.  There, a
-warm start whose rows and ``w0`` are bitwise the carried solve's takes the
-carried point and multipliers in place of its first tight solve, which would
-compute the same bits.
+The paper's step 3 projects the fixed ``x0`` onto nested sets, so consecutive
+anchored QPs share their active rows and ``w0``.  ``_tight_solve`` keeps its
+last result in one slot, keyed by the bytes of its active rows, their
+right-hand sides and ``w0``, the only values it reads, and for the same bytes
+returns a copy of it, which is bitwise what it would compute: ``step`` warm
+starts each anchored QP at the last one's active rows below its slab, so the
+first solve of an anchored QP is usually the last one's polish.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,14 +86,8 @@ class QpSolution:
         return _kkt_residual(system, Z, x0, y, mu)
 
 
-class _TightSolve(NamedTuple):
-    """A tight solve as ``_Link`` keeps it: bitwise what ``_tight_solve`` returns
-    for these active rows and this ``w0`` on rows that share their bits."""
-
-    active: tuple[int, ...]
-    w0: bytes
-    w: np.ndarray
-    lam: tuple[float, ...]
+# the last tight solve, (key, w, lam) with w read-only, or None: see _tight_solve
+_last_tight = None
 
 
 def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]):
@@ -107,17 +99,31 @@ def _tight_solve(M: np.ndarray, d: np.ndarray, w0: np.ndarray, active: list[int]
     and bidiagonal steps are identities, and its n = 1 branch multiplies by
     the reciprocal), so the bits are ``lstsq``'s; outside that range, and for
     a zero right-hand side, ``lstsq`` runs.
+
+    The result depends on nothing but the bytes of the active rows, their
+    right-hand sides and ``w0``, so the last one is kept in ``_last_tight``
+    under those bytes, as a read-only copy, and a call on the same bytes
+    returns a new copy of it instead of solving.  The slot is read once and
+    replaced by one assignment, so a caller writing into a returned point
+    changes nothing later, and a nested solve can only make the next call miss.
     """
+    global _last_tight
     if not active:
         return w0.copy(), []
-    rows = M[active]
+    rows, bounds = M[active], d[active]
+    key = (rows.tobytes(), bounds.tobytes(), w0.tobytes())
+    last = _last_tight
+    if last is not None and last[0] == key:
+        return last[1].copy(), list(last[2])
     gram = rows @ rows.T
-    rhs = rows @ w0 - d[active]
+    rhs = rows @ w0 - bounds
     if len(active) == 1 and 1e-290 < gram[0, 0] < 1e290 and 1e-290 < abs(rhs[0]) < 1e290:
         lam = rhs * (1.0 / gram[0, 0])
     else:
         lam, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
-    return w0 - rows.T @ lam, lam.tolist()
+    w, lam = w0 - rows.T @ lam, lam.tolist()
+    _last_tight = key, _frozen(w), tuple(lam)
+    return w, lam
 
 
 def _entering_row(slack: np.ndarray, active: list[int]):
@@ -136,11 +142,12 @@ def _entering_row(slack: np.ndarray, active: list[int]):
     return worst, masked
 
 
-def _dual_active_set(M, d, w0, max_pivots, warm_start, link):
+def _dual_active_set(M, d, w0, max_pivots, warm_start):
     """Dual active-set loop for min ||w - w0|| s.t. M w <= d (rows unit-normalized).
 
     The first solve is the tight solve on the ``warm_start`` rows (``w0`` when
-    cold), or ``link.carried`` when it has bitwise these rows and ``w0``.  One
+    cold), which ``_tight_solve`` returns from its slot when the last tight
+    solve had bitwise these rows, right-hand sides and ``w0``.  One
     drop step serves every solved point with a multiplier below ``-TOL``.  A
     primal-dual step leaves ``y`` inexact, so the final active set is solved
     again (the polish), which may step off a row into the next primal-dual
@@ -149,16 +156,11 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start, link):
     whose primal-dual step finds neither a full step nor a blocker, starts
     over cold, once; a cold solve without such a step raises
     ``InfeasibleSystem``.  The first warm solve, each drop and each
-    primal-dual step count one pivot, and the count runs on across a restart;
-    the last tight solve goes to ``link.last``.
+    primal-dual step count one pivot, and the count runs on across a restart.
     """
     m = M.shape[0]
     active = list(warm_start or ())
-    carried = link and link.carried
-    if carried and (carried.active, carried.w0) == (tuple(active), w0.tobytes()):
-        y, lam = carried.w.copy(), list(carried.lam)
-    else:
-        y, lam = _tight_solve(M, d, w0, active)
+    y, lam = _tight_solve(M, d, w0, active)
     pivots, exact = (1 if active else 0), True
 
     while True:
@@ -180,8 +182,6 @@ def _dual_active_set(M, d, w0, max_pivots, warm_start, link):
                 # lstsq on nearly parallel warm rows left one of them violated
                 warm_start, active, y, lam, exact = None, [], w0.copy(), [], True
                 continue
-            if active and link is not None:
-                link.last = _TightSolve(tuple(active), w0.tobytes(), _frozen(y), tuple(lam))
             return y, active, [max(v, 0.0) for v in lam], pivots
 
         # drive constraint `worst` to feasibility, dropping blockers as needed
@@ -255,8 +255,8 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
     and the normalised reduced rows, numbered as the system's rows) is done on
     the first call for a system, stored on the system object, and reused by
     later calls; a system from ``ConstraintStore.add_with_slab`` has it
-    already, and may carry the previous system's last tight solve, which a
-    ``warm_start`` equal to its rows at bitwise the same ``x0`` reuses.
+    already.  A first tight solve on bitwise the last one's rows, right-hand
+    sides and reduced ``x0`` is that solve, reused (``_tight_solve``).
     A warm start whose solve leaves one of its own rows violated, or whose
     rows are linearly dependent so that a primal-dual step has nowhere to go,
     is discarded for a cold restart.  Feasibility and the KKT conditions are
@@ -309,7 +309,7 @@ def least_distance(system: LinearConstraintSystem, x0, warm_start=None) -> QpSol
 
     max_pivots = PIVOTS_PER_ROW * max(m + p, 1)
     w, active, lam, pivots = _dual_active_set(
-        form.rows, form.rhs, w0, max_pivots, warm, system._link)
+        form.rows, form.rhs, w0, max_pivots, warm)
 
     y = y_part + Z @ w if Z is not None else w
     return QpSolution(y, active, pivots,

@@ -7,8 +7,8 @@ A projection works on a system's reduced form, built once per system by
 system's rows.  The ``ConstraintStore`` keeps only C's system and the last
 anchored system; its one writer, ``add_with_slab``, which ``step`` calls,
 extends that system's stored rows, raw and reduced, by a cut and a slab row,
-links the new system to the last (``_Link``), and alone knows the layout: the
-slab is the last row and is never stored.  A cut whose unit normal is bitwise
+and alone knows the layout: the slab is the last row and is never stored, so
+the stored rows keep their index.  A cut whose unit normal is bitwise
 a stored cut's (a twin) is a parallel halfspace, so it adds no row: the
 twin's row keeps the smaller right-hand side, and the feasible set is the
 same.  Consecutive anchored systems thus share every stored row bit for bit,
@@ -250,8 +250,6 @@ class LinearConstraintSystem:
     def contains(self, y, tol: float = 0.0) -> bool:
         return self.max_violation(y) <= _real("tol", tol)
 
-    _link = None  # a system from the store's add_with_slab has its own
-
 
 FeasibleSet = Union[Box, SimplexSlice, LinearConstraintSystem]
 
@@ -292,10 +290,8 @@ class _ReducedForm:
     stored as the inert row ``0 <= 0`` with norm ``inf``.  When the equalities
     pin a single point, ``Z`` has no columns and every row is inert.  Every
     array is read-only.  A system from ``ConstraintStore.add_with_slab``
-    carries a ``_Link`` beside its form: the reduced rows it shares with the
-    system before it are bitwise the same, but for at most one right-hand
-    side that a twin cut lowered, so that system's last tight solve can stand
-    in for the first one on this system when it does not hold that row.
+    comes with its form, whose reduced rows are bitwise those of the system
+    before it, but for at most one right-hand side that a twin cut lowered.
     """
 
     y_part: np.ndarray | None
@@ -356,20 +352,6 @@ def _frozen_form(y_part, Z, rows, rhs, norms) -> _ReducedForm:
     place without a copy."""
     rows.flags.writeable = rhs.flags.writeable = norms.flags.writeable = False
     return _ReducedForm(y_part, Z, rows, rhs, norms)
-
-
-class _Link:
-    """What ``ConstraintStore.add_with_slab`` carries from one system to the
-    next: ``carried``, the last tight solve on the previous system when none of
-    its active rows was that system's slab or a row whose right-hand side a
-    twin cut lowered, and ``last``, the last tight solve on this one, which
-    ``vifd.qp.least_distance`` writes (a ``vifd.qp._TightSolve``, O(|A| + n)
-    values)."""
-
-    __slots__ = ("carried", "last")
-
-    def __init__(self, carried):
-        self.carried, self.last = carried, None
 
 
 def _reduced_form(system: LinearConstraintSystem) -> _ReducedForm:
@@ -468,9 +450,11 @@ class ConstraintStore:
     as ``SolverState.cuts``.
 
     The store keeps no buffer: its state is C's system, the last anchored
-    system it returned, the count ``rows`` of stored rows, ``warm_start``,
-    and a dict from each stored cut's unit-normal bytes to its row (C's own
-    rows are not in it), and ``add_with_slab`` is its one writer.  A cut
+    system it returned, the count ``rows`` of stored rows, and a dict from
+    each stored cut's unit-normal bytes to its row (C's own rows are not in
+    it), and ``add_with_slab`` is its one writer.  It holds rows only: the
+    warm start and the reuse of a tight solve belong to ``step`` and
+    ``vifd.qp``.  A cut
     whose unit normal is bitwise a stored cut's, found by one dict access,
     is that cut's twin: the two are parallel halfspaces, whose intersection
     is the tighter one, so the store appends no row for it and keeps the
@@ -484,7 +468,6 @@ class ConstraintStore:
     def __init__(self, C: FeasibleSet):
         self._base = _base_system(C)
         self.rows = self._base.h.size
-        self.warm_start = None
         self._last = None
         self._twins = {}  # a stored cut's unit-normal bytes -> its row
 
@@ -498,22 +481,19 @@ class ConstraintStore:
     def add_with_slab(self, normal, point, slab_normal, slab_point) -> LinearConstraintSystem:
         """Store the cut ``(normal, point)`` and return the stored rows and the
         row of the slab ``(slab_normal, slab_point)``, normalised as one two-row
-        batch, as a new system with its reduced form and a ``_Link`` attached;
-        a zero normal adds no row, and the slab is not stored.  A cut whose
-        unit normal is bitwise a stored cut's adds no row either: when it is
-        the tighter, it lowers that row's right-hand side, raw and reduced.
+        batch, as a new system with its reduced form attached; a zero normal
+        adds no row, and the slab is not stored.  A cut whose unit normal is
+        bitwise a stored cut's adds no row either: when it is the tighter, it
+        lowers that row's right-hand side, raw and reduced.
         The vectors are finite float64 vectors of C's dimension, checked by
         ``step``; ``_unit_rows`` still refuses a non-finite row.
 
         The system is one ``np.concatenate`` of the last system's stored rows
         (C's before the first call) with the new rows, so it owns its arrays,
         and a lowered right-hand side is written into that copy.
-        The slab is always its last row, so of the last tight solve on the
-        previous system the active rows below that system's slab keep their
-        index: they become ``warm_start`` (None without a last solve), and the
-        solve is carried when it dropped none of them and none of them is the
-        lowered row, whose solve was for its old right-hand side.  The first
-        call reduces C's rows with the first cut and slab in one
+        The slab is always its last row, so the rows below the previous
+        system's slab, the first ``rows`` before the call, keep their index.
+        The first call reduces C's rows with the first cut and slab in one
         ``_reduced_rows`` batch (reduced alone, a one-row product may round
         differently), with C's equality basis from C's own reduced form; each
         later call reduces only its cut and slab, by ``_reduced_rows`` as one
@@ -522,8 +502,6 @@ class ConstraintStore:
         extends the previous reduced rows.
         """
         base, previous, stored = self._base, self._last, self.rows
-        last = None if previous is None else previous._link.last
-        self.warm_start = None if last is None else [i for i in last.active if i < stored]
         rows, rhs, kept = _unit_rows((normal, slab_normal), np.array((point, slab_point)))
         # a cut whose unit normal is a stored cut's appends no row; the twin's
         # row keeps the smaller right-hand side
@@ -561,10 +539,5 @@ class ConstraintStore:
         if twin is None and key is not None:
             self._twins[key] = stored
             self.rows += 1
-        # the last solve is carried when it kept every active row and none of
-        # them had its right-hand side lowered
-        carry = (last is not None and len(self.warm_start) == len(last.active)
-                 and not (lowered and twin in self.warm_start))
-        self._last = _system(G, h, base.A, base.b, _reduced_form=form,
-                             _link=_Link(last if carry else None))
+        self._last = _system(G, h, base.A, base.b, _reduced_form=form)
         return self._last

@@ -104,14 +104,15 @@ class Counters:
 @dataclass
 class SolverState:
     """Mutable loop state: iterate, start point, counters (which count the
-    iterations), and the ``ConstraintStore`` ``cuts`` of C's rows and every cut
-    so far (None before the first), which also holds the next anchored
-    projection's warm start."""
+    iterations), the ``ConstraintStore`` ``cuts`` of C's rows and every cut
+    so far (None before the first), and ``active_set``, the last anchored
+    projection's, from which ``step`` takes the next one's warm start."""
 
     x: np.ndarray
     x0: np.ndarray
     cuts: ConstraintStore | None = None
     counters: Counters = field(default_factory=Counters)
+    active_set: list[int] = field(default_factory=list)
 
     @classmethod
     def initial(cls, x0) -> "SolverState":
@@ -273,11 +274,14 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     since the halfspaces are parallel).  The slab anchored at the current
     iterate is never stored: the next iterate projects the start point onto
     the system that ``state.cuts.add_with_slab`` makes of the rows and slab
-    in the same call that stores the cut, warm started at the store's
-    ``warm_start``.  Step 4 stops when that projection equals the iterate
-    entrywise, with the certificate ``("step_norm_step4", 0.0, 0.0)``.  Every
-    stop, a linesearch breakdown included, returns its report; the QP's
-    ``MaxPivots`` and ``InfeasibleSystem`` still raise.
+    in the same call that stores the cut.  The slab is the last row of each
+    system, so the last projection's active rows below it, those under the
+    store's ``rows`` before the call, keep their index and are its warm
+    start; its active set is kept as ``state.active_set``.  Step 4 stops
+    when that projection equals the iterate entrywise, with the certificate
+    ``("step_norm_step4", 0.0, 0.0)``.  Every stop, a linesearch breakdown
+    included, returns its report; the QP's ``MaxPivots`` and
+    ``InfeasibleSystem`` still raise.
     """
     C, T = problem.feasible, problem.operator
     counters = state.counters
@@ -309,9 +313,11 @@ def step(state: SolverState, problem: ProblemInstance, params: SolverParams):
     # and x were checked by linesearch_f, and the store refuses a row that is
     # not finite.
     norm = math.sqrt(ubar @ ubar)
+    warm = [i for i in state.active_set if i < state.cuts.rows]
     system = state.cuts.add_with_slab(ubar / norm if norm > 0.0 else ubar, xbar,
                                       state.x0 - state.x, state.x)
-    solution = least_distance(system, state.x0, warm_start=state.cuts.warm_start)
+    solution = least_distance(system, state.x0, warm_start=warm)
+    state.active_set = solution.active_set
     counters.qp_solves += 1
     counters.qp_pivots += solution.iterations
     x_next = solution.point

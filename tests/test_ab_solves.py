@@ -28,12 +28,18 @@ def test_the_repository_against_itself_agrees_and_prints_the_ratio():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == "solves 48 agree: digest records, solve by solve"
-    assert len(lines) == 5
+    assert len(lines) == 6
+    # the same tree does the same work on every side
+    prefix = "lstsq calls over those solves: "
+    assert lines[1].startswith(prefix)
+    counts = [part.rsplit(" ", 1) for part in lines[1][len(prefix):].split(", ")]
+    assert [name for name, _ in counts] == ["candidate", "parent", "parent copy"]
+    assert len({int(count) for _, count in counts}) == 1 and int(counts[0][1]) > 0
     # candidate/parent, then the parent's second copy against the parent
-    for line, pair in zip(lines[1:], ["candidate/parent"] * 2 + ["parent/parent"] * 2):
+    for line, pair in zip(lines[2:], ["candidate/parent"] * 2 + ["parent/parent"] * 2):
         label = "ratio" if line.startswith("ratio") else "solve_s_p50 ratio"
         assert line.startswith(f"{label} {pair} over 1 rounds: median ") and " quartiles " in line
-    assert [line.split()[0] for line in lines[1:]] == ["ratio", "solve_s_p50"] * 2
+    assert [line.split()[0] for line in lines[2:]] == ["ratio", "solve_s_p50"] * 2
 
 
 def test_the_floor_copy_is_a_package_of_its_own(monkeypatch):

@@ -204,6 +204,17 @@ class TestRayOperator:
                              timeout=60, env={**os.environ, "PYTHONPATH": SRC})
         assert out.returncode == 0 and out.stdout == "ok\n", out.stdout + out.stderr
 
+    @pytest.mark.parametrize("x, d, level", [
+        ([0.0, 0.0], [1e-11, 0.0], 1e300),  # level / c overflows; was [inf, nan]
+        ([0.0, 0.5], [1e-11, 1e-11], 1e300),  # level / c overflows; was [inf, inf]
+        ([0.0, 0.5], [1.0, 1.0], 1.79e308),  # the doubling overflows
+    ], ids=["scale-at-angle-0", "scale-at-angle-0.5", "doubling"])
+    def test_witness_above_a_level_that_no_finite_element_reaches_raises(self, x, d, level):
+        # a ValueError naming the level, and no numpy warning, which the
+        # suite's filters turn into errors
+        with pytest.raises(ValueError, match="'level'"):
+            self.op.witness_above(x, d, level)
+
     def test_member(self):
         d = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
         assert self.op.member([1.0, math.pi / 4], 3.0 * d)

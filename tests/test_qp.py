@@ -1,6 +1,8 @@
 """Projection solver: analytic cross-checks, KKT certificates, contraction properties."""
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -13,7 +15,7 @@ from vifd import qp, sets
 from vifd.operators import make_problem
 from vifd.qp import InfeasibleSystem, MaxPivots, least_distance, simplex_projection
 from vifd.sets import Box, ConstraintStore, LinearConstraintSystem, SimplexSlice, assemble
-from vifd.solver import SolverParams, solve
+from vifd.solver import SolverParams, SolverState, solve, step
 
 
 def _system(G, h, A=None, b=None):
@@ -404,7 +406,7 @@ def test_the_certificate_computed_on_read_is_the_eager_one(build, x0):
     form = qp._reduced_form(system)
     w0 = form.Z.T @ (x0 - form.y_part) if form.Z is not None else x0
     w, active, lam, _ = qp._dual_active_set(
-        form.rows, form.rhs, w0, qp.PIVOTS_PER_ROW * max(m + p, 1), None, None)
+        form.rows, form.rhs, w0, qp.PIVOTS_PER_ROW * max(m + p, 1), None)
     y = form.y_part + form.Z @ w if form.Z is not None else w
     mu = np.zeros(m)
     for i, lam_i in zip(active, lam):
@@ -475,25 +477,70 @@ def test_a_projected_system_is_not_kept_alive():
 
 
 def _unlinked(system):
-    """An equal system that no store derived, so it carries no tight solve."""
+    """An equal system that no store derived."""
     return LinearConstraintSystem(system.G, system.h, system.A, system.b)
 
 
 @pytest.fixture
-def tight_solves(monkeypatch):
-    """A list that grows by one on every ``_tight_solve`` call."""
+def computed_solves(monkeypatch):
+    """A list that grows by one on every tight solve that ``_tight_solve``
+    computes, with its active rows; one returned from the slot leaves the
+    slot as it was.  The slot starts empty.  A reused solve is bitwise the
+    computed one, so no public result shows the reuse, and the count reads
+    the private slot."""
     calls = []
     tight_solve = qp._tight_solve
 
-    def counted(*args):
-        calls.append(None)
-        return tight_solve(*args)
+    def counted(M, d, w0, active):
+        last = qp._last_tight
+        result = tight_solve(M, d, w0, active)
+        if qp._last_tight is not last:
+            calls.append(list(active))
+        return result
 
+    monkeypatch.setattr(qp, "_last_tight", None)
     monkeypatch.setattr(qp, "_tight_solve", counted)
     return calls
 
 
-# runs whose anchored projections reuse the carried tight solve: on a box the
+def _saved(computed_solves, system, x0, warm):
+    """``(saved, solution)``: the tight solves that ``least_distance(system,
+    x0, warm)`` saves by the slot as it stands, against the same solve from an
+    empty slot, which gives bitwise its result; the slot is left as the first
+    solve left it."""
+    start = len(computed_solves)
+    solution = least_distance(system, x0, warm_start=warm)
+    middle, slot = len(computed_solves), qp._last_tight
+    qp._last_tight = None
+    cold = least_distance(system, np.array(x0, dtype=float), warm_start=warm)
+    qp._last_tight = slot
+    assert solution.point.tobytes() == cold.point.tobytes()
+    assert (solution.active_set, solution.iterations) == (cold.active_set, cold.iterations)
+    return len(computed_solves) - 2 * middle + start, solution
+
+
+@pytest.mark.parametrize(
+    "build, x0", CACHED_CASES, ids=["slice-cuts", "triangle", "pinned", "vanishing-row"]
+)
+def test_a_second_solve_on_the_same_inputs_computes_no_tight_solve(computed_solves, build, x0):
+    # the slot holds the last tight solve, on the returned active rows, so a
+    # solve warm started there on the same system and x0 computes nothing and
+    # returns bitwise the same; NaN written into a returned point (on the
+    # triangle, the solve's own w) does not reach the slot
+    system = build()
+    warm = least_distance(build(), x0).active_set
+    first = least_distance(system, x0, warm_start=warm)
+    want = first.point.copy()
+    first.point[:] = np.nan
+    start = len(computed_solves)
+    second = least_distance(system, x0, warm_start=warm)
+    assert len(computed_solves) == start
+    assert second.point.tobytes() == want.tobytes()
+    assert (second.active_set, second.iterations) == (first.active_set, first.iterations)
+    assert not qp._last_tight or not qp._last_tight[1].flags.writeable
+
+
+# runs whose anchored projections reuse the last tight solve: on a box the
 # solve's point is its own w, on a slice it is mapped back from w
 CARRY_RUNS = [
     ("hs-quasimonotone", [[0.0, 0.0], [1.0, 0.0]], SolverParams(delta=0.9)),
@@ -505,41 +552,39 @@ CARRY_RUNS = [
 
 
 @pytest.mark.parametrize("name, starts, params", CARRY_RUNS, ids=[r[0] for r in CARRY_RUNS])
-def test_a_carried_solve_gives_the_cold_solution(monkeypatch, tight_solves, name, starts, params):
-    # every anchored projection of a run, against the same solve on an equal
-    # system that carries nothing: bitwise the same result, one tight solve
-    # fewer exactly when the last solve on the previous system held rows
-    # tight and no slab row among them, and no warm row is a twin whose
-    # right-hand side the new cut lowered; and no harm from a caller that
-    # writes into the point
+def test_a_carried_solve_gives_the_cold_solution(
+        monkeypatch, computed_solves, name, starts, params):
+    # every anchored projection of a run, against the same solve from an
+    # empty slot: bitwise the same result, and one tight solve fewer exactly
+    # when the previous anchored QP ended on rows tight, none of them its
+    # slab, no warm row is a twin whose right-hand side the new cut lowered,
+    # and no projection onto C computed a tight solve in between; and no harm
+    # from a caller that writes into the point
     problem = make_problem(name, a=5.0) if name == "fractional-simplex" else make_problem(name)
     previous = None  # the previous anchored system's slab row, stored h and active set
     outcomes = []
+    done = 0  # tight solves computed up to the end of the last anchored QP
 
     def checked(system, x0, **kwargs):
-        nonlocal previous
+        nonlocal previous, done
         if "warm_start" not in kwargs:
             return least_distance(system, x0, **kwargs)
-        start = len(tight_solves)
-        cold = least_distance(_unlinked(system), x0, **kwargs)
-        middle = len(tight_solves)
-        sol = least_distance(system, x0, **kwargs)
-        saved = middle - start - (len(tight_solves) - middle)
-        assert sol.point.tobytes() == cold.point.tobytes()
-        assert (sol.active_set, sol.iterations) == (cold.active_set, cold.iterations)
+        between = len(computed_solves) > done
+        saved, sol = _saved(computed_solves, system, x0, kwargs["warm_start"])
         if previous is not None:
             slab, stored, active = previous
             held_slab = slab in active
             lowered = np.flatnonzero(system.h[:stored.size] != stored)
             assert lowered.size <= 1 and (system.h[lowered] < stored[lowered]).all()
             lowered_warm = bool(set(lowered.tolist()) & set(kwargs["warm_start"]))
-            outcomes.append((held_slab, lowered_warm))
-            assert saved == (0 if held_slab or lowered_warm or not active else 1)
+            outcomes.append((held_slab, lowered_warm, between))
+            assert saved == (0 if held_slab or lowered_warm or between or not active else 1)
         else:
             assert saved == 0
         # the first anchored system of a run has no slab row (x = x0)
         slab = system.G.shape[0] - 1 if previous is not None else None
         previous = (slab, system.h[:slab].copy(), sol.active_set)
+        done = len(computed_solves)
         out = qp.QpSolution(sol.point.copy(), list(sol.active_set), sol.iterations,
                             sol._certificate)
         sol.point[:] = np.nan
@@ -549,49 +594,41 @@ def test_a_carried_solve_gives_the_cold_solution(monkeypatch, tight_solves, name
     for x0 in starts:
         previous = None
         solve(problem, x0, params)
-    assert outcomes.count((False, False)) >= 5
+    assert outcomes.count((False, False, False)) >= 5
     # the ray operator's cuts of one solve share their unit normal
-    assert (name == "ray-setvalued") == ((False, True) in outcomes)
+    assert (name == "ray-setvalued") == any(lowered for _, lowered, _ in outcomes)
 
 
 @pytest.mark.parametrize("name, starts, params", CARRY_RUNS, ids=[r[0] for r in CARRY_RUNS])
 def test_each_anchored_qp_is_warm_started_at_the_last_active_rows_below_the_slab(
         monkeypatch, name, starts, params):
-    # the store's warm start against the rule it replaces: the active set of
-    # the previous anchored QP without its slab row, the one row at or past
-    # the stored rows; the previous solve is carried exactly when that rule
-    # drops no row and no kept row is a twin whose right-hand side the new
-    # cut lowered
+    # step's warm start against the rule: the active set of the previous
+    # anchored QP without its slab row, the one row at or past the rows the
+    # store held before the new cut, and the active set is kept in the state
     problem = make_problem(name, a=5.0) if name == "fractional-simplex" else make_problem(name)
     step = vifd.solver.step
-    anchored = []  # (system, warm start received, carried solve, solution) per anchored QP
+    anchored = []  # (warm start received, solution) per anchored QP
     previous = None  # the previous anchored QP's active set and the rows stored then
-    outcomes = []
+    kept_all = 0
 
     def watched_qp(system, x0, **kwargs):
         solution = least_distance(system, x0, **kwargs)
         if "warm_start" in kwargs:
-            anchored.append((system, kwargs["warm_start"], system._link.carried, solution))
+            anchored.append((kwargs["warm_start"], solution))
         return solution
 
     def watched_step(state, problem, params):
-        nonlocal previous
+        nonlocal previous, kept_all
         count = len(anchored)
         state, report = step(state, problem, params)
         if len(anchored) > count:
-            system, received, carried, solution = anchored[-1]
-            if previous is None:
-                assert received is None and carried is None
-            else:
-                active, stored = previous
-                kept = [i for i in active if i < stored.size]
-                lowered = np.flatnonzero(system.h[:stored.size] != stored).tolist()
-                assert list(received or ()) == kept
-                carry = bool(active) and kept == active and not set(lowered) & set(kept)
-                assert (carried is not None) == carry
-                if active:
-                    outcomes.append(carry)
-            previous = (list(solution.active_set), state.cuts.system.h.copy())
+            received, solution = anchored[-1]
+            active, stored = previous if previous is not None else ([], 0)
+            kept = [i for i in active if i < stored]
+            assert received == kept
+            kept_all += bool(active) and kept == active
+            assert state.active_set == solution.active_set
+            previous = (list(solution.active_set), state.cuts.rows)
         return state, report
 
     monkeypatch.setattr(vifd.solver, "least_distance", watched_qp)
@@ -599,7 +636,7 @@ def test_each_anchored_qp_is_warm_started_at_the_last_active_rows_below_the_slab
     for x0 in starts:
         previous = None
         solve(problem, x0, params)
-    assert outcomes.count(True) >= 5
+    assert kept_all >= 5
 
 
 @pytest.mark.parametrize("name, starts, params", CARRY_RUNS, ids=[r[0] for r in CARRY_RUNS])
@@ -651,71 +688,131 @@ def test_the_store_system_is_the_stored_rows_of_the_last_anchored_system(
     assert (lowered > 0) == (name == "ray-setvalued")
 
 
-def test_the_store_drops_the_slab_from_its_warm_start_and_then_carries_nothing():
+def test_step_drops_the_slab_row_from_the_warm_start(monkeypatch):
+    # each anchored QP made to report its slab row, the system's last row
+    # past the stored ones, as active: step leaves that row out of the next
+    # warm start, where the next cut takes its index, and the run is bitwise
+    # the run without the report
+    problem, params = make_problem("hs-quasimonotone"), SolverParams(delta=0.9)
+    alone = solve(problem, [0.0, 0.0], params)
+    state, report, received, reported = SolverState.initial([0.0, 0.0]), None, [], []
+
+    def reporting(system, x0, warm_start=None):
+        received.append(warm_start)
+        solution = least_distance(system, x0, warm_start=warm_start)
+        if system.G.shape[0] > state.cuts.rows:
+            solution.active_set = solution.active_set + [state.cuts.rows]
+        reported.append((solution.active_set, state.cuts.rows))
+        return solution
+
+    monkeypatch.setattr(vifd.solver, "least_distance", reporting)
+    while report is None:
+        state, report = step(state, problem, params)
+    slabs = sum(rows in active for active, rows in reported)
+    assert slabs >= 5
+    for warm, (active, rows) in zip(received[1:], reported):
+        assert warm == [i for i in active if i < rows] and rows not in warm
+    assert (report.stop_reason, report.counters) == (alone.stop_reason, alone.counters)
+    assert report.terminal_point.tobytes() == alone.terminal_point.tobytes()
+
+
+def test_a_reused_solve_needs_its_rows_their_right_hand_sides_and_its_w0(computed_solves):
     C = Box([-5.0, -5.0], [5.0, 5.0])
     x0 = np.zeros(2)
     store = ConstraintStore(C)
-    # iteration 0: no last solve; the cut y1 + y2 <= -2 (row 4) is tight
-    system = store.add_with_slab(np.ones(2), -np.ones(2), x0 - x0, x0)
-    assert store.warm_start is None and system._link.carried is None
-    first = least_distance(system, x0, warm_start=store.warm_start)
-    assert first.active_set == [4]
-    # row 4 is stored, so it keeps its index and the solve is carried
-    x1 = first.point
-    system = store.add_with_slab(np.array([1.0, -0.5]), np.array([-2.0, 0.0]), x0 - x1, x1)
-    assert store.warm_start == [4] and system._link.carried.active == (4,)
-    # a last solve that holds the slab row (6) tight: that row is the next
-    # system's new cut, so it is dropped and nothing is carried
-    slab_solve = least_distance(system, x0, warm_start=[6])
-    assert 6 in slab_solve.active_set
-    x2 = slab_solve.point
-    following = store.add_with_slab(np.ones(2), -np.ones(2), x0 - x2, x2)
-    assert store.warm_start == [i for i in slab_solve.active_set if i != 6]
-    assert following._link.carried is None
-
-
-def test_a_carried_solve_needs_its_rows_its_w0_and_a_derived_system(tight_solves):
-    C = Box([-5.0, -5.0], [5.0, 5.0])
-    x0 = np.zeros(2)
-    store = ConstraintStore(C)
-
-    def count(system, point, warm):
-        start = len(tight_solves)
-        sol = least_distance(system, point, warm_start=warm)
-        return sol, len(tight_solves) - start
-
-    def check(system, point, warm, saved):
-        sol, calls = count(system, point, warm)
-        cold, cold_calls = count(_unlinked(system), point.copy(), warm)
-        assert sol.point.tobytes() == cold.point.tobytes()
-        assert (sol.active_set, sol.iterations) == (cold.active_set, cold.iterations)
-        assert cold_calls - calls == saved
-        return sol
-
-    # iteration 0: x = x0, so no slab row; the cut y1 + y2 <= -2 is tight
+    # iteration 0: x = x0, so no slab row; the cut y1 + y2 <= -2 (row 4) is tight
     first = least_distance(store.add_with_slab(np.ones(2), -np.ones(2), x0 - x0, x0), x0)
     assert first.active_set == [4]
     x1 = first.point
     system = store.add_with_slab(np.array([1.0, -0.5]), np.array([-2.0, 0.0]), x0 - x1, x1)
+    # row 4 keeps its bits and its right-hand side, and x0 is the same
+    saved, solution = _saved(computed_solves, system, x0, [4])
+    assert saved == 1 and solution.active_set == [4, 5]
     # another x0, or x0 written in place after a solve, is a miss
-    check(system, np.array([0.0, 1e-300]), [4], 0)
+    assert _saved(computed_solves, system, np.array([0.0, 1e-300]), [4, 5])[0] == 0
     moved = x0.copy()
-    check(system, moved, [4], 1)
+    least_distance(system, moved, warm_start=[4, 5])
     moved[1] = 1e-300
-    check(system, moved, [4], 0)
-    # an equal system that the store did not derive is a miss
-    check(_unlinked(system), x0, [4], 0)
-    check(assemble(C, [([1.0, 1.0], [-1.0, -1.0]), ([1.0, -0.5], [-2.0, 0.0]),
-                       (x0 - x1, x1)]), x0, [4], 0)
-    # the last solve on a system holds its slab row (6) tight, so the next
-    # system, where row 6 is the new cut, carries nothing, even though here
-    # that cut repeats the slab's row and the carried solve would be exact
-    check(system, x0, [4], 1)
-    slab_solve = check(system, x0, [6], 0)
-    assert 6 in slab_solve.active_set
-    x2 = slab_solve.point
-    following = store.add_with_slab(np.ones(2), -np.ones(2), x0 - x2, x2)
-    check(following, x0, slab_solve.active_set, 0)
+    assert _saved(computed_solves, system, moved, [4, 5])[0] == 0
+    # the slot is keyed by content: an equal system that no store derived hits
+    least_distance(system, x0, warm_start=[4, 5])
+    assert _saved(computed_solves, _unlinked(system), x0, [4, 5])[0] == 1
+    # a twin of row 4 that lowers its right-hand side is a miss, and one that
+    # leaves it is a hit (row 6, the slab, was not active)
+    x2 = solution.point
+    lowered = store.add_with_slab(2.0 * np.ones(2), np.full(2, -1.5), x0 - x2, x2)
+    assert lowered.h[4] < system.h[4]
+    saved, solution = _saved(computed_solves, lowered, x0, [4, 5])
+    assert saved == 0 and solution.active_set == [4, 5]
+    x3 = solution.point
+    kept = store.add_with_slab(0.5 * np.ones(2), np.full(2, -1.0), x0 - x3, x3)
+    assert kept.h[4] == lowered.h[4]
+    assert _saved(computed_solves, kept, x0, [4, 5])[0] == 1
+
+
+def test_a_plain_projection_between_two_anchored_qps_changes_no_result(
+        monkeypatch, computed_solves):
+    # a projection onto C alone after each anchored QP, with active rows,
+    # takes the slot, so the next anchored QP computes its first tight solve
+    # again; the run is bitwise the same
+    problem, params = make_problem("hs-quasimonotone"), SolverParams(delta=0.9)
+    plain = assemble(problem.feasible, [])
+    counts = {"plain": 0, "anchored": 0}
+
+    def run():
+        start = len(computed_solves)
+        report = solve(problem, [0.0, 0.0], params)
+        return report, len(computed_solves) - start
+
+    alone, alone_computed = run()
+
+    def interleaved(system, x0, **kwargs):
+        solution = least_distance(system, x0, **kwargs)
+        counts["anchored"] += 1
+        counts["plain"] += bool(least_distance(plain, [9.0, -9.0]).active_set)
+        return solution
+
+    monkeypatch.setattr(vifd.solver, "least_distance", interleaved)
+    mixed, mixed_computed = run()
+    assert counts["plain"] == counts["anchored"] >= 5
+    assert (mixed.stop_reason, mixed.counters) == (alone.stop_reason, alone.counters)
+    assert mixed.terminal_point.tobytes() == alone.terminal_point.tobytes()
+    # each projection onto C computes one solve, and every anchored QP but
+    # the first, whose warm start is empty, computes one more
+    assert mixed_computed - alone_computed == counts["plain"] + counts["anchored"] - 1
+
+
+def test_concurrent_solves_sharing_the_slot_return_their_own_results():
+    # threads that interleave solves of different systems and starts can
+    # only make each other miss the slot: every result is bitwise the one
+    # computed alone
+    cases = [(build(), np.array(x0, dtype=float)) for build, x0 in CACHED_CASES]
+    cases.append((_slice_with_cuts(12), np.array([0.0, 2.0, 0.5, -1.0, 3.0])))
+    want = [(cold.point.tobytes(), cold.active_set)
+            for cold in (least_distance(system, x0) for system, x0 in cases)]
+    wrong, done = [], []
+
+    def work(offset):
+        for k in range(150):
+            i = (k + offset) % len(cases)
+            system, x0 = cases[i]
+            solution = least_distance(system, x0, warm_start=want[i][1])
+            if (solution.point.tobytes(), solution.active_set) != want[i]:
+                wrong.append(i)
+        done.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2, 3] and not wrong
 
 
 def test_simplex_projection_frozen_values():

@@ -604,9 +604,11 @@ class TestSolve:
             assert counters.qp_pivots == sum(pivots) > 0
 
     def test_the_delta_099_row_makes_one_tight_solve_per_anchored_qp(self, monkeypatch):
-        # an anchored QP's warm start takes the tight solve carried from the
-        # previous iteration in place of computing it, so what is left is its
-        # polish; without the carried solve this row makes 2.0 per anchored QP
+        # an anchored QP's warm start is the last one's active rows, on rows
+        # and at an x0 that keep their bits, so its first tight solve is the
+        # last one's polish, which _tight_solve returns from its slot: what
+        # it computes is its polish.  Without the reuse this row computes 2.0
+        # tight solves per anchored QP
         config = preset_configs("table3")[-1]
         assert config.params.delta == 0.99 and config.seed == 0
         counts = {"tight": 0, "anchored": 0}
@@ -614,8 +616,10 @@ class TestSolve:
         tight_solve = qp._tight_solve
 
         def counted_tight_solve(*args):
-            counts["tight"] += anchored
-            return tight_solve(*args)
+            last = qp._last_tight
+            result = tight_solve(*args)
+            counts["tight"] += anchored and qp._last_tight is not last
+            return result
 
         def counted(system, *args, **kwargs):
             nonlocal anchored

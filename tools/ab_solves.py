@@ -16,7 +16,9 @@ Correctness comes first: every solve runs once on each side, and each start's
 ``record`` in ``tools/trajectory_digest.py`` (stop reason, iterations,
 operator evaluations, QP solves and terminal-point bytes), or the exception
 raised, must agree, so sides that agree give the same digest solve by solve.
-On the first solve that differs the script names it and exits 1.
+On the first solve that differs the script names it and exits 1.  Otherwise
+it prints the number of ``np.linalg.lstsq`` calls each side made over that
+pass, a count of work that host noise cannot move.
 
 The parent is also loaded a second time, as the package ``vifd_floor``, and
 checked against the parent like the candidate.  Then each round runs every
@@ -106,14 +108,30 @@ def main(argv=None) -> int:
         (copy, [copy.bench.ExperimentConfig.from_dict(solve.config.to_dict())
                 for solve in solves]) for copy in copies]
     names = ("candidate", "parent", "parent copy")
-    for i, solve in enumerate(solves):
-        outcomes = [run(package, configs[i])[1] for package, configs in sides]
-        for side, outcome in enumerate(outcomes):
-            if outcome != outcomes[1]:
-                print(f"solve {i} ({solve.cell}) differs: {names[side]} {outcome!r:.200} "
-                      f"against parent {outcomes[1]!r:.200}")
-                return 1
+    # every side calls np.linalg.lstsq through the numpy module they share
+    lstsq, calls = np.linalg.lstsq, [0] * len(sides)
+    current = 0
+
+    def counted_lstsq(*args, **kwargs):
+        calls[current] += 1
+        return lstsq(*args, **kwargs)
+
+    np.linalg.lstsq = counted_lstsq
+    try:
+        for i, solve in enumerate(solves):
+            outcomes = []
+            for current, (package, configs) in enumerate(sides):
+                outcomes.append(run(package, configs[i])[1])
+            for side, outcome in enumerate(outcomes):
+                if outcome != outcomes[1]:
+                    print(f"solve {i} ({solve.cell}) differs: {names[side]} {outcome!r:.200} "
+                          f"against parent {outcomes[1]!r:.200}")
+                    return 1
+    finally:
+        np.linalg.lstsq = lstsq
     print(f"solves {len(solves)} agree: digest records, solve by solve")
+    print("lstsq calls over those solves: " +
+          ", ".join(f"{name} {count}" for name, count in zip(names, calls)))
 
     # times[side][round] holds every solve's seconds in that round
     times = [[[] for _ in range(args.rounds)] for _ in sides]
